@@ -255,7 +255,8 @@ def cmd_experiment(args) -> None:
     aggregate = out_dir / "aggregate.csv"
     aggregate.write_text("\n".join(rows) + "\n", encoding="utf-8")
     _write_manifest(aggregate, "experiment",
-                    {"noise": args.noise, "epochs": args.epochs, "hidden": args.hidden},
+                    {"noise": args.noise, "epochs": args.epochs, "hidden": args.hidden,
+                     "s": TrainConfig.outlier_scale},
                     args.seed, [args.input, args.schema], [aggregate],
                     time.perf_counter() - tic)
 

@@ -59,10 +59,13 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
             f"(this build reads version {FORMAT_VERSION})")
     payload = data[body_start + header_len:]
     tensors = {}
-    for entry in header.pop("tensors"):
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if start + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated payload for tensor '{entry['name']}'")
-        arr = np.frombuffer(payload[start: start + nbytes], dtype="<f8").reshape(entry["shape"])
-        tensors[entry["name"]] = arr.astype(np.float64)
+    try:
+        for entry in header.pop("tensors"):
+            start, nbytes = entry["offset"], entry["nbytes"]
+            if start + nbytes > len(payload):
+                raise CheckpointError(f"{path}: truncated payload for tensor '{entry['name']}'")
+            arr = np.frombuffer(payload[start: start + nbytes], dtype="<f8").reshape(entry["shape"])
+            tensors[entry["name"]] = arr.astype(np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed tensor manifest: {exc!r}") from exc
     return header, tensors

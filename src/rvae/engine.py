@@ -30,6 +30,7 @@ __all__ = [
     "slice_cols",
     "take_rows",
     "gather_cols",
+    "permute_cols",
     "log_softmax",
 ]
 
@@ -64,14 +65,24 @@ class Tensor:
         return self.value.ndim
 
     def _acc(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+        """Add one gradient contribution.
+
+        The first contribution becomes ``grad`` as is, without a copy, and
+        later ones rebind ``grad`` to ``grad + g``. A contribution whose
+        shape differs is broadcast to the value's shape first. Since no
+        gradient array is ever written in place, ``grad`` may share memory
+        with the contribution it came from (a view of the consumer's
+        gradient, or the same array): read it, never modify it.
+        """
+        if g.shape != self.value.shape:
+            g = np.broadcast_to(g, self.value.shape)
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self, seed=None) -> None:
         """Run reverse-mode accumulation from this node.
 
-        `seed` defaults to 1.0 and is only optional for scalar outputs.
+        `seed` defaults to 1.0 and is only optional for scalar outputs; a
+        caller's seed is copied, so the caller's array is never aliased.
         Gradients of every node reachable from here are reset first, so
         repeated calls do not accumulate across tapes.
         """
@@ -79,7 +90,7 @@ class Tensor:
             if self.value.ndim != 0:
                 raise ValueError("backward() without a seed requires a scalar output")
             seed = 1.0
-        seed = np.asarray(seed, dtype=np.float64)
+        seed = np.array(seed, dtype=np.float64)
         if seed.shape != self.value.shape:
             raise ValueError(f"seed shape {seed.shape} does not match output shape {self.value.shape}")
         order = self._topo()
@@ -258,12 +269,10 @@ def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out = Tensor(a.value.sum(axis=axis, keepdims=keepdims), (a,))
 
     def bw(g):
-        if axis is None:
-            a._acc(np.broadcast_to(g, a.value.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a._acc(np.broadcast_to(g, a.value.shape).copy())
+        # _acc broadcasts the reduced gradient back to a's shape
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._acc(g)
 
     out._bw = bw
     return out
@@ -336,6 +345,19 @@ def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
         a._acc(buf)
 
     out._bw = bw
+    return out
+
+
+def permute_cols(a: Tensor, order: np.ndarray) -> Tensor:
+    """Reorder the columns of a 2-D tensor: out[:, i] = a[:, order[i]].
+
+    ``order`` must be a permutation, so the backward pass is a plain index
+    with the inverse permutation.
+    """
+    order = np.asarray(order, dtype=np.int64)
+    inverse = np.argsort(order)
+    out = Tensor(a.value[:, order], (a,))
+    out._bw = lambda g: a._acc(g[:, inverse])
     return out
 
 

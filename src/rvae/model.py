@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .data import REAL, EmbeddingBank, FeatureSpec, TableSchema, encode_rows
+from .data import REAL, EmbeddingBank, TableSchema, encode_rows
 from .engine import Tensor
 from .errors import ConfigError
 from .nn import DenseNet, Rng
@@ -88,60 +88,75 @@ class Encoder:
 
 
 class Decoder:
-    """Shared trunk z -> hidden plus per-feature linear heads.
+    """Shared trunk z -> hidden plus one fused linear head.
 
-    Real features get a mean head and a learned scalar log sigma_d;
-    categorical features get a logit head of their cardinality.
+    The head ``W`` (H, n_real + sum C_d) and ``b`` hold the real means in
+    their first n_real columns (real-feature order), then each
+    categorical's logits in a block at a fixed offset (categorical order);
+    ``columns`` maps a feature name to its column slice. ``log_sigma``
+    holds the learned log sigma_d of every real feature. Initial weights
+    are drawn per feature in schema order, one (H, 1) or (H, C_d) draw
+    each, and placed into the fused columns.
     """
 
     def __init__(self, schema: TableSchema, latent_dim: int, hidden_dim: int, rng: Rng | None):
         self.schema = schema
         self.latent_dim = latent_dim
         self.trunk = DenseNet([latent_dim, hidden_dim], ["relu"], rng, name="decoder.trunk")
-        self.real_heads: dict[str, tuple[Tensor, Tensor]] = {}
-        self.log_sigma: dict[str, Tensor] = {}
-        self.cat_heads: dict[str, tuple[Tensor, Tensor]] = {}
-        scale = math.sqrt(1.0 / hidden_dim)
-        for feat in schema.features:
-            if feat.kind == REAL:
-                w = np.zeros((hidden_dim, 1)) if rng is None else rng.normal((hidden_dim, 1)) * scale
-                self.real_heads[feat.name] = (Tensor(w), Tensor(np.zeros(1)))
-                self.log_sigma[feat.name] = Tensor(np.zeros(1))
-            else:
-                w = np.zeros((hidden_dim, feat.cardinality)) if rng is None else rng.normal((hidden_dim, feat.cardinality)) * scale
-                self.cat_heads[feat.name] = (Tensor(w), Tensor(np.zeros(feat.cardinality)))
+        self.n_real = len(schema.real_features)
+        self.columns: dict[str, slice] = {}
+        for j, feat in enumerate(schema.real_features):
+            self.columns[feat.name] = slice(j, j + 1)
+        offset = self.n_real
+        for feat in schema.cat_features:
+            self.columns[feat.name] = slice(offset, offset + feat.cardinality)
+            offset += feat.cardinality
+        w = np.zeros((hidden_dim, offset))
+        if rng is not None:
+            scale = math.sqrt(1.0 / hidden_dim)
+            for feat in schema.features:
+                cols = self.columns[feat.name]
+                w[:, cols] = rng.normal((hidden_dim, cols.stop - cols.start)) * scale
+        self.W = Tensor(w)
+        self.b = Tensor(np.zeros(offset))
+        self.log_sigma = Tensor(np.zeros(self.n_real))
+        # per-cell likelihoods come out reals first, then one column per
+        # categorical; this reorders them into schema order (None: no-op)
+        order = []
+        for column in range(schema.n_features):
+            kind, slot = schema.kind_index(column)
+            order.append(slot if kind == REAL else self.n_real + slot)
+        self.schema_order = None if order == sorted(order) else np.array(order)
 
     def hidden(self, z: Tensor) -> Tensor:
         return self.trunk.apply(z)
 
-    def real_mean(self, h: Tensor, name: str) -> Tensor:
-        w, b = self.real_heads[name]
-        return engine.add(engine.matmul(h, w), b)
-
-    def cat_logits(self, h: Tensor, name: str) -> Tensor:
-        w, b = self.cat_heads[name]
-        return engine.add(engine.matmul(h, w), b)
-
-    def clipped_log_sigma(self, name: str) -> Tensor:
-        return engine.clip(self.log_sigma[name], LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-
-    def sigma_value(self, name: str) -> float:
-        return float(np.exp(np.clip(self.log_sigma[name].value, LOG_SIGMA_MIN, LOG_SIGMA_MAX))[0])
-
     def params(self) -> dict[str, Tensor]:
         out = dict(self.trunk.params())
-        for feat in self.schema.features:
-            name = feat.name
-            if feat.kind == REAL:
-                w, b = self.real_heads[name]
-                out[f"decoder.real.{name}.W"] = w
-                out[f"decoder.real.{name}.b"] = b
-                out[f"decoder.real.{name}.log_sigma"] = self.log_sigma[name]
-            else:
-                w, b = self.cat_heads[name]
-                out[f"decoder.cat.{name}.W"] = w
-                out[f"decoder.cat.{name}.b"] = b
+        out["decoder.head.W"] = self.W
+        out["decoder.head.b"] = self.b
+        out["decoder.log_sigma"] = self.log_sigma
         return out
+
+    def _feature_parts(self):
+        """(checkpoint name, fused tensor, index) of each per-feature head
+        tensor, in schema order."""
+        for feat in self.schema.features:
+            cols = self.columns[feat.name]
+            prefix = f"decoder.{'real' if feat.kind == REAL else 'cat'}.{feat.name}"
+            yield f"{prefix}.W", self.W, (slice(None), cols)
+            yield f"{prefix}.b", self.b, cols
+            if feat.kind == REAL:
+                yield f"{prefix}.log_sigma", self.log_sigma, cols
+
+    def feature_arrays(self) -> dict[str, np.ndarray]:
+        """The head split per feature under its checkpoint names, schema order."""
+        return {name: t.value[idx] for name, t, idx in self._feature_parts()}
+
+    def load_feature_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Inverse of :meth:`feature_arrays`: fill the fused head in place."""
+        for name, t, idx in self._feature_parts():
+            t.value[idx] = arrays[name]
 
 
 @dataclass
@@ -158,6 +173,25 @@ class RvaeNetworks:
         if self.pi_encoder is not None:
             out.update(self.pi_encoder.params())
         return out
+
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """Parameter values under their checkpoint names: as :meth:`params`,
+        but with the decoder head split into per-feature tensors."""
+        dec = self.decoder
+        out = {}
+        for name, t in self.params().items():
+            if t is dec.W:
+                out.update(dec.feature_arrays())
+            elif t is not dec.b and t is not dec.log_sigma:
+                out[name] = t.value
+        return out
+
+    def load_checkpoint_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set every parameter from arrays named as :meth:`checkpoint_arrays` names them."""
+        for name, t in self.params().items():
+            if name in arrays:
+                t.value = arrays[name]
+        self.decoder.load_feature_arrays(arrays)
 
 
 def build_networks(schema: TableSchema, latent_dim: int, hidden_dim: int,
@@ -234,27 +268,8 @@ def pi_update(r, alpha):
 
 
 # ---------------------------------------------------------------------------
-# per-cell likelihood surface
+# outlier likelihoods
 # ---------------------------------------------------------------------------
-
-def log_lik_clean(decoder: Decoder, z: np.ndarray, cell, feature: FeatureSpec) -> float:
-    """Log density (real) or log probability (categorical) of one cell given z."""
-    h = _net_values(decoder.trunk, np.atleast_2d(np.asarray(z, dtype=np.float64)))
-    if feature.kind == REAL:
-        w, b = decoder.real_heads[feature.name]
-        mean = float((h @ w.value + b.value)[0, 0])
-        return float(gaussian_log_pdf(float(cell), mean, decoder.sigma_value(feature.name)))
-    w, b = decoder.cat_heads[feature.name]
-    logits = (h @ w.value + b.value)[0]
-    shifted = logits - logits.max()
-    return float(shifted[int(cell)] - np.log(np.exp(shifted).sum()))
-
-
-def log_lik_outlier(components: OutlierComponents, cell, feature: FeatureSpec) -> float:
-    if feature.kind == REAL:
-        return float(components.log_lik_real(float(cell)))
-    return components.log_lik_cat(feature.cardinality)
-
 
 def outlier_logliks(components: OutlierComponents, schema: TableSchema,
                     reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
@@ -280,24 +295,23 @@ def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarra
     x_enc = encode_rows(schema, reals, cats, nets.embeddings)
     mu, log_sigma, sigma = nets.encoder.latent(x_enc)
     z = engine.add(mu, engine.mul(sigma, eps))
-    h = nets.decoder.hidden(z)
-    n = z.shape[0]
+    dec = nets.decoder
+    head = engine.add(engine.matmul(dec.hidden(z), dec.W), dec.b)
     cols: list[Tensor] = []
-    for column, feat in enumerate(schema.features):
-        kind, slot = schema.kind_index(column)
-        if kind == REAL:
-            x_col = reals[:, slot][:, None]
-            mean = nets.decoder.real_mean(h, feat.name)
-            log_sigma_d = nets.decoder.clipped_log_sigma(feat.name)
-            resid = engine.mul(engine.sub(engine._wrap(x_col), mean), engine.exp(engine.neg(log_sigma_d)))
-            ll = engine.sub(engine.sub(engine._wrap(-HALF_LOG_2PI), log_sigma_d),
-                            engine.mul(engine.mul(resid, resid), 0.5))
-            cols.append(ll)
-        else:
-            logits = nets.decoder.cat_logits(h, feat.name)
-            ll = engine.gather_cols(engine.log_softmax(logits), cats[:, slot])
-            cols.append(engine.reshape(ll, (n, 1)))
+    if dec.n_real:
+        mean = engine.slice_cols(head, 0, dec.n_real)
+        log_sigma_d = engine.clip(dec.log_sigma, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+        resid = engine.mul(engine.sub(engine._wrap(reals), mean), engine.exp(engine.neg(log_sigma_d)))
+        cols.append(engine.sub(engine.sub(engine._wrap(-HALF_LOG_2PI), log_sigma_d),
+                               engine.mul(engine.mul(resid, resid), 0.5)))
+    for j, feat in enumerate(schema.cat_features):
+        cat_cols = dec.columns[feat.name]
+        logits = engine.slice_cols(head, cat_cols.start, cat_cols.stop)
+        ll = engine.gather_cols(engine.log_softmax(logits), cats[:, j])
+        cols.append(engine.reshape(ll, (ll.shape[0], 1)))
     ll_clean = engine.concat(cols, axis=1)
+    if dec.schema_order is not None:
+        ll_clean = engine.permute_cols(ll_clean, dec.schema_order)
     kl_z = engine.mul(engine.tsum(
         engine.sub(engine.sub(engine.add(engine.mul(mu, mu), engine.mul(sigma, sigma)), 1.0),
                    engine.mul(log_sigma, 2.0)),
@@ -422,22 +436,22 @@ class DecodedValues:
 
 
 def decode_values(decoder: Decoder, z: np.ndarray) -> DecodedValues:
-    from .nn import softmax
-
-    h = _net_values(decoder.trunk, z)
-    schema = decoder.schema
-    n_real = len(schema.real_features)
-    means = np.empty((z.shape[0], n_real))
-    stds = np.empty(n_real)
-    for j, feat in enumerate(schema.real_features):
-        w, b = decoder.real_heads[feat.name]
-        means[:, j] = (h @ w.value + b.value)[:, 0]
-        stds[j] = decoder.sigma_value(feat.name)
+    """Means, sigmas and category probabilities at latents z: one head
+    product, then a softmax over every categorical's column block."""
+    head = _net_values(decoder.trunk, z) @ decoder.W.value + decoder.b.value
+    n_real = decoder.n_real
+    stds = np.exp(np.clip(decoder.log_sigma.value, LOG_SIGMA_MIN, LOG_SIGMA_MAX))
     probs = {}
-    for feat in schema.cat_features:
-        w, b = decoder.cat_heads[feat.name]
-        probs[feat.name] = softmax(h @ w.value + b.value, axis=1)
-    return DecodedValues(real_means=means, real_stds=stds, cat_probs=probs)
+    cat_features = decoder.schema.cat_features
+    if cat_features:
+        logits = head[:, n_real:]
+        starts = [decoder.columns[f.name].start - n_real for f in cat_features]
+        sizes = [f.cardinality for f in cat_features]
+        shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=1), sizes, axis=1)
+        e = np.exp(shifted)
+        p = e / np.repeat(np.add.reduceat(e, starts, axis=1), sizes, axis=1)
+        probs = {f.name: p[:, s:s + c] for f, s, c in zip(cat_features, starts, sizes)}
+    return DecodedValues(real_means=head[:, :n_real], real_stds=stds, cat_probs=probs)
 
 
 def clean_logliks_values(decoder: Decoder, decoded: DecodedValues,

@@ -160,7 +160,14 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus the optimizer hyperparameters."""
+    """Adam hyperparameters plus flat parameter and moment buffers.
+
+    :func:`init_adam` copies every parameter into the one float64 buffer
+    ``flat`` and rebinds each parameter tensor's value to a view of it, so
+    one vectorised update moves all parameters. ``m`` and ``v`` are flat
+    buffers of the same length; the parameter ``names[i]`` owns
+    ``flat[offsets[i]:offsets[i + 1]]``.
+    """
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -168,46 +175,64 @@ class AdamState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    names: list[str] = field(default_factory=list)
+    offsets: list[int] = field(default_factory=lambda: [0])
+    flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adam(params: dict[str, Tensor], lr: float = 0.001, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0) -> AdamState:
-    state = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
-    for name, p in params.items():
-        state.m[name] = np.zeros_like(p.value)
-        state.v[name] = np.zeros_like(p.value)
-    return state
+    """Fresh optimizer state; rebinds every parameter's value to a view of
+    the state's flat buffer (the values themselves do not change)."""
+    offsets = np.cumsum([0] + [p.value.size for p in params.values()]).tolist()
+    flat = np.concatenate([p.value.ravel() for p in params.values()] + [np.zeros(0)])
+    for p, start, stop in zip(params.values(), offsets[:-1], offsets[1:]):
+        p.value = flat[start:stop].reshape(p.value.shape)
+    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
+                     names=list(params), offsets=offsets, flat=flat,
+                     m=np.zeros_like(flat), v=np.zeros_like(flat))
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
     """One bias-corrected Adam update, in place on the parameter tensors.
 
-    L2 decay is applied as a gradient addition weight_decay * param before
-    the moment updates (the classic optimizer-level weight decay).
+    ``params`` must be the dict the state was initialised with. A missing
+    gradient counts as zero. L2 decay is applied as a gradient addition
+    weight_decay * param before the moment updates (the classic
+    optimizer-level weight decay). Each elementwise operation is the one
+    a per-parameter update makes, in the same order, so results match it
+    bit for bit.
     """
-    state.step_count += 1
-    t = state.step_count
+    if list(params) != state.names:
+        raise ValueError("parameters differ from those the optimizer was initialised with")
+    parts = []
     for name, p in params.items():
+        if p.value.base is not state.flat:
+            raise ValueError(f"parameter '{name}' is no longer a view of the optimizer buffer")
         g = grads.get(name)
         if g is None:
-            g = np.zeros_like(p.value)
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter '{name}'")
-        if g.shape != p.value.shape:
+            g = np.zeros(p.value.shape)
+        elif g.shape != p.value.shape:
             raise ValueError(f"gradient shape mismatch for '{name}'")
-        if state.weight_decay != 0.0:
-            g = g + state.weight_decay * p.value
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p.value -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        parts.append(g.ravel())
+    g = np.concatenate(parts + [np.zeros(0)])
+    if not np.isfinite(g).all():
+        for name, start, stop in zip(state.names, state.offsets[:-1], state.offsets[1:]):
+            if not np.isfinite(g[start:stop]).all():
+                raise TrainingError(f"non-finite gradient for parameter '{name}'")
+    state.step_count += 1
+    t = state.step_count
+    if state.weight_decay != 0.0:
+        g = g + state.weight_decay * state.flat
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * g * g
+    m_hat = state.m / (1.0 - state.beta1 ** t)
+    v_hat = state.v / (1.0 - state.beta2 ** t)
+    state.flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return state
 
 

@@ -49,6 +49,8 @@ class ScoreReport:
 
     @classmethod
     def load(cls, path, schema: TableSchema) -> "ScoreReport":
+        """Read a report written by :meth:`save`; every row needs its row
+        line and one line per feature, else this raises DataFormatError."""
         column = {feat.name: i for i, feat in enumerate(schema.features)}
         cells: dict[tuple[int, int], float] = {}
         rows: dict[int, float] = {}
@@ -59,7 +61,15 @@ class ScoreReport:
             if header != ["row_id", "feature", "rule", "score"]:
                 raise DataFormatError(f"{path}: not a score report")
             for entry in reader:
-                r, feat, rule, val = int(entry[0]), entry[1], entry[2], float(entry[3])
+                if len(entry) != 4:
+                    raise DataFormatError(f"{path}: line {reader.line_num} has {len(entry)} "
+                                          "fields, expected 4")
+                try:
+                    r, feat, rule, val = int(entry[0]), entry[1], entry[2], float(entry[3])
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+                if r < 0:
+                    raise DataFormatError(f"{path}: line {reader.line_num}: negative row id")
                 if feat == ROW_MARKER:
                     rows[r] = val
                 elif feat in column:
@@ -67,9 +77,20 @@ class ScoreReport:
                 else:
                     raise DataFormatError(f"{path}: unknown feature '{feat}'")
         n = max(rows) + 1 if rows else 0
+        if len(rows) != n:
+            missing = min(set(range(n)) - set(rows))
+            raise DataFormatError(f"{path}: no row score for row {missing}")
         cell_scores = np.zeros((n, schema.n_features))
+        seen = np.zeros((n, schema.n_features), dtype=bool)
         for (r, c), val in cells.items():
+            if r >= n:
+                raise DataFormatError(f"{path}: cell score for row {r}, which has no row score")
             cell_scores[r, c] = val
+            seen[r, c] = True
+        if not seen.all():
+            r, c = np.argwhere(~seen)[0]
+            raise DataFormatError(f"{path}: no score for row {r}, feature "
+                                  f"'{schema.features[c].name}'")
         row_scores = np.array([rows[r] for r in range(n)])
         return cls(rule=rule, cell_scores=cell_scores, row_scores=row_scores)
 

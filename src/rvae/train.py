@@ -148,9 +148,7 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             loss.backward()
-            grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value))
-                     for name, t in params.items()}
-            adam_step(params, grads, opt)
+            adam_step(params, {name: t.grad for name, t in params.items()}, opt)
             nets.embeddings.renormalize()
             elbo_sum += float(per_row.value.sum())
             if pi is not None:
@@ -172,6 +170,7 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
 # ---------------------------------------------------------------------------
 
 def save_model(model: RvaeModel, path) -> None:
+    """Write a checkpoint; the decoder head is stored as per-feature tensors."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "tool_version": __version__,
@@ -179,31 +178,36 @@ def save_model(model: RvaeModel, path) -> None:
         "config": model.config.__dict__,
         "stats": {name: {"mean": st.mean, "std": st.std} for name, st in model.stats.items()},
     }
-    tensors = {name: t.value for name, t in model.networks.params().items()}
-    write_container(path, meta, tensors)
+    write_container(path, meta, model.networks.checkpoint_arrays())
 
 
 def load_model(path, expected_schema: TableSchema | None = None) -> RvaeModel:
     header, tensors = read_container(path)
     if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: container holds '{header.get('format')}', not a model checkpoint")
+    absent = [key for key in ("schema", "config", "stats") if key not in header]
+    if absent:
+        raise CheckpointError(f"{path}: header has no {absent} entry")
     schema = TableSchema.from_json_obj(header["schema"])
     if expected_schema is not None:
         require_same_schema(expected_schema, schema, context="checkpoint schema")
-    config = TrainConfig(**header["config"])
+    try:
+        config = TrainConfig(**header["config"])
+        stats = {name: ColumnStats(mean=entry["mean"], std=entry["std"])
+                 for name, entry in header["stats"].items()}
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed config or stats entry: {exc!r}") from exc
     config.validate()
     nets = build_networks(schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=None, amortized=config.is_amortized)
-    params = nets.params()
-    if set(params) != set(tensors):
-        missing = sorted(set(params) ^ set(tensors))
+    expected = nets.checkpoint_arrays()
+    if set(expected) != set(tensors):
+        missing = sorted(set(expected) ^ set(tensors))
         raise CheckpointError(f"{path}: tensor manifest does not match architecture: {missing[:5]}")
-    for name, tensor in params.items():
-        if tensors[name].shape != tensor.value.shape:
+    for name, arr in expected.items():
+        if tensors[name].shape != arr.shape:
             raise CheckpointError(
-                f"{path}: tensor '{name}' has shape {tensors[name].shape}, expected {tensor.value.shape}")
-        tensor.value = tensors[name]
-    stats = {name: ColumnStats(mean=entry["mean"], std=entry["std"])
-             for name, entry in header["stats"].items()}
+                f"{path}: tensor '{name}' has shape {tensors[name].shape}, expected {arr.shape}")
+    nets.load_checkpoint_arrays(tensors)
     return RvaeModel(networks=nets, schema=schema, config=config, stats=stats,
                      components=OutlierComponents(real_scale=config.outlier_scale))

@@ -8,6 +8,7 @@ from rvae.corrupt import (GaussianMixtureNoise, GaussianNoise, LaplaceNoise,
 from rvae.data import write_table
 from rvae.errors import ConfigError
 from rvae.synthetic import mixture_table
+from rvae.train import TrainConfig
 
 TRAIN_FAST = ["--epochs", "4", "--hidden", "32", "--latent", "4", "--embedding", "8",
               "--batch", "64"]
@@ -176,6 +177,55 @@ def test_schema_mismatch_exits_5(workspace, tmp_path):
                 "--out", tmp_path / "e.json"]) == 5
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(workspace):
+    path = workspace / "small.ckpt"
+    assert run(["train", "--input", workspace / "clean.csv", "--schema",
+                workspace / "schema.json", "--seed", "2", "--out", path, *TRAIN_FAST]) == 0
+    return path
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint container, applying `edit` to its JSON header."""
+    raw = src.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + n])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + n:])
+
+
+def score_with(workspace, checkpoint, out):
+    return run(["score", "--input", workspace / "clean.csv", "--checkpoint", checkpoint,
+                "--rule", "pi", "--out", out])
+
+
+def test_checkpoint_without_schema_or_stats_exits_3(workspace, small_checkpoint, tmp_path,
+                                                    capsys):
+    for key in ("schema", "stats"):
+        rewrite_header(small_checkpoint, tmp_path / "bad.ckpt", lambda h: h.pop(key))
+        assert score_with(workspace, tmp_path / "bad.ckpt", tmp_path / "s.csv") == 3
+        assert key in capsys.readouterr().err
+
+
+def test_checkpoint_with_unknown_config_key_exits_3(workspace, small_checkpoint, tmp_path,
+                                                    capsys):
+    rewrite_header(small_checkpoint, tmp_path / "bad.ckpt",
+                   lambda h: h["config"].update(dropout=0.5))
+    assert score_with(workspace, tmp_path / "bad.ckpt", tmp_path / "s.csv") == 3
+    assert "dropout" in capsys.readouterr().err
+
+
+def test_checkpoint_shape_disagreeing_with_nbytes_exits_3(workspace, small_checkpoint,
+                                                          tmp_path, capsys):
+    def bad_shape(header):
+        header["tensors"][0]["shape"] = [3, 1]
+
+    rewrite_header(small_checkpoint, tmp_path / "bad.ckpt", bad_shape)
+    assert score_with(workspace, tmp_path / "bad.ckpt", tmp_path / "s.csv") == 3
+    assert "malformed tensor manifest" in capsys.readouterr().err
+
+
 def test_threads_flag_does_not_change_outputs(workspace, tmp_path):
     ws = workspace
     assert run(["score", "--input", ws / "dirty.csv", "--checkpoint", ws / "model.ckpt",
@@ -196,3 +246,5 @@ def test_experiment_sweep(workspace, tmp_path):
     assert len(lines) == 1 + 5 * 3  # five fractions x three methods
     methods = {line.split(",")[2] for line in lines[1:]}
     assert methods == {"rvae-cvi", "vae", "marginal"}
+    manifest = json.loads((out_dir / "aggregate.csv.manifest.json").read_text())
+    assert manifest["config"]["s"] == TrainConfig().outlier_scale

@@ -118,11 +118,56 @@ def test_repeated_backward_resets_gradients():
     np.testing.assert_array_equal(x.grad, first)
 
 
+def test_repeated_backward_through_shared_nodes_gives_equal_gradients():
+    w = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
+    h = engine.matmul(Tensor(np.ones((2, 3))), w)
+    out = engine.tsum(engine.mul(engine.slice_cols(h, 0, 2), engine.slice_cols(h, 1, 3)))
+    out.backward()
+    first = w.grad.copy()
+    out.backward()
+    np.testing.assert_array_equal(w.grad, first)
+
+
 def test_shared_node_accumulates_gradient():
     x = Tensor(np.array(1.5))
     out = engine.add(engine.mul(x, x), x)  # x^2 + x, derivative 2x + 1
     out.backward()
     assert float(x.grad) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_node_used_twice_in_one_op_gets_summed_gradient():
+    a = Tensor(np.array([1.0, -2.0, 3.0]))
+    engine.tsum(engine.add(a, a)).backward()
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+    x = Tensor(np.array([1.0, -2.0, 3.0]))
+    engine.tsum(engine.mul(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
+
+
+def test_node_feeding_several_slices_gets_summed_gradient():
+    h = Tensor(np.arange(8.0).reshape(2, 4))
+    parts = [engine.slice_cols(h, 0, 3), engine.slice_cols(h, 1, 4), engine.slice_cols(h, 2, 3)]
+    engine.tsum(engine.concat(parts, axis=1)).backward()
+    np.testing.assert_array_equal(h.grad, [[1, 2, 3, 1], [1, 2, 3, 1]])
+
+
+def test_backward_leaves_the_seed_unchanged():
+    x = Tensor(np.array([1.0, 2.0, 3.0]))
+    out = engine.add(engine.add(x, x), 0.0)
+    seed = np.array([0.5, -1.0, 2.0])
+    kept = seed.copy()
+    out.backward(seed=seed)
+    np.testing.assert_array_equal(seed, kept)
+    np.testing.assert_array_equal(x.grad, 2 * kept)
+    assert not np.shares_memory(x.grad, seed)
+
+
+def test_permute_cols_routes_gradient_back():
+    a = Tensor(np.arange(6.0).reshape(2, 3))
+    out = engine.permute_cols(a, np.array([2, 0, 1]))
+    np.testing.assert_array_equal(out.value, [[2, 0, 1], [5, 3, 4]])
+    engine.tsum(engine.mul(out, np.array([10.0, 20.0, 30.0]))).backward()
+    np.testing.assert_array_equal(a.grad, [[20, 30, 10], [20, 30, 10]])
 
 
 @settings(max_examples=30, deadline=None)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from rvae import engine
 from rvae.data import FeatureSpec, TableSchema
 from rvae.engine import Tensor, neg, tmean
-from rvae.model import (OutlierComponents, build_networks, decode_values,
-                        elbo_rvae, elbo_vae, encode_values, kl_bernoulli,
-                        kl_bernoulli_from_logits, kl_gaussian, log_lik_clean,
-                        log_lik_outlier, outlier_logliks, pi_update,
-                        rvae_step_objective)
+from rvae.model import (OutlierComponents, build_networks,
+                        clean_logliks_values, decode_values, elbo_rvae,
+                        elbo_vae, encode_values, forward_elbo_parts,
+                        kl_bernoulli, kl_bernoulli_from_logits, kl_gaussian,
+                        outlier_logliks, pi_update, rvae_step_objective)
 from rvae.nn import Rng
 
 from conftest import (assert_grads_close, finite_difference, random_batch,
@@ -28,46 +28,59 @@ def zeroed_decoder(schema, latent=3, hidden=4):
     return nets.decoder
 
 
+def clean_loglik(decoder, z, reals, cats):
+    """Clean-component log likelihoods (B, D) of cells given latents z."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    reals = np.asarray(reals, dtype=np.float64).reshape(z.shape[0], -1)
+    cats = np.asarray(cats, dtype=np.int64).reshape(z.shape[0], -1)
+    return clean_logliks_values(decoder, decode_values(decoder, z), reals, cats)
+
+
+NO_CATS = np.zeros((1, 0), dtype=np.int64)
+
+
 # -- per-cell likelihoods ----------------------------------------------------
 
 def test_log_lik_clean_standard_normal_at_zero():
     schema = TableSchema((FeatureSpec("a", "real"),))
     dec = zeroed_decoder(schema)
-    value = log_lik_clean(dec, np.zeros(3), 0.0, schema.features[0])
-    assert value == pytest.approx(-HALF_LOG_2PI, abs=1e-12)
+    value = clean_loglik(dec, np.zeros(3), [[0.0]], NO_CATS)
+    assert value.shape == (1, 1)
+    assert value[0, 0] == pytest.approx(-HALF_LOG_2PI, abs=1e-12)
 
 
 def test_log_lik_clean_uniform_categorical():
     schema = TableSchema((FeatureSpec("b", "categorical", ("w", "x", "y", "z")),))
     dec = zeroed_decoder(schema)
-    for cell in range(4):
-        value = log_lik_clean(dec, np.zeros(3), cell, schema.features[0])
-        assert value == pytest.approx(math.log(0.25), abs=1e-12)
+    values = clean_loglik(dec, np.zeros((4, 3)), np.zeros((4, 0)), np.arange(4)[:, None])
+    np.testing.assert_allclose(values, math.log(0.25), atol=1e-12)
 
 
 def test_log_lik_clean_mode_at_decoded_mean():
     schema = TableSchema((FeatureSpec("a", "real"),))
     dec = zeroed_decoder(schema)
     z = Rng(0).normal(3)
-    at_mode = log_lik_clean(dec, z, 0.0, schema.features[0])
+    at_mode = clean_loglik(dec, z, [[0.0]], NO_CATS)[0, 0]
     for delta in (0.1, -0.3, 2.0):
-        assert log_lik_clean(dec, z, delta, schema.features[0]) < at_mode
+        assert clean_loglik(dec, z, [[delta]], NO_CATS)[0, 0] < at_mode
 
 
 def test_log_lik_outlier_values():
     comps = OutlierComponents(real_scale=2.0)
-    real = FeatureSpec("a", "real")
-    assert log_lik_outlier(comps, 0.0, real) == pytest.approx(-1.612085713764618, abs=1e-12)
-    cat = FeatureSpec("b", "categorical", tuple(str(i) for i in range(10)))
-    assert log_lik_outlier(comps, 3, cat) == pytest.approx(-math.log(10), abs=1e-12)
+    schema = TableSchema((FeatureSpec("a", "real"),
+                          FeatureSpec("b", "categorical", tuple(str(i) for i in range(10)))))
+    values = outlier_logliks(comps, schema, np.array([[0.0]]), np.array([[3]]))
+    assert values[0, 0] == pytest.approx(-1.612085713764618, abs=1e-12)
+    assert values[0, 1] == pytest.approx(-math.log(10), abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-50, 50))
 def test_log_lik_outlier_symmetric(x):
     comps = OutlierComponents(real_scale=2.0)
-    real = FeatureSpec("a", "real")
-    assert log_lik_outlier(comps, x, real) == log_lik_outlier(comps, -x, real)
+    schema = TableSchema((FeatureSpec("a", "real"),))
+    assert (outlier_logliks(comps, schema, np.array([[x]]), NO_CATS)
+            == outlier_logliks(comps, schema, np.array([[-x]]), NO_CATS))
 
 
 def test_outlier_scale_must_exceed_one():
@@ -175,11 +188,9 @@ def test_elbo_vae_matches_hand_composition(mixed_schema):
     x = encode_values(mixed_schema, reals, cats, nets.embeddings)
     mu, sigma = nets.encoder.latent_values(x)
     z = mu + sigma * eps
-    total = -kl_gaussian(mu[0], sigma[0])
-    for column, feat in enumerate(mixed_schema.features):
-        kind, slot = mixed_schema.kind_index(column)
-        cell = reals[0, slot] if kind == "real" else int(cats[0, slot])
-        total += log_lik_clean(nets.decoder, z[0], cell, feat)
+    cells = clean_loglik(nets.decoder, z, reals, cats)
+    assert cells.shape == (1, 4)
+    total = cells.sum() - kl_gaussian(mu[0], sigma[0])
     assert float(per_row.value[0]) == pytest.approx(total, abs=1e-9)
 
 
@@ -209,7 +220,7 @@ def test_elbo_vae_structural_limit():
     # decoder trunk passes z through; mean head reads it back
     nets.decoder.trunk = DenseNet.from_layers([
         (np.array([[1.0, -1.0]]), np.zeros(2), "relu")], name="decoder.trunk")
-    nets.decoder.real_heads["a"] = (Tensor(np.array([[1.0], [-1.0]])), Tensor(np.zeros(1)))
+    nets.decoder.W.value = np.array([[1.0], [-1.0]])
     x = 0.73
     eps = np.zeros((1, 1))
     elbo = float(elbo_vae(nets, schema, np.array([[x]]), np.zeros((1, 0), dtype=np.int64),
@@ -239,11 +250,12 @@ def test_zero_gate_kills_decoder_head_gradient(mixed_schema):
     pi = np.array([[1.0, 1.0, 0.0, 1.0]])  # gate off feature "c" (real head)
     loss = neg(tmean(elbo_rvae(nets, mixed_schema, reals, cats, comps, pi, 0.95, eps=eps)))
     loss.backward()
-    params = nets.params()
-    assert np.all(params["decoder.real.c.W"].grad == 0.0)
-    assert np.all(params["decoder.real.c.b"].grad == 0.0)
-    assert np.all(params["decoder.real.c.log_sigma"].grad == 0.0)
-    assert np.any(params["decoder.real.a.W"].grad != 0.0)
+    dec = nets.decoder
+    c, a = dec.columns["c"], dec.columns["a"]
+    assert np.all(dec.W.grad[:, c] == 0.0)
+    assert np.all(dec.b.grad[c] == 0.0)
+    assert np.all(dec.log_sigma.grad[c] == 0.0)
+    assert np.any(dec.W.grad[:, a] != 0.0)
 
 
 def probe_coordinate_optimality(schema, seed, alpha, deltas=(0.01, 0.1)):
@@ -317,11 +329,37 @@ def test_value_paths_match_tape(mixed_schema):
     np.testing.assert_array_equal(mu_t.value, mu_v)
     np.testing.assert_array_equal(sig_t.value, sig_v)
 
-    z = mu_v
-    decoded = decode_values(nets.decoder, z)
-    h = nets.decoder.hidden(Tensor(z))
-    np.testing.assert_array_equal(nets.decoder.real_mean(h, "a").value[:, 0],
-                                  decoded.real_means[:, 0])
-    logits = nets.decoder.cat_logits(h, "b").value
-    np.testing.assert_allclose(np.exp(engine.log_softmax(Tensor(logits)).value),
-                               decoded.cat_probs["b"], atol=1e-12)
+    # eps = 0 puts the tape's latent at the posterior mean
+    _, ll_tape, _ = forward_elbo_parts(nets, mixed_schema, reals, cats, np.zeros_like(mu_v))
+    dec = nets.decoder
+    decoded = decode_values(dec, mu_v)
+    ll_values = clean_logliks_values(dec, decoded, reals, cats)
+    np.testing.assert_allclose(ll_tape.value, ll_values, atol=1e-12)
+
+    head = engine.add(engine.matmul(dec.hidden(Tensor(mu_v)), dec.W), dec.b)
+    np.testing.assert_array_equal(head.value[:, :dec.n_real], decoded.real_means)
+    for feat in mixed_schema.cat_features:
+        cols = dec.columns[feat.name]
+        tape_probs = np.exp(engine.log_softmax(engine.slice_cols(head, cols.start,
+                                                                 cols.stop)).value)
+        np.testing.assert_allclose(tape_probs, decoded.cat_probs[feat.name], atol=1e-12,
+                                   err_msg=feat.name)
+
+
+def test_fused_head_keeps_per_feature_initial_draws(mixed_schema):
+    # the head's initial columns are the per-feature draws, taken in schema
+    # order right after the encoder and decoder-trunk weights
+    latent, hidden, emb = 3, 8, 4
+    nets = tiny_networks(mixed_schema, seed=35, latent=latent, hidden=hidden, emb=emb)
+    rng = Rng(35)
+    rng.normal((2 + 2 * emb, hidden))  # encoder W0
+    rng.normal((hidden, 2 * latent))   # encoder W1
+    rng.normal((latent, hidden))       # decoder trunk W0
+    dec = nets.decoder
+    for feat in mixed_schema.features:
+        cols = dec.columns[feat.name]
+        draw = rng.normal((hidden, cols.stop - cols.start)) * math.sqrt(1.0 / hidden)
+        np.testing.assert_array_equal(dec.W.value[:, cols], draw, err_msg=feat.name)
+    np.testing.assert_array_equal(dec.b.value, 0.0)
+    np.testing.assert_array_equal(dec.log_sigma.value, 0.0)
+    assert dec.W.value.shape == (hidden, 2 + 3 + 2)

@@ -141,6 +141,59 @@ def test_adam_rejects_non_finite_gradient_with_name():
         adam_step(params, {"encoder.W0": np.array([1.0, np.nan])}, state)
 
 
+def test_adam_names_a_non_finite_gradient_in_a_later_parameter():
+    params = {"a": Tensor(np.ones((2, 2))), "b": Tensor(np.ones(3)), "c": Tensor(np.ones(1))}
+    state = init_adam(params)
+    grads = {"a": np.ones((2, 2)), "b": np.array([0.0, np.inf, 0.0]), "c": np.array([np.nan])}
+    with pytest.raises(TrainingError, match="'b'"):
+        adam_step(params, grads, state)
+
+
+def reference_adam(values, grad_steps, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter update, one parameter at a time, as a reference."""
+    values = {k: v.copy() for k, v in values.items()}
+    m = {k: np.zeros_like(v) for k, v in values.items()}
+    v_ = {k: np.zeros_like(v) for k, v in values.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        for name, p in values.items():
+            g = grads[name]
+            if weight_decay != 0.0:
+                g = g + weight_decay * p
+            m[name] *= b1
+            m[name] += (1.0 - b1) * g
+            v_[name] *= b2
+            v_[name] += (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1 ** t)
+            v_hat = v_[name] / (1.0 - b2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return values
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_flat_adam_matches_per_parameter_update_bit_for_bit(weight_decay):
+    rng = np.random.default_rng(4)
+    shapes = {"W": (5, 3), "b": (3,), "s": (), "E": (4, 2)}
+    start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    steps = [{k: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3) for k, shape in shapes.items()}
+             for _ in range(6)]
+    params = {k: Tensor(v.copy()) for k, v in start.items()}
+    state = init_adam(params, lr=0.003, weight_decay=weight_decay)
+    for grads in steps:
+        adam_step(params, grads, state)
+    expected = reference_adam(start, steps, 0.003, weight_decay)
+    for name, p in params.items():
+        assert p.value.shape == shapes[name]
+        np.testing.assert_array_equal(p.value, expected[name], err_msg=name)
+
+
+def test_adam_rejects_a_parameter_rebound_after_init():
+    params = {"w": Tensor(np.ones(2))}
+    state = init_adam(params)
+    params["w"].value = np.ones(2)
+    with pytest.raises(ValueError, match="'w'"):
+        adam_step(params, {"w": np.ones(2)}, state)
+
+
 # -- sampling and rng --------------------------------------------------------
 
 def test_sample_gaussian_rejects_non_positive_std():

@@ -6,8 +6,7 @@ import pytest
 from rvae.corrupt import GaussianNoise, NoiseSpec, TemperedCategorical, make_scenario
 from rvae.data import (ColumnStats, FeatureSpec, MixedTable, TableSchema,
                        apply_stats, destandardize, standardize)
-from rvae.engine import Tensor
-from rvae.errors import ConfigError, ScoreRuleError
+from rvae.errors import ConfigError, DataFormatError, ScoreRuleError
 from rvae.model import build_networks
 from rvae.nn import DenseNet, Rng
 from rvae.score_repair import (ScoreReport, _chain_iteration,
@@ -42,7 +41,7 @@ def identity_real_model(stats_mean=10.0, stats_std=2.0):
     ], name="encoder")
     nets.decoder.trunk = DenseNet.from_layers([
         (np.array([[1.0, -1.0]]), np.zeros(2), "relu")], name="decoder.trunk")
-    nets.decoder.real_heads["a"] = (Tensor(np.array([[1.0], [-1.0]])), Tensor(np.zeros(1)))
+    nets.decoder.W.value = np.array([[1.0], [-1.0]])
     config = TrainConfig(model="rvae-cvi", latent_dim=1, hidden_dim=2, embedding_dim=2)
     from rvae.model import OutlierComponents
     return RvaeModel(networks=nets, schema=schema, config=config,
@@ -55,9 +54,8 @@ def categorical_bias_model(bias):
     cats = tuple(f"k{i}" for i in range(len(bias)))
     schema = TableSchema((FeatureSpec("c", "categorical", cats),))
     nets = build_networks(schema, latent_dim=2, hidden_dim=3, embedding_dim=4, rng=Rng(0))
-    w, b = nets.decoder.cat_heads["c"]
-    w.value = np.zeros_like(w.value)
-    b.value = np.asarray(bias, dtype=float)
+    nets.decoder.W.value = np.zeros_like(nets.decoder.W.value)
+    nets.decoder.b.value = np.asarray(bias, dtype=float)
     config = TrainConfig(model="rvae-cvi", latent_dim=2, hidden_dim=3, embedding_dim=4)
     from rvae.model import OutlierComponents
     return RvaeModel(networks=nets, schema=schema, config=config, stats={},
@@ -126,6 +124,38 @@ def test_score_report_csv_round_trip(tmp_path, trained):
     np.testing.assert_array_equal(loaded.cell_scores, report.cell_scores)
     np.testing.assert_array_equal(loaded.row_scores, report.row_scores)
     assert loaded.rule == "pi"
+
+
+def _saved_report_lines(tmp_path, schema):
+    report = ScoreReport(rule="pi", cell_scores=np.arange(6.0).reshape(2, 3),
+                         row_scores=np.array([3.0, 12.0]))
+    path = tmp_path / "scores.csv"
+    report.save(path, schema)
+    return path, path.read_text().splitlines()
+
+
+def test_score_report_missing_cell_line_is_rejected(tmp_path, real_schema):
+    schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
+    path, lines = _saved_report_lines(tmp_path, schema)
+    path.write_text("\n".join(line for line in lines if not line.startswith("1,v,")) + "\n")
+    with pytest.raises(DataFormatError, match="row 1, feature 'v'"):
+        ScoreReport.load(path, schema)
+
+
+def test_score_report_missing_row_line_is_rejected(tmp_path, real_schema):
+    schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
+    path, lines = _saved_report_lines(tmp_path, schema)
+    path.write_text("\n".join(line for line in lines if not line.startswith("0,__row__")) + "\n")
+    with pytest.raises(DataFormatError, match="no row score for row 0"):
+        ScoreReport.load(path, schema)
+
+
+def test_score_report_short_last_line_is_rejected(tmp_path, real_schema):
+    schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
+    path, lines = _saved_report_lines(tmp_path, schema)
+    path.write_text("\n".join(lines[:-1] + ["1,__row__"]) + "\n")
+    with pytest.raises(DataFormatError, match="fields, expected 4"):
+        ScoreReport.load(path, schema)
 
 
 def test_score_threads_do_not_change_results(trained):

@@ -211,6 +211,68 @@ def test_checkpoint_schema_mismatch(tmp_path, trained_model, real_schema):
         load_model(path, expected_schema=real_schema)
 
 
+def per_feature_checkpoint(path, schema, seed):
+    """Write a checkpoint by hand in the per-feature tensor layout; returns
+    the tensors in the order written."""
+    from conftest import tiny_networks
+    from rvae.container import write_container
+
+    config = TrainConfig(model="rvae-cvi", latent_dim=3, hidden_dim=8, embedding_dim=4)
+    nets = tiny_networks(schema, seed=seed)
+    rng = Rng(seed + 1)
+    tensors = {}
+    tensors.update({name: t.value for name, t in nets.encoder.params().items()})
+    tensors.update({name: t.value for name, t in nets.decoder.trunk.params().items()})
+    for feat in schema.features:
+        if feat.kind == "real":
+            tensors[f"decoder.real.{feat.name}.W"] = rng.normal((8, 1))
+            tensors[f"decoder.real.{feat.name}.b"] = rng.normal(1)
+            tensors[f"decoder.real.{feat.name}.log_sigma"] = 0.3 * rng.normal(1)
+        else:
+            tensors[f"decoder.cat.{feat.name}.W"] = rng.normal((8, feat.cardinality))
+            tensors[f"decoder.cat.{feat.name}.b"] = rng.normal(feat.cardinality)
+    tensors.update({name: t.value for name, t in nets.embeddings.params().items()})
+    meta = {"format": "rvae-model", "tool_version": "0.1.0", "schema": schema.to_json_obj(),
+            "config": config.__dict__,
+            "stats": {f.name: {"mean": 1.0, "std": 2.0} for f in schema.real_features}}
+    write_container(path, meta, tensors)
+    return tensors
+
+
+def test_per_feature_checkpoint_loads_and_decodes_identically(tmp_path, mixed_schema):
+    from rvae.model import decode_values
+    from rvae.nn import softmax
+
+    tensors = per_feature_checkpoint(tmp_path / "legacy.ckpt", mixed_schema, seed=40)
+    decoder = load_model(tmp_path / "legacy.ckpt").networks.decoder
+    z = Rng(42).normal((6, 3))
+    decoded = decode_values(decoder, z)
+    h = np.maximum(z @ tensors["decoder.trunk.W0"] + tensors["decoder.trunk.b0"], 0.0)
+    for j, feat in enumerate(mixed_schema.real_features):
+        prefix = f"decoder.real.{feat.name}"
+        np.testing.assert_allclose(decoded.real_means[:, j],
+                                   (h @ tensors[f"{prefix}.W"] + tensors[f"{prefix}.b"])[:, 0],
+                                   rtol=1e-13, atol=1e-13)
+        assert decoded.real_stds[j] == np.exp(tensors[f"{prefix}.log_sigma"][0])
+    for feat in mixed_schema.cat_features:
+        prefix = f"decoder.cat.{feat.name}"
+        np.testing.assert_allclose(decoded.cat_probs[feat.name],
+                                   softmax(h @ tensors[f"{prefix}.W"] + tensors[f"{prefix}.b"],
+                                           axis=1), rtol=1e-13, atol=1e-13)
+
+
+def test_save_model_keeps_the_per_feature_layout(tmp_path, mixed_schema):
+    from rvae.container import read_container
+
+    tensors = per_feature_checkpoint(tmp_path / "legacy.ckpt", mixed_schema, seed=43)
+    save_model(load_model(tmp_path / "legacy.ckpt"), tmp_path / "resaved.ckpt")
+    _, written = read_container(tmp_path / "resaved.ckpt")
+    assert list(written) == list(tensors)
+    for name, arr in tensors.items():
+        assert written[name].shape == arr.shape, name
+        np.testing.assert_array_equal(written[name], arr, err_msg=name)
+
+
 def test_model_rejects_foreign_table(trained_model, real_schema):
     _, model = trained_model
     foreign = MixedTable(schema=real_schema, reals=np.zeros((2, 2)),
