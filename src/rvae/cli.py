@@ -353,6 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         args.fn(args)
     except ConfigError as exc:
         print(f"rvae: config error: {exc}", file=sys.stderr)

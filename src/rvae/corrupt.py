@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import REAL, MixedTable
+from .data import REAL, MixedTable, csv_columns
 from .errors import ConfigError, DataFormatError
 from .nn import Rng
 
 RECORD_MAGIC = "rvae-corruption-record"
+RECORD_COLUMNS = "row,column,original_value"
 
 
 @dataclass(frozen=True)
@@ -178,40 +179,85 @@ class CorruptionRecord:
             "row_fraction": self.row_fraction,
             "feat_fraction": self.feat_fraction,
             "shape": list(self.mask.shape),
-        })]
-        lines.append("row,column,original_value")
-        for (row, column), value in sorted(self.originals.items()):
-            lines.append(f"{row},{column},{value!r}")
+        }), RECORD_COLUMNS]
+        cells = sorted(self.originals)
+        lines += map("{0[0]},{0[1]},{1!r}".format, cells, map(self.originals.__getitem__, cells))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "CorruptionRecord":
-        text = Path(path).read_text(encoding="utf-8").splitlines()
+        """Read a record written by :meth:`save`.
+
+        Every cell must lie inside the header's shape and appear once, and
+        the cells must have the layout make_scenario selects for the header's
+        fractions: round(row_fraction * N) rows with round(feat_fraction * D)
+        cells each. Anything else raises DataFormatError.
+        """
+        try:
+            text = Path(path).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
         if not text:
             raise DataFormatError(f"{path}: empty record file")
         try:
             header = json.loads(text[0])
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: record header does not parse: {exc}") from exc
-        if header.get("format") != RECORD_MAGIC:
+        if not isinstance(header, dict) or header.get("format") != RECORD_MAGIC:
             raise DataFormatError(f"{path}: not a corruption record")
-        n, d = header["shape"]
+        shape, seed = header.get("shape"), header.get("seed")
+        fractions = (header.get("row_fraction"), header.get("feat_fraction"))
+        if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_count, shape))
+                and _is_count(seed) and all(map(_is_fraction, fractions))):
+            raise DataFormatError(f"{path}: record header needs a shape [rows, columns], "
+                                  "a seed and two fractions in [0, 1]")
+        if text[1:2] != [RECORD_COLUMNS]:
+            raise DataFormatError(f"{path}: line 2 is not '{RECORD_COLUMNS}'")
+        n, d = shape
+        fields = [line.split(",", 2) for line in text[2:] if line]
+        try:
+            row_texts, col_texts, value_texts = csv_columns(fields, 3)
+            rows = np.fromiter(map(int, row_texts), np.int64, len(fields))
+            cols = np.fromiter(map(int, col_texts), np.int64, len(fields))
+            values = list(map(_record_value, value_texts))
+        except (ValueError, OverflowError) as exc:
+            raise DataFormatError(f"{path}: malformed cell line: {exc}") from None
+        outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= d)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise DataFormatError(f"{path}: cell ({rows[i]}, {cols[i]}) lies outside shape {shape}")
         mask = np.zeros((n, d), dtype=bool)
-        originals: dict[tuple[int, int], float | int] = {}
-        for line in text[2:]:
-            if not line:
-                continue
-            row_s, col_s, val_s = line.split(",", 2)
-            row, col = int(row_s), int(col_s)
-            mask[row, col] = True
-            # values are repr() of int or float, both of which round-trip exactly
-            try:
-                value: float | int = int(val_s)
-            except ValueError:
-                value = float(val_s)
-            originals[(row, col)] = value
-        return cls(mask=mask, originals=originals, seed=header["seed"],
-                   row_fraction=header["row_fraction"], feat_fraction=header["feat_fraction"])
+        mask[rows, cols] = True
+        if mask.sum() != len(fields):
+            counts = np.bincount(rows * d + cols)
+            r, c = divmod(int(np.argmax(counts > 1)), d)
+            raise DataFormatError(f"{path}: cell ({r}, {c}) appears more than once")
+        per_row = mask.sum(axis=1)
+        marked = per_row[per_row > 0]
+        if (marked.size != _round_half_up(fractions[0] * n)
+                or np.any(marked != _round_half_up(fractions[1] * d))):
+            raise DataFormatError(f"{path}: {len(fields)} cells in {marked.size} rows do not match "
+                                  f"row fraction {fractions[0]} and feature fraction "
+                                  f"{fractions[1]} of shape {shape}")
+        originals = dict(zip(zip(rows.tolist(), cols.tolist()), values))
+        return cls(mask=mask, originals=originals, seed=seed,
+                   row_fraction=fractions[0], feat_fraction=fractions[1])
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_fraction(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
+
+
+def _record_value(text: str) -> float | int:
+    # values are repr() of int or float, both of which round-trip exactly
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: int,

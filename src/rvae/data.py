@@ -15,8 +15,10 @@ External formats:
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -192,64 +194,127 @@ def load_csv(csv_path, schema_path) -> MixedTable:
     return read_table(csv_path, schema)
 
 
+def read_csv(path) -> tuple[list[str] | None, list[list[str]]]:
+    """Tokenize a CSV file (RFC-4180 quoting, LF or CRLF line ends) into its
+    header and data rows; the header is None for an empty file."""
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            return next(reader, None), list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def csv_columns(rows: list[list[str]], width: int) -> list[list[str]]:
+    """Transpose data rows into ``width`` columns; ValueError if a row has
+    another number of fields."""
+    if set(map(len, rows)) - {width}:
+        raise ValueError("a row has the wrong number of fields")
+    flat = list(chain.from_iterable(rows))
+    return [flat[i::width] for i in range(width)]
+
+
+def csv_field(text: str) -> str:
+    """``text`` as csv.writer's default dialect writes it inside a row."""
+    if not text:
+        return text  # csv.writer quotes an empty field only when it is the whole row
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]
+
+
+def write_csv(path, header: list[str], blocks) -> None:
+    """Write a CSV byte for byte as csv.writer would (CRLF line ends).
+
+    ``blocks`` yields lists of columns, each a list of fields already
+    formatted with :func:`csv_field` (or needing no quotes, like numbers).
+    Each block is joined and written whole.
+    """
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(csv_field, header)) or '""')
+        fh.write("\r\n")
+        for columns in blocks:
+            lines = list(map(",".join, zip(*columns)))
+            if len(columns) == 1:
+                lines = [line or '""' for line in lines]
+            if lines:
+                fh.write("\r\n".join(lines))
+                fh.write("\r\n")
+
+
+WRITE_BLOCK_ROWS = 4096
+
+
 def read_table(csv_path, schema: TableSchema) -> MixedTable:
     """Parse a CSV against a schema; all errors report row and column."""
     path = Path(csv_path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if header != schema.names:
-            raise DataFormatError(f"{path}: header {header} does not match schema columns {schema.names}")
-        rows = list(reader)
+    header, rows = read_csv(path)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    if header != schema.names:
+        raise DataFormatError(f"{path}: header {header} does not match schema columns {schema.names}")
     if not rows:
         raise DataFormatError(f"{path}: no rows")
-    n_real = len(schema.real_features)
-    n_cat = len(schema.cat_features)
-    reals = np.empty((len(rows), n_real))
-    cats = np.empty((len(rows), n_cat), dtype=np.int64)
-    cat_lookup = {f.name: {label: i for i, label in enumerate(f.categories)} for f in schema.cat_features}
-    for r, row in enumerate(rows):
-        if len(row) != schema.n_features:
-            raise DataFormatError(f"{path}: row {r} has {len(row)} cells, expected {schema.n_features}")
+    n = len(rows)
+    reals = np.empty((n, len(schema.real_features)))
+    cats = np.empty((n, len(schema.cat_features)), dtype=np.int64)
+    try:
+        columns = csv_columns(rows, schema.n_features)
+        if any("" in col for col in columns):
+            raise ValueError
         i_real = i_cat = 0
-        for c, (feat, text) in enumerate(zip(schema.features, row)):
-            if text == "":
-                raise DataFormatError(f"{path}: row {r}, column '{feat.name}': missing values are not supported")
+        for feat, col in zip(schema.features, columns):
             if feat.kind == REAL:
-                try:
-                    reals[r, i_real] = float(text)
-                except ValueError:
-                    raise DataFormatError(f"{path}: row {r}, column '{feat.name}': non-numeric value '{text}'") from None
+                reals[:, i_real] = np.fromiter(map(float, col), np.float64, n)
                 i_real += 1
             else:
-                try:
-                    cats[r, i_cat] = cat_lookup[feat.name][text]
-                except KeyError:
-                    raise DataFormatError(f"{path}: row {r}, column '{feat.name}': unknown category '{text}'") from None
+                lookup = {label: i for i, label in enumerate(feat.categories)}
+                cats[:, i_cat] = np.fromiter(map(lookup.__getitem__, col), np.int64, n)
                 i_cat += 1
+    except (ValueError, KeyError):
+        raise DataFormatError(_first_bad_cell(path, schema, rows)) from None
     return MixedTable(schema=schema, reals=reals, cats=cats, stats=None)
+
+
+def _first_bad_cell(path, schema: TableSchema, rows: list[list[str]]) -> str:
+    """The error for the first malformed row or cell, in file order."""
+    for r, row in enumerate(rows):
+        if len(row) != schema.n_features:
+            return f"{path}: row {r} has {len(row)} cells, expected {schema.n_features}"
+        for feat, text in zip(schema.features, row):
+            where = f"{path}: row {r}, column '{feat.name}'"
+            if text == "":
+                return f"{where}: missing values are not supported"
+            if feat.kind == REAL:
+                try:
+                    float(text)
+                except ValueError:
+                    return f"{where}: non-numeric value '{text}'"
+            elif text not in feat.categories:
+                return f"{where}: unknown category '{text}'"
+    return f"{path}: malformed table"
 
 
 def write_table(table: MixedTable, csv_path) -> None:
     """Write a table back to CSV; floats use repr so reloads are bit-exact."""
     schema = table.schema
-    with Path(csv_path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.names)
-        for r in range(table.n_rows):
-            row = []
-            i_real = i_cat = 0
+    labels = [[csv_field(label) for label in f.categories] for f in schema.cat_features]
+
+    def blocks():
+        for start in range(0, table.n_rows, WRITE_BLOCK_ROWS):
+            reals = table.reals[start:start + WRITE_BLOCK_ROWS].T.tolist()
+            cats = table.cats[start:start + WRITE_BLOCK_ROWS].T.tolist()
+            columns, i_real, i_cat = [], 0, 0
             for feat in schema.features:
                 if feat.kind == REAL:
-                    row.append(repr(float(table.reals[r, i_real])))
+                    columns.append(list(map(repr, reals[i_real])))
                     i_real += 1
                 else:
-                    row.append(feat.categories[table.cats[r, i_cat]])
+                    columns.append(list(map(labels[i_cat].__getitem__, cats[i_cat])))
                     i_cat += 1
-            writer.writerow(row)
+            yield columns
+
+    write_csv(csv_path, schema.names, blocks())
 
 
 def standardize(table: MixedTable) -> MixedTable:

@@ -340,8 +340,9 @@ def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
     out = Tensor(a.value[rows, idx], (a,))
 
     def bw(g):
+        # one pick per row, so no (row, column) pair repeats: plain assignment
         buf = np.zeros_like(a.value)
-        np.add.at(buf, (rows, idx), g)
+        buf[rows, idx] = g
         a._acc(buf)
 
     out._bw = bw

@@ -17,21 +17,129 @@ from .errors import TrainingError
 ACTIVATIONS = ("relu", "identity")
 
 
-class Rng:
-    """Seeded PCG64 stream; identical seed means identical sample stream."""
+# numpy's SeedSequence hash (pool size 4), from numpy/random/bit_generator.pyx
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
 
-    def __init__(self, seed: int, algorithm: str = "pcg64", _seq: np.random.SeedSequence | None = None):
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative integer as little-endian 32-bit words, as SeedSequence splits it."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _pcg64_states(entropy: list) -> np.ndarray:
+    """``SeedSequence(...).generate_state(4, np.uint64)`` for many sequences at once.
+
+    ``entropy`` is the assembled entropy, one entry per 32-bit word; each
+    entry is an int shared by every sequence or a uint32 array with one
+    word per sequence. The hash constants evolve independently of the
+    data, so one pass reproduces numpy word for word: shared words are
+    hashed once as Python ints, per-sequence words as arrays.
+    Returns an (n, 4) uint64 array.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return out ^ (out >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state.append(value ^ (value >> 16))
+    # a word that varies per sequence reaches every pool entry, so the state
+    # words are either all ints or all arrays of one length
+    words = np.array(state, dtype=np.uint32).reshape(8, -1).T
+    # word pairs are little-endian uint64s, whatever the host byte order
+    return words.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def _spawn_entropy(seed: int, keys: list) -> list:
+    """SeedSequence(entropy=seed, spawn_key=keys)'s assembled entropy: the
+    seed's words, zero-padded to the pool size when there is a spawn key,
+    then the keys' words."""
+    words = _uint32_words(seed)
+    if keys and len(words) < _POOL_SIZE:
+        words += [0] * (_POOL_SIZE - len(words))
+    return words + list(keys)
+
+
+class _PrecomputedSeed(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the state words a SeedSequence would have generated."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a precomputed seed only serves PCG64's 4 uint64 words")
+        return self.words
+
+
+class Rng:
+    """Seeded PCG64 stream; identical seed means identical sample stream.
+
+    Streams are seeded exactly as ``PCG64(SeedSequence(seed))`` and, for
+    children, ``PCG64(SeedSequence(entropy=seed, spawn_key=keys))``.
+    """
+
+    def __init__(self, seed: int, algorithm: str = "pcg64", _state: np.ndarray | None = None):
         if algorithm != "pcg64":
             raise ValueError(f"unknown rng algorithm: {algorithm}")
         self.seed = int(seed)
         self.algorithm = algorithm
-        self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
-        self.gen = np.random.Generator(np.random.PCG64(self._seq))
+        if _state is None:
+            _state = _pcg64_states(_spawn_entropy(self.seed, []))[0]
+        self.gen = np.random.Generator(np.random.PCG64(_PrecomputedSeed(_state)))
 
     def derive(self, *keys: int) -> "Rng":
-        """Independent child stream keyed by (seed, *keys), e.g. per row."""
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=tuple(int(k) for k in keys))
-        return Rng(self.seed, self.algorithm, _seq=seq)
+        """Independent child stream keyed by (seed, *keys)."""
+        words = [w for k in keys for w in _uint32_words(k)]
+        state = _pcg64_states(_spawn_entropy(self.seed, words))[0]
+        return Rng(self.seed, self.algorithm, _state=state)
+
+    def derive_rows(self, rows: np.ndarray) -> list["Rng"]:
+        """One child stream per row id, equal stream for stream to
+        ``[self.derive(int(r)) for r in rows]``; row ids must lie in [0, 2**32)."""
+        rows = np.asarray(rows)
+        if rows.size == 0:
+            return []
+        if rows.min() < 0 or rows.max() > _MASK32:
+            raise ValueError("row ids must lie in [0, 2**32)")
+        states = _pcg64_states(_spawn_entropy(self.seed, [rows.astype(np.uint32)]))
+        return [Rng(self.seed, self.algorithm, _state=s) for s in states]
 
     def normal(self, size=None) -> np.ndarray:
         return self.gen.standard_normal(size)

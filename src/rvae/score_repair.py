@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CATEGORICAL, REAL, MixedTable, TableSchema, destandardize
+from .data import (CATEGORICAL, REAL, WRITE_BLOCK_ROWS, MixedTable, TableSchema, csv_columns,
+                   csv_field, destandardize, read_csv, write_csv, write_table)
 from .engine import stable_sigmoid
 from .errors import ConfigError, DataFormatError, ScoreRuleError
 from .model import (DecodedValues, clean_logliks_values, decode_values,
@@ -24,6 +25,8 @@ from .train import RvaeModel
 
 SCORE_RULES = ("nll", "pi")
 ROW_MARKER = "__row__"
+SCORE_HEADER = ["row_id", "feature", "rule", "score"]
+SIMPLEX_HEADER = ["row_id", "feature", "category", "probability"]
 
 
 @dataclass
@@ -39,60 +42,110 @@ class ScoreReport:
             raise DataFormatError("scores must be finite")
 
     def save(self, path, schema: TableSchema) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_id", "feature", "rule", "score"])
-            for r in range(self.cell_scores.shape[0]):
-                for c, feat in enumerate(schema.features):
-                    writer.writerow([r, feat.name, self.rule, repr(float(self.cell_scores[r, c]))])
-                writer.writerow([r, ROW_MARKER, self.rule, repr(float(self.row_scores[r]))])
+        """One line per cell, then a row line, for each row in turn."""
+        per_row = schema.n_features + 1
+        rule = csv_field(self.rule)
+        names = [csv_field(name) for name in schema.names + [ROW_MARKER]]
+
+        def blocks():
+            for start in range(0, self.cell_scores.shape[0], WRITE_BLOCK_ROWS):
+                stop = min(start + WRITE_BLOCK_ROWS, self.cell_scores.shape[0])
+                scores = np.column_stack([self.cell_scores[start:stop],
+                                          self.row_scores[start:stop]])
+                yield [_repeat_ids(start, stop, per_row), names * (stop - start),
+                       [rule] * scores.size, list(map(repr, scores.ravel().tolist()))]
+
+        write_csv(path, SCORE_HEADER, blocks())
 
     @classmethod
     def load(cls, path, schema: TableSchema) -> "ScoreReport":
-        """Read a report written by :meth:`save`; every row needs its row
-        line and one line per feature, else this raises DataFormatError."""
+        """Read a report written by :meth:`save`. Every row needs exactly one
+        row line and one line per feature, else this raises DataFormatError."""
+        header, entries = read_csv(path)
+        if header != SCORE_HEADER:
+            raise DataFormatError(f"{path}: not a score report")
+        d = schema.n_features
         column = {feat.name: i for i, feat in enumerate(schema.features)}
-        cells: dict[tuple[int, int], float] = {}
-        rows: dict[int, float] = {}
-        rule = None
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["row_id", "feature", "rule", "score"]:
-                raise DataFormatError(f"{path}: not a score report")
-            for entry in reader:
-                if len(entry) != 4:
-                    raise DataFormatError(f"{path}: line {reader.line_num} has {len(entry)} "
-                                          "fields, expected 4")
-                try:
-                    r, feat, rule, val = int(entry[0]), entry[1], entry[2], float(entry[3])
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-                if r < 0:
-                    raise DataFormatError(f"{path}: line {reader.line_num}: negative row id")
-                if feat == ROW_MARKER:
-                    rows[r] = val
-                elif feat in column:
-                    cells[(r, column[feat])] = val
-                else:
-                    raise DataFormatError(f"{path}: unknown feature '{feat}'")
-        n = max(rows) + 1 if rows else 0
-        if len(rows) != n:
-            missing = min(set(range(n)) - set(rows))
-            raise DataFormatError(f"{path}: no row score for row {missing}")
-        cell_scores = np.zeros((n, schema.n_features))
-        seen = np.zeros((n, schema.n_features), dtype=bool)
-        for (r, c), val in cells.items():
-            if r >= n:
-                raise DataFormatError(f"{path}: cell score for row {r}, which has no row score")
-            cell_scores[r, c] = val
-            seen[r, c] = True
-        if not seen.all():
-            r, c = np.argwhere(~seen)[0]
-            raise DataFormatError(f"{path}: no score for row {r}, feature "
-                                  f"'{schema.features[c].name}'")
-        row_scores = np.array([rows[r] for r in range(n)])
-        return cls(rule=rule, cell_scores=cell_scores, row_scores=row_scores)
+        column[ROW_MARKER] = d
+        try:
+            id_texts, names, rules, value_texts = csv_columns(entries, 4)
+            m = len(entries)
+            rows = np.fromiter(map(int, id_texts), np.int64, m)
+            cols = np.fromiter(map(column.__getitem__, names), np.int64, m)
+            values = np.fromiter(map(float, value_texts), np.float64, m)
+            if m and rows.min() < 0:
+                raise ValueError
+        except (ValueError, KeyError, OverflowError):
+            raise _bad_line_error(path, entries,
+                                  lambda e: _score_line_problem(e, column)) from None
+        is_row = cols == d
+        row_ids, cell_rows = rows[is_row], rows[~is_row]
+        n = row_ids.size
+        _each_once(path, row_ids, n, lambda r: f"row score for row {r}")
+        if np.any(cell_rows >= n):
+            r = cell_rows[np.argmax(cell_rows >= n)]
+            raise DataFormatError(f"{path}: cell score for row {r}, which has no row score")
+        cells = cell_rows * d + cols[~is_row]
+        _each_once(path, cells, n * d,
+                   lambda k: f"score for row {k // d}, feature '{schema.features[k % d].name}'")
+        cell_scores = np.empty(n * d)
+        cell_scores[cells] = values[~is_row]
+        row_scores = np.empty(n)
+        row_scores[row_ids] = values[is_row]
+        return cls(rule=rules[-1] if entries else None,
+                   cell_scores=cell_scores.reshape(n, d), row_scores=row_scores)
+
+
+def _repeat_ids(start: int, stop: int, times: int) -> list[str]:
+    """Row ids start..stop-1 as text, each repeated ``times`` times."""
+    return list(map(str, np.repeat(np.arange(start, stop), times).tolist()))
+
+
+def _bad_line_error(path, entries: list[list[str]], problem) -> DataFormatError:
+    """Error path: the DataFormatError for the first line that
+    ``problem(entry)`` faults, naming its line in the file."""
+    for i, entry in enumerate(entries):
+        text = problem(entry)
+        if text is not None:
+            return DataFormatError(f"{path}: line {_file_line(path, i)}{text}")
+    return DataFormatError(f"{path}: malformed line")
+
+
+def _file_line(path, index: int) -> int:
+    """The file line on which data line ``index`` ends (after the header)."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for _ in range(index + 2):
+            next(reader)
+        return reader.line_num
+
+
+def _score_line_problem(entry: list[str], column: dict[str, int]) -> str | None:
+    if len(entry) != 4:
+        return f" has {len(entry)} fields, expected 4"
+    try:
+        row = int(entry[0])
+        float(entry[3])
+    except ValueError as exc:
+        return f": {exc}"
+    if row < 0:
+        return ": negative row id"
+    if row >= 2 ** 63:
+        return ": row id out of range"
+    if entry[1] not in column:
+        return f": unknown feature '{entry[1]}'"
+    return None
+
+
+def _each_once(path, keys: np.ndarray, size: int, describe) -> None:
+    """Check that non-negative ``keys`` hold every value in [0, size) exactly
+    once, naming the first key that repeats or is missing. With exactly
+    ``size`` keys, one past the range leaves a value missing."""
+    counts = np.bincount(np.minimum(keys, size), minlength=size + 1)[:size]
+    if np.any(counts > 1):
+        raise DataFormatError(f"{path}: more than one {describe(int(np.argmax(counts > 1)))}")
+    if np.any(counts == 0):
+        raise DataFormatError(f"{path}: no {describe(int(np.argmax(counts == 0)))}")
 
 
 @dataclass
@@ -116,61 +169,121 @@ class RepairResult:
                                           "argmaxes of their simplexes")
 
     def save(self, csv_path, simplex_path=None) -> None:
-        from .data import write_table
-
         write_table(self.table, csv_path)
-        if simplex_path is not None:
-            with Path(simplex_path).open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["row_id", "feature", "category", "probability"])
-                for feat in self.table.schema.cat_features:
-                    probs = self.simplexes[feat.name]
-                    for r in range(probs.shape[0]):
-                        for c, label in enumerate(feat.categories):
-                            writer.writerow([r, feat.name, label, repr(float(probs[r, c]))])
+        if simplex_path is None:
+            return
+
+        def blocks():
+            for feat in self.table.schema.cat_features:
+                probs = self.simplexes[feat.name]
+                name = csv_field(feat.name)
+                labels = [csv_field(label) for label in feat.categories]
+                for start in range(0, probs.shape[0], WRITE_BLOCK_ROWS):
+                    block = probs[start:start + WRITE_BLOCK_ROWS]
+                    yield [_repeat_ids(start, start + block.shape[0], feat.cardinality),
+                           [name] * block.size, labels * block.shape[0],
+                           list(map(repr, block.ravel().tolist()))]
+
+        write_csv(simplex_path, SIMPLEX_HEADER, blocks())
 
 
 def load_simplexes(path, schema: TableSchema, n_rows: int) -> dict[str, np.ndarray]:
-    out = {feat.name: np.zeros((n_rows, feat.cardinality)) for feat in schema.cat_features}
-    label_idx = {feat.name: {lab: i for i, lab in enumerate(feat.categories)}
-                 for feat in schema.cat_features}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["row_id", "feature", "category", "probability"]:
-            raise DataFormatError(f"{path}: not a simplex sidecar")
-        for entry in reader:
-            r, feat, label, val = int(entry[0]), entry[1], entry[2], float(entry[3])
-            out[feat][r, label_idx[feat][label]] = val
-    return out
+    """Read a simplex sidecar written by :meth:`RepairResult.save`: exactly
+    one probability in [0, 1] per (row, categorical feature, category) for
+    rows 0..n_rows-1, else DataFormatError."""
+    header, entries = read_csv(path)
+    if header != SIMPLEX_HEADER:
+        raise DataFormatError(f"{path}: not a simplex sidecar")
+    slots, offsets, width = {}, {}, 0
+    for feat in schema.cat_features:
+        offsets[feat.name] = width
+        for label in feat.categories:
+            slots[feat.name, label] = width
+            width += 1
+    try:
+        id_texts, names, labels, value_texts = csv_columns(entries, 4)
+        m = len(entries)
+        rows = np.fromiter(map(int, id_texts), np.int64, m)
+        cols = np.fromiter(map(slots.__getitem__, zip(names, labels)), np.int64, m)
+        values = np.fromiter(map(float, value_texts), np.float64, m)
+        if m and (rows.min() < 0 or rows.max() >= n_rows
+                  or not np.all((values >= 0.0) & (values <= 1.0))):
+            raise ValueError
+    except (ValueError, KeyError, OverflowError):
+        raise _bad_line_error(path, entries,
+                              lambda e: _simplex_line_problem(e, schema, n_rows)) from None
+    slot_names = [(f, label) for f in schema.cat_features for label in f.categories]
+
+    def describe(key):
+        feat, label = slot_names[key % width]
+        return f"probability for row {key // width}, feature '{feat.name}', category '{label}'"
+
+    cells = rows * width + cols
+    _each_once(path, cells, n_rows * width, describe)
+    probs = np.empty(n_rows * width)
+    probs[cells] = values
+    probs = probs.reshape(n_rows, width)
+    return {f.name: probs[:, offsets[f.name]:offsets[f.name] + f.cardinality].copy()
+            for f in schema.cat_features}
 
 
-def _row_streams(seed: int, rows: np.ndarray) -> list[Rng]:
-    base = Rng(seed)
-    return [base.derive(int(r)) for r in rows]
+def _simplex_line_problem(entry: list[str], schema: TableSchema, n_rows: int) -> str | None:
+    if len(entry) != 4:
+        return f" has {len(entry)} fields, expected 4"
+    row_text, name, label, value_text = entry
+    try:
+        row, value = int(row_text), float(value_text)
+    except ValueError as exc:
+        return f": {exc}"
+    if not 0 <= row < n_rows:
+        return f": row id {row} outside 0..{n_rows - 1}"
+    if not 0.0 <= value <= 1.0:
+        return f": probability {value_text} outside [0, 1]"
+    feats = {f.name: f for f in schema.cat_features}
+    if name not in feats:
+        return f": unknown categorical feature '{name}'"
+    if label not in feats[name].categories:
+        return f": unknown category '{label}' of feature '{name}'"
+    return None
 
 
 CHUNK_ROWS = 512
 
 
-def _chunks(n: int) -> list[np.ndarray]:
-    # fixed-size blocks: results are bit-identical for every thread count,
-    # because each block's BLAS calls see the same operand shapes
-    return [np.arange(start, min(start + CHUNK_ROWS, n))
-            for start in range(0, max(n, 1), CHUNK_ROWS)]
+def _map_chunks(n: int, threads: int, fn) -> tuple:
+    """Run ``fn(rows)`` on fixed-size row blocks and join its outputs.
 
-
-def _run_chunked(n: int, threads: int, fn):
-    chunks = _chunks(n)
+    ``fn`` returns a tuple of (rows, ...) arrays or dicts of them; each
+    element comes back concatenated along the rows (per key for dicts).
+    Fixed blocks keep results bit-identical for every thread count, because
+    each block's BLAS calls see the same operand shapes.
+    """
+    chunks = [np.arange(start, min(start + CHUNK_ROWS, n))
+              for start in range(0, max(n, 1), CHUNK_ROWS)]
     if threads <= 1 or len(chunks) == 1:
-        return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-        return list(pool.map(fn, chunks))
+        parts = [fn(c) for c in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            parts = list(pool.map(fn, chunks))
+
+    def join(pieces):
+        if isinstance(pieces[0], dict):
+            return {key: np.concatenate([p[key] for p in pieces], axis=0) for key in pieces[0]}
+        return np.concatenate(pieces, axis=0)
+
+    return tuple(join(pieces) for pieces in zip(*parts))
 
 
 def _pi_cell_scores(pi: np.ndarray) -> np.ndarray:
     # pi is clamped away from 0 upstream, so scores stay finite
     return -np.log(np.maximum(pi, 1e-300))
+
+
+def _sampled_latents(model: RvaeModel, x: np.ndarray, streams: list[Rng]) -> np.ndarray:
+    """z = mu + sigma * eps with one standard-normal draw per row stream."""
+    mu, sig = model.networks.encoder.latent_values(x)
+    eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
+    return mu + sig * eps
 
 
 def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads: int = 1) -> ScoreReport:
@@ -185,23 +298,21 @@ def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads
     schema = model.schema
     nets = model.networks
 
-    def chunk_scores(rows: np.ndarray) -> np.ndarray:
+    def chunk_scores(rows: np.ndarray):
         reals, cats = table.reals[rows], table.cats[rows]
         x = encode_values(schema, reals, cats, nets.embeddings)
         if rule == "pi" and model.config.is_amortized:
             pi = stable_sigmoid(_net_values(nets.pi_encoder, x))
-            return _pi_cell_scores(pi)
-        streams = _row_streams(seed, rows)
-        eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
-        mu, sig = nets.encoder.latent_values(x)
-        decoded = decode_values(nets.decoder, mu + sig * eps)
+            return (_pi_cell_scores(pi),)
+        z = _sampled_latents(model, x, Rng(seed).derive_rows(rows))
+        decoded = decode_values(nets.decoder, z)
         ll_clean = clean_logliks_values(nets.decoder, decoded, reals, cats)
         if rule == "nll":
-            return -ll_clean
+            return (-ll_clean,)
         r = ll_clean - outlier_logliks(model.components, schema, reals, cats)
-        return _pi_cell_scores(pi_update(r, model.config.alpha))
+        return (_pi_cell_scores(pi_update(r, model.config.alpha)),)
 
-    cells = np.concatenate(_run_chunked(table.n_rows, threads, chunk_scores), axis=0)
+    cells, = _map_chunks(table.n_rows, threads, chunk_scores)
     return ScoreReport(rule=rule, cell_scores=cells, row_scores=cells.sum(axis=1))
 
 
@@ -213,6 +324,16 @@ def gate_probabilities(model: RvaeModel, table: MixedTable, seed: int = 0,
 
     report = score(model, table, "pi", seed=seed, threads=threads)
     return GateParams(alpha=model.config.alpha, pi=np.exp(-report.cell_scores))
+
+
+def _modes(schema: TableSchema, decoded: DecodedValues):
+    """Highest-probability category per categorical (ties to the lowest
+    index) and a copy of every simplex."""
+    n = decoded.real_means.shape[0]
+    cats = np.empty((n, len(schema.cat_features)), dtype=np.int64)
+    for j, feat in enumerate(schema.cat_features):
+        cats[:, j] = np.argmax(decoded.cat_probs[feat.name], axis=1)
+    return cats, {f.name: decoded.cat_probs[f.name].copy() for f in schema.cat_features}
 
 
 def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, cat_idx: np.ndarray,
@@ -233,24 +354,15 @@ def repair_map(model: RvaeModel, table: MixedTable, sample_z: bool = False,
 
     def chunk_repair(rows: np.ndarray):
         x = encode_values(schema, table.reals[rows], table.cats[rows], nets.embeddings)
-        mu, sig = nets.encoder.latent_values(x)
         if sample_z:
-            streams = _row_streams(seed, rows)
-            eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
-            z = mu + sig * eps
+            z = _sampled_latents(model, x, Rng(seed).derive_rows(rows))
         else:
-            z = mu
+            z, _ = nets.encoder.latent_values(x)
         decoded = decode_values(nets.decoder, z)
-        cat_idx = np.stack([np.argmax(decoded.cat_probs[f.name], axis=1)
-                            for f in schema.cat_features], axis=1) if schema.cat_features else \
-            np.zeros((rows.size, 0), dtype=np.int64)
-        return decoded.real_means, cat_idx, decoded.cat_probs
+        cats, simplexes = _modes(schema, decoded)
+        return decoded.real_means, cats, simplexes
 
-    parts = _run_chunked(table.n_rows, threads, chunk_repair)
-    reals = np.concatenate([p[0] for p in parts], axis=0)
-    cats = np.concatenate([p[1] for p in parts], axis=0)
-    simplexes = {f.name: np.concatenate([p[2][f.name] for p in parts], axis=0)
-                 for f in schema.cat_features}
+    reals, cats, simplexes = _map_chunks(table.n_rows, threads, chunk_repair)
     return _assemble_repair(model, reals, cats, simplexes, "map")
 
 
@@ -259,33 +371,61 @@ def _sample_categories(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.clip((cum < u[:, None]).sum(axis=1), 0, probs.shape[1] - 1).astype(np.int64)
 
 
-def _chain_iteration(model: RvaeModel, state_reals: np.ndarray, state_cats: np.ndarray,
-                     zero_mask: np.ndarray | None, streams: list[Rng]):
-    """One pseudo-Gibbs round: z ~ q(z | x_state), then x ~ p(x | z)."""
+def _split_by_kind(schema: TableSchema, mask: np.ndarray):
+    """A (B, D) schema-order mask as its real and its categorical columns."""
+    kinds = np.array([f.kind for f in schema.features])
+    return mask[:, kinds == REAL], mask[:, kinds == CATEGORICAL]
+
+
+def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
+               streams: list[Rng], iters: int, clean: np.ndarray | None = None) -> DecodedValues:
+    """Pseudo-Gibbs rounds from the observed rows: z ~ q(z | x), then x ~ p(x | z).
+
+    Each round draws, per row stream, one normal(latent + n_real) call
+    (latent noise, then cell noise for the reals) and one uniform(n_cat)
+    call (one per categorical). With a (B, D) ``clean`` mask in schema
+    column order, clean cells stay at their observed values in every round
+    and dirty cells start at mean behaviour: zero for standardized reals, a
+    zero embedding for categoricals. Returns the last round's decoded values.
+    """
     schema, nets = model.schema, model.networks
-    x = encode_values(schema, state_reals, state_cats, nets.embeddings, zero_mask)
-    mu, sig = nets.encoder.latent_values(x)
-    eps_z = np.stack([s.normal(model.config.latent_dim) for s in streams])
-    z = mu + sig * eps_z
-    decoded = decode_values(nets.decoder, z)
-    n_real = state_reals.shape[1]
-    if n_real:
-        eps_x = np.stack([s.normal(n_real) for s in streams])
-        new_reals = decoded.real_means + decoded.real_stds * eps_x
-    else:
-        new_reals = state_reals.copy()
-    new_cats = state_cats.copy()
-    for j, feat in enumerate(schema.cat_features):
-        u = np.array([s.uniform() for s in streams])
-        new_cats[:, j] = _sample_categories(decoded.cat_probs[feat.name], u)
-    return new_reals, new_cats, decoded
+    k, n_real, n_cat = model.config.latent_dim, obs_reals.shape[1], obs_cats.shape[1]
+    reals, cats, zero_mask = obs_reals, obs_cats, None
+    if clean is not None:
+        keep_reals, keep_cats = _split_by_kind(schema, clean)
+        reals, zero_mask = np.where(keep_reals, obs_reals, 0.0), ~keep_cats
+    for it in range(iters):
+        x = encode_values(schema, reals, cats, nets.embeddings, zero_mask if it == 0 else None)
+        mu, sig = nets.encoder.latent_values(x)
+        eps = np.stack([s.normal(k + n_real) for s in streams])
+        u = np.stack([s.uniform(n_cat) for s in streams])
+        decoded = decode_values(nets.decoder, mu + sig * eps[:, :k])
+        reals = decoded.real_means + decoded.real_stds * eps[:, k:]
+        cats = np.empty_like(obs_cats)
+        for j, feat in enumerate(schema.cat_features):
+            cats[:, j] = _sample_categories(decoded.cat_probs[feat.name], u[:, j])
+        if clean is not None:
+            reals = np.where(keep_reals, obs_reals, reals)
+            cats = np.where(keep_cats, obs_cats, cats)
+    return decoded
 
 
-def _final_cats_and_simplexes(schema: TableSchema, decoded: DecodedValues):
-    cats = np.stack([np.argmax(decoded.cat_probs[f.name], axis=1) for f in schema.cat_features],
-                    axis=1) if schema.cat_features else np.zeros((decoded.real_means.shape[0], 0),
-                                                                 dtype=np.int64)
-    return cats, {f.name: decoded.cat_probs[f.name].copy() for f in schema.cat_features}
+def _check_chain(model: RvaeModel, table: MixedTable, gibbs_iters: int) -> None:
+    if gibbs_iters < 1:
+        raise ConfigError("the chain needs at least one iteration")
+    if not model.is_robust:
+        raise ScoreRuleError("pseudo-Gibbs repair needs a gated model")
+    model.require_table(table)
+
+
+def _stage_one(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
+               streams: list[Rng], gibbs_iters: int):
+    """The all-suspect chain and the observed cells' gate probabilities at
+    its final latent."""
+    decoded = _run_chain(model, obs_reals, obs_cats, streams, gibbs_iters)
+    ll_clean = clean_logliks_values(model.networks.decoder, decoded, obs_reals, obs_cats)
+    r = ll_clean - outlier_logliks(model.components, model.schema, obs_reals, obs_cats)
+    return decoded, pi_update(r, model.config.alpha)
 
 
 def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
@@ -299,33 +439,15 @@ def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     collapses to sample-then-reconstruct. The gate probabilities of the
     observed cells, evaluated at the final latent, come back alongside.
     """
-    if gibbs_iters < 1:
-        raise ConfigError("the chain needs at least one iteration")
-    if not model.is_robust:
-        raise ScoreRuleError("pseudo-Gibbs repair needs a gated model")
-    model.require_table(table)
-    schema = model.schema
+    _check_chain(model, table, gibbs_iters)
 
     def chunk_chain(rows: np.ndarray):
-        streams = _row_streams(seed, rows)
-        obs_reals, obs_cats = table.reals[rows], table.cats[rows]
-        state_reals, state_cats = obs_reals.copy(), obs_cats.copy()
-        decoded = None
-        for _ in range(gibbs_iters):
-            state_reals, state_cats, decoded = _chain_iteration(model, state_reals, state_cats,
-                                                                None, streams)
-        ll_clean = clean_logliks_values(model.networks.decoder, decoded, obs_reals, obs_cats)
-        r = ll_clean - outlier_logliks(model.components, schema, obs_reals, obs_cats)
-        pi_hat = pi_update(r, model.config.alpha)
-        final_cats, simplexes = _final_cats_and_simplexes(schema, decoded)
-        return decoded.real_means.copy(), final_cats, simplexes, pi_hat
+        decoded, pi_hat = _stage_one(model, table.reals[rows], table.cats[rows],
+                                     Rng(seed).derive_rows(rows), gibbs_iters)
+        cats, simplexes = _modes(model.schema, decoded)
+        return decoded.real_means, cats, simplexes, pi_hat
 
-    parts = _run_chunked(table.n_rows, threads, chunk_chain)
-    reals = np.concatenate([p[0] for p in parts], axis=0)
-    cats = np.concatenate([p[1] for p in parts], axis=0)
-    simplexes = {f.name: np.concatenate([p[2][f.name] for p in parts], axis=0)
-                 for f in schema.cat_features}
-    pi_hat = np.concatenate([p[3] for p in parts], axis=0)
+    reals, cats, simplexes, pi_hat = _map_chunks(table.n_rows, threads, chunk_chain)
     return _assemble_repair(model, reals, cats, simplexes, "one-stage"), pi_hat
 
 
@@ -342,68 +464,24 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     clean component. ``pi_override`` substitutes forced gate probabilities
     (test hook).
     """
-    if gibbs_iters < 1:
-        raise ConfigError("the chain needs at least one iteration")
-    if not model.is_robust:
-        raise ScoreRuleError("pseudo-Gibbs repair needs a gated model")
-    model.require_table(table)
+    _check_chain(model, table, gibbs_iters)
     schema = model.schema
-    d = schema.n_features
-    real_slots = {i: schema.kind_index(i)[1] for i, f in enumerate(schema.features) if f.kind == REAL}
-    cat_slots = {i: schema.kind_index(i)[1] for i, f in enumerate(schema.features) if f.kind == CATEGORICAL}
 
     def chunk_chain(rows: np.ndarray):
-        streams = _row_streams(seed, rows)
+        streams = Rng(seed).derive_rows(rows)
         obs_reals, obs_cats = table.reals[rows], table.cats[rows]
-        state_reals, state_cats = obs_reals.copy(), obs_cats.copy()
-        decoded = None
-        for _ in range(gibbs_iters):
-            state_reals, state_cats, decoded = _chain_iteration(model, state_reals, state_cats,
-                                                                None, streams)
-        ll_clean = clean_logliks_values(model.networks.decoder, decoded, obs_reals, obs_cats)
-        r = ll_clean - outlier_logliks(model.components, schema, obs_reals, obs_cats)
-        pi_hat = pi_update(r, model.config.alpha)
+        _, pi_hat = _stage_one(model, obs_reals, obs_cats, streams, gibbs_iters)
         if pi_override is not None:
-            pi_hat = np.broadcast_to(np.asarray(pi_override, dtype=np.float64),
-                                     pi_hat.shape).copy()
-        u = np.stack([s.uniform(d) for s in streams])
-        clean_mask = u < pi_hat  # (B, D) in schema column order
+            pi_hat = np.broadcast_to(np.asarray(pi_override, dtype=np.float64), pi_hat.shape)
+        clean = np.stack([s.uniform(schema.n_features) for s in streams]) < pi_hat
+        decoded = _run_chain(model, obs_reals, obs_cats, streams, gibbs_iters, clean)
+        keep_reals, keep_cats = _split_by_kind(schema, clean)
+        cats, simplexes = _modes(schema, decoded)
+        for j, feat in enumerate(schema.cat_features):
+            keep = keep_cats[:, j]
+            simplexes[feat.name][keep] = np.eye(feat.cardinality)[obs_cats[keep, j]]
+        return (np.where(keep_reals, obs_reals, decoded.real_means),
+                np.where(keep_cats, obs_cats, cats), simplexes)
 
-        # mean-behaviour start for dirty cells; clean cells stay observed
-        state_reals = obs_reals.copy()
-        state_cats = obs_cats.copy()
-        zero_mask = np.zeros_like(obs_cats, dtype=bool)
-        for column, slot in real_slots.items():
-            state_reals[~clean_mask[:, column], slot] = 0.0
-        for column, slot in cat_slots.items():
-            zero_mask[~clean_mask[:, column], slot] = True
-        for it in range(gibbs_iters):
-            new_reals, new_cats, decoded = _chain_iteration(
-                model, state_reals, state_cats, zero_mask if it == 0 else None, streams)
-            # observed values stay fixed for clean-sampled cells
-            for column, slot in real_slots.items():
-                keep = clean_mask[:, column]
-                new_reals[keep, slot] = obs_reals[keep, slot]
-            for column, slot in cat_slots.items():
-                keep = clean_mask[:, column]
-                new_cats[keep, slot] = obs_cats[keep, slot]
-            state_reals, state_cats = new_reals, new_cats
-        final_reals = decoded.real_means.copy()
-        for column, slot in real_slots.items():
-            keep = clean_mask[:, column]
-            final_reals[keep, slot] = obs_reals[keep, slot]
-        final_cats, simplexes = _final_cats_and_simplexes(schema, decoded)
-        for column, slot in cat_slots.items():
-            keep = clean_mask[:, column]
-            final_cats[keep, slot] = obs_cats[keep, slot]
-            feat = schema.features[column]
-            probs = simplexes[feat.name]
-            probs[keep] = np.eye(feat.cardinality)[obs_cats[keep, slot]]
-        return final_reals, final_cats, simplexes
-
-    parts = _run_chunked(table.n_rows, threads, chunk_chain)
-    reals = np.concatenate([p[0] for p in parts], axis=0)
-    cats = np.concatenate([p[1] for p in parts], axis=0)
-    simplexes = {f.name: np.concatenate([p[2][f.name] for p in parts], axis=0)
-                 for f in schema.cat_features}
+    reals, cats, simplexes = _map_chunks(table.n_rows, threads, chunk_chain)
     return _assemble_repair(model, reals, cats, simplexes, "two-stage")

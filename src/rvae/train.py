@@ -60,6 +60,8 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         if self.weight_decay < 0:
             raise ConfigError("weight decay must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def is_amortized(self) -> bool:

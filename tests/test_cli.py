@@ -248,3 +248,86 @@ def test_experiment_sweep(workspace, tmp_path):
     assert methods == {"rvae-cvi", "vae", "marginal"}
     manifest = json.loads((out_dir / "aggregate.csv.manifest.json").read_text())
     assert manifest["config"]["s"] == TrainConfig().outlier_scale
+
+
+# -- negative seeds --------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["corrupt", "train", "score", "repair", "experiment"])
+def test_negative_seed_is_a_config_error(workspace, tmp_path, capsys, command):
+    ws = workspace
+    argv = {
+        "corrupt": ["corrupt", "--input", ws / "clean.csv", "--schema", ws / "schema.json",
+                    "--rows", "0.2", "--noise", "gauss:5,cat:0",
+                    "--out-dirty", tmp_path / "d.csv", "--out-record", tmp_path / "r.csv"],
+        "train": ["train", "--input", ws / "clean.csv", "--schema", ws / "schema.json",
+                  "--out", tmp_path / "m.ckpt", *TRAIN_FAST],
+        "score": ["score", "--input", ws / "clean.csv", "--checkpoint", ws / "small.ckpt",
+                  "--rule", "pi", "--out", tmp_path / "s.csv"],
+        "repair": ["repair", "--input", ws / "clean.csv", "--checkpoint", ws / "small.ckpt",
+                   "--out", tmp_path / "r.csv"],
+        "experiment": ["experiment", "--input", ws / "clean.csv", "--schema",
+                       ws / "schema.json", "--out-dir", tmp_path / "sweep"],
+    }[command]
+    assert run([*argv, "--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_train_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=-3).validate()
+
+
+# -- malformed simplex sidecars ----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def repaired(tmp_path_factory, workspace):
+    """A corrupt -> train -> two-stage repair run of its own."""
+    out = tmp_path_factory.mktemp("repaired")
+    ws = workspace
+    argv = corrupt_args(ws)
+    argv[argv.index("--out-dirty") + 1] = out / "dirty.csv"
+    argv[argv.index("--out-record") + 1] = out / "record.csv"
+    assert run(argv) == 0
+    assert run(["train", "--input", out / "dirty.csv", "--schema", ws / "schema.json",
+                "--seed", "3", "--out", out / "model.ckpt", *TRAIN_FAST]) == 0
+    assert run(["repair", "--input", out / "dirty.csv", "--checkpoint", out / "model.ckpt",
+                "--method", "two-stage", "--seed", "3", "--out", out / "repaired.csv",
+                "--out-simplexes", out / "simplexes.csv"]) == 0
+    return out
+
+
+def evaluate_with_simplexes(ws, out, simplex_path):
+    return run(["evaluate", "--record", out / "record.csv", "--dirty", out / "dirty.csv",
+                "--schema", ws / "schema.json", "--repaired", out / "repaired.csv",
+                "--simplexes", simplex_path, "--out", simplex_path.parent / "eval.json"])
+
+
+def test_valid_simplex_sidecar_evaluates(workspace, repaired):
+    assert evaluate_with_simplexes(workspace, repaired, repaired / "simplexes.csv") == 0
+
+
+def _first_line_of(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+@pytest.mark.parametrize("case, edit, message", [
+    ("unknown feature", lambda ls: ls.__setitem__(1, ls[1].replace(",c0,", ",c9,")),
+     "unknown categorical feature 'c9'"),
+    ("unknown label", lambda ls: ls.__setitem__(1, ls[1].replace(",k0,", ",k7,")),
+     "unknown category 'k7'"),
+    ("short line", lambda ls: ls.__setitem__(1, ls[1].rsplit(",", 1)[0]), "fields, expected 4"),
+    ("row past the table", lambda ls: ls.__setitem__(1, "160" + ls[1][1:]), "row id 160"),
+    ("negative row", lambda ls: ls.__setitem__(1, "-1" + ls[1][1:]), "row id -1"),
+    ("missing line", lambda ls: ls.pop(5), "no probability for row"),
+    ("duplicate line", lambda ls: ls.insert(7, ls[3]), "more than one probability"),
+])
+def test_malformed_simplex_sidecar_exits_3(workspace, repaired, tmp_path, capsys,
+                                          case, edit, message):
+    lines = (repaired / "simplexes.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1].startswith("0,c0,k0,")
+    edit(lines)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+    assert evaluate_with_simplexes(workspace, repaired, bad) == 3
+    assert message in capsys.readouterr().err

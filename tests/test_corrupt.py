@@ -190,6 +190,55 @@ def test_record_file_round_trip(tmp_path, mixed_schema):
     np.testing.assert_array_equal(restored.reals, table.reals)
 
 
+def saved_record_lines(tmp_path, mixed_schema):
+    table = random_table(mixed_schema, 40, seed=7)
+    _, record = make_scenario(table, 0.25, NOISE, seed=9, feat_frac=0.5)
+    path = tmp_path / "record.csv"
+    record.save(path)
+    return path, path.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls.__setitem__(2, "3,1"), "wrong number of fields"),
+    (lambda ls: ls.__setitem__(0, ls[0].replace('"shape"', '"form"')), "shape"),
+    (lambda ls: ls.__setitem__(0, ls[0].replace('"seed": 9', '"seed": -9')), "seed"),
+    (lambda ls: ls.__setitem__(0, "[1, 2]"), "not a corruption record"),
+    (lambda ls: ls.__setitem__(2, "40," + ls[2].split(",", 1)[1]), "outside shape"),
+    (lambda ls: ls.__setitem__(2, "-1," + ls[2].split(",", 1)[1]), "outside shape"),
+    (lambda ls: ls.__setitem__(2, ls[2].split(",")[0] + ",4,0"), "outside shape"),
+    (lambda ls: ls.__setitem__(2, ls[2].rsplit(",", 1)[0] + ",x"), "malformed cell line"),
+    (lambda ls: ls.insert(3, ls[2]), "more than once"),
+    (lambda ls: ls.pop(4), "do not match"),
+    (lambda ls: ls.pop(1), "line 2"),
+])
+def test_record_load_rejects_malformed_files(tmp_path, mixed_schema, edit, message):
+    path, lines = saved_record_lines(tmp_path, mixed_schema)
+    assert CorruptionRecord.load(path).n_cells == len(lines) - 2
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=message):
+        CorruptionRecord.load(path)
+
+
+def test_record_load_rejects_a_cell_moved_to_another_row(tmp_path, mixed_schema):
+    # the count still matches, but one row now has too few cells
+    path, lines = saved_record_lines(tmp_path, mixed_schema)
+    marked = {int(line.split(",")[0]) for line in lines[2:]}
+    free = min(set(range(40)) - marked)
+    lines[2] = f"{free}," + lines[2].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="do not match"):
+        CorruptionRecord.load(path)
+
+
+def test_record_without_cells_round_trips(tmp_path, mixed_schema):
+    table = random_table(mixed_schema, 10, seed=1)
+    _, record = make_scenario(table, 0.0, NOISE, seed=4)
+    record.save(tmp_path / "r.csv")
+    loaded = CorruptionRecord.load(tmp_path / "r.csv")
+    assert loaded.n_cells == 0 and loaded.mask.shape == (10, 4)
+
+
 def test_cell_fraction_scaling(mixed_schema):
     # row fractions map to cell fractions at the ratio feat_frac within rounding
     table = random_table(mixed_schema, 1000, seed=8)

@@ -225,3 +225,70 @@ def test_tables_are_immutable(mixed_schema):
     table = random_table(mixed_schema, 4, seed=0)
     with pytest.raises(ValueError):
         table.reals[0, 0] = 99.0
+
+
+# awkward names and labels: csv.writer must quote each of these
+QUOTED_SCHEMA = TableSchema((
+    FeatureSpec('a,"b"', "real"),
+    FeatureSpec("line\nbreak", "categorical", ("x,1", 'say "y"', "z\r\nw", " pad ")),
+    FeatureSpec("plain", "real"),
+))
+
+
+def csv_writer_table(table, path):
+    """Reference writer: one csv.writer row per table row."""
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.schema.names)
+        for r in range(table.n_rows):
+            row, i_real, i_cat = [], 0, 0
+            for feat in table.schema.features:
+                if feat.kind == "real":
+                    row.append(repr(float(table.reals[r, i_real])))
+                    i_real += 1
+                else:
+                    row.append(feat.categories[table.cats[r, i_cat]])
+                    i_cat += 1
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("schema", [
+    QUOTED_SCHEMA,
+    TableSchema((FeatureSpec("", "categorical", ("", "a")),)),  # a lone empty field
+    TableSchema((FeatureSpec("only", "real"),)),
+])
+def test_write_table_matches_csv_writer_bytes(tmp_path, schema):
+    table = random_table(schema, 9, seed=4)
+    reals = table.reals.copy()
+    if reals.shape[1]:
+        reals[0, 0], reals[1, 0] = -0.0, 1e-300  # repr edge cases
+    table = table.with_values(reals=reals)
+    write_table(table, tmp_path / "new.csv")
+    csv_writer_table(table, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_quoted_names_and_labels_round_trip(tmp_path):
+    table = random_table(QUOTED_SCHEMA, 12, seed=5)
+    write_table(table, tmp_path / "t.csv")
+    back = read_table(tmp_path / "t.csv", QUOTED_SCHEMA)
+    np.testing.assert_array_equal(back.reals, table.reals)
+    np.testing.assert_array_equal(back.cats, table.cats)
+
+
+def test_read_table_reports_the_first_bad_cell_in_file_order(tmp_path):
+    text = "age,color\n1.0,red\n2.0,banana\nfast,red\n"
+    with pytest.raises(DataFormatError, match=r"row 1, column 'color': unknown category"):
+        load_csv(*write_inputs(tmp_path, text, MIXED_SCHEMA_OBJ))
+    text = "age,color\n1.0,red\n2.0\nfast,red\n"
+    with pytest.raises(DataFormatError, match=r"row 1 has 1 cells, expected 2"):
+        load_csv(*write_inputs(tmp_path, text, MIXED_SCHEMA_OBJ))
+
+
+def test_read_table_rejects_undecodable_bytes(tmp_path):
+    csv_path, schema_path = write_inputs(tmp_path, "", MIXED_SCHEMA_OBJ)
+    csv_path.write_bytes(b"age,color\n1.0,r\xffd\n")
+    with pytest.raises(DataFormatError):
+        load_csv(csv_path, schema_path)

@@ -80,6 +80,17 @@ def test_gather_cols_scatters_gradient():
     assert out.value == 5.0
 
 
+def test_gather_cols_gradient_matches_add_at_with_repeated_columns():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(6, 4)))
+    idx = np.array([2, 2, 0, 3, 2, 0])  # columns repeat across rows
+    weights = rng.normal(size=6)
+    engine.tsum(engine.mul(engine.gather_cols(x, idx), weights)).backward()
+    expected = np.zeros((6, 4))
+    np.add.at(expected, (np.arange(6), idx), weights)
+    np.testing.assert_array_equal(x.grad, expected)
+
+
 def test_concat_splits_gradient():
     a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3)))
     out = engine.tsum(engine.mul(engine.concat([a, b], axis=1), np.arange(10.0).reshape(2, 5)))

@@ -234,6 +234,53 @@ def test_rng_derive_is_deterministic_and_distinct():
     assert not np.array_equal(a, c)
 
 
+def numpy_state(seed, keys=None):
+    seq = (np.random.SeedSequence(seed) if keys is None
+           else np.random.SeedSequence(entropy=seed, spawn_key=tuple(keys)))
+    return np.random.PCG64(seq).state
+
+
+SEEDS = [0, 1, 5001, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 7, 2 ** 96 + 12345]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rng_seeds_exactly_as_numpy_seed_sequence(seed):
+    assert Rng(seed).gen.bit_generator.state == numpy_state(seed)
+    for keys in [(0,), (3, 2, 1), (2 ** 33, 0), (7, 2 ** 64 + 3, 9)]:
+        assert Rng(seed).derive(*keys).gen.bit_generator.state == numpy_state(seed, keys)
+    rows = np.array([0, 1, 77, 1999, 2 ** 31, 2 ** 32 - 1])
+    for row, child in zip(rows, Rng(seed).derive_rows(rows)):
+        assert child.gen.bit_generator.state == numpy_state(seed, [int(row)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 130), st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=40))
+def test_derive_rows_equals_derive_for_any_seed(seed, rows):
+    children = Rng(seed).derive_rows(np.array(rows, dtype=np.int64))
+    assert len(children) == len(rows)
+    for row, child in zip(rows, children):
+        assert child.gen.bit_generator.state == numpy_state(seed, [row])
+
+
+def test_derive_rows_draws_match_derive():
+    rows = np.arange(5)
+    for child, ref in zip(Rng(8).derive_rows(rows), [Rng(8).derive(int(r)) for r in rows]):
+        np.testing.assert_array_equal(child.normal(7), ref.normal(7))
+    assert Rng(8).derive_rows(np.arange(0)) == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Rng(-1),
+    lambda: Rng(3).derive(-2),
+    lambda: Rng(3).derive(1, -1),
+    lambda: Rng(3).derive_rows(np.array([4, -1])),
+    lambda: Rng(3).derive_rows(np.array([2 ** 32])),
+])
+def test_rng_rejects_negative_seeds_keys_and_wide_rows(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
 def test_softmax_outputs_probability_simplex(seed, cols):

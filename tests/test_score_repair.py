@@ -9,10 +9,9 @@ from rvae.data import (ColumnStats, FeatureSpec, MixedTable, TableSchema,
 from rvae.errors import ConfigError, DataFormatError, ScoreRuleError
 from rvae.model import build_networks
 from rvae.nn import DenseNet, Rng
-from rvae.score_repair import (ScoreReport, _chain_iteration,
-                               _pi_cell_scores, _row_streams, load_simplexes,
-                               repair_map, repair_one_stage, repair_two_stage,
-                               score)
+from rvae.score_repair import (RepairResult, ScoreReport, _pi_cell_scores, _run_chain,
+                               load_simplexes, repair_map, repair_one_stage,
+                               repair_two_stage, score)
 from rvae.synthetic import mixture_table
 from rvae.train import RvaeModel, TrainConfig, train
 
@@ -242,9 +241,8 @@ def test_one_stage_t1_is_sample_then_reconstruct(trained):
     # then read the decoded mode
     from rvae.model import clean_logliks_values, outlier_logliks, pi_update
 
-    streams = _row_streams(4, np.arange(table.n_rows))
-    state_r, state_c, decoded = _chain_iteration(model, table.reals.copy(),
-                                                 table.cats.copy(), None, streams)
+    streams = Rng(4).derive_rows(np.arange(table.n_rows))
+    decoded = _run_chain(model, table.reals, table.cats, streams, 1)
     expected_reals = destandardize(table.with_values(reals=decoded.real_means)).reals
     np.testing.assert_array_equal(result.table.reals, expected_reals)
     for j, feat in enumerate(model.schema.cat_features):
@@ -295,18 +293,12 @@ def test_two_stage_forced_dirty_matches_mean_start_chain(trained):
 
     # replicate: stage-1 chain (2 rounds), the mask draw (all dirty), then a
     # 2-round chain from mean behaviour (zero reals, zeroed embeddings)
-    streams = _row_streams(12, np.arange(table.n_rows))
-    st_r, st_c = table.reals.copy(), table.cats.copy()
-    for _ in range(2):
-        st_r, st_c, decoded = _chain_iteration(model, st_r, st_c, None, streams)
+    streams = Rng(12).derive_rows(np.arange(table.n_rows))
+    _run_chain(model, table.reals, table.cats, streams, 2)
     for s in streams:
         s.uniform(model.schema.n_features)  # the mask draws
-    st_r = np.zeros_like(table.reals)
-    st_c = table.cats.copy()
-    zero_mask = np.ones_like(table.cats, dtype=bool)
-    for it in range(2):
-        st_r, st_c, decoded = _chain_iteration(model, st_r, st_c,
-                                               zero_mask if it == 0 else None, streams)
+    all_dirty = np.zeros((table.n_rows, model.schema.n_features), dtype=bool)
+    decoded = _run_chain(model, table.reals, table.cats, streams, 2, clean=all_dirty)
     expected = destandardize(table.with_values(reals=decoded.real_means)).reals
     np.testing.assert_array_equal(result.table.reals, expected)
 
@@ -318,5 +310,196 @@ def test_load_simplexes_round_trip(tmp_path, trained):
     simplex_path = tmp_path / "simplexes.csv"
     result.save(csv_path, simplex_path)
     loaded = load_simplexes(simplex_path, model.schema, table.n_rows)
+    for name, probs in result.simplexes.items():
+        np.testing.assert_array_equal(loaded[name], probs)
+
+
+# -- reference: per-call draws from numpy-seeded streams ---------------------------
+
+class NumpyRowStream:
+    """A row stream seeded straight from numpy: PCG64(SeedSequence(seed, spawn_key=(row,)))."""
+
+    def __init__(self, seed, row):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(row,))
+        self.gen = np.random.Generator(np.random.PCG64(seq))
+
+    def normal(self, size=None):
+        return self.gen.standard_normal(size)
+
+    def uniform(self, size=None):
+        return self.gen.random(size)
+
+
+def reference_round(model, reals, cats, zero_mask, streams):
+    """One pseudo-Gibbs round drawing per call, in the order the chain
+    consumes its streams: normal(latent), normal(n_real), then one
+    uniform() per categorical feature."""
+    from rvae.model import decode_values, encode_values
+
+    schema, nets = model.schema, model.networks
+    x = encode_values(schema, reals, cats, nets.embeddings, zero_mask)
+    mu, sig = nets.encoder.latent_values(x)
+    eps_z = np.stack([s.normal(model.config.latent_dim) for s in streams])
+    decoded = decode_values(nets.decoder, mu + sig * eps_z)
+    new_reals = reals.copy()
+    if reals.shape[1]:
+        eps_x = np.stack([s.normal(reals.shape[1]) for s in streams])
+        new_reals = decoded.real_means + decoded.real_stds * eps_x
+    new_cats = cats.copy()
+    for j, feat in enumerate(schema.cat_features):
+        u = np.array([s.uniform() for s in streams])
+        cum = np.cumsum(decoded.cat_probs[feat.name], axis=1)
+        new_cats[:, j] = np.clip((cum < u[:, None]).sum(axis=1), 0, feat.cardinality - 1)
+    return new_reals, new_cats, decoded
+
+
+def reference_two_stage(model, table, iters, seed):
+    """Stage one (every cell suspect), the mask draw, then the clamped chain
+    from mean behaviour, cell by cell; returns standardized reals, cats,
+    simplexes and the stage-one gate probabilities."""
+    from rvae.model import clean_logliks_values, outlier_logliks, pi_update
+
+    schema = model.schema
+    streams = [NumpyRowStream(seed, r) for r in range(table.n_rows)]
+    obs_r, obs_c = table.reals, table.cats
+    st_r, st_c = obs_r.copy(), obs_c.copy()
+    for _ in range(iters):
+        st_r, st_c, decoded = reference_round(model, st_r, st_c, None, streams)
+    ll = clean_logliks_values(model.networks.decoder, decoded, obs_r, obs_c)
+    pi_hat = pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
+                       model.config.alpha)
+    stage_one = (decoded, pi_hat)
+    clean = np.stack([s.uniform(schema.n_features) for s in streams]) < pi_hat
+    slots = [schema.kind_index(c) for c in range(schema.n_features)]
+    st_r, st_c = obs_r.copy(), obs_c.copy()
+    zero_mask = np.zeros_like(obs_c, dtype=bool)
+    for c, (kind, slot) in enumerate(slots):
+        if kind == "real":
+            st_r[~clean[:, c], slot] = 0.0
+        else:
+            zero_mask[~clean[:, c], slot] = True
+    for it in range(iters):
+        st_r, st_c, decoded = reference_round(model, st_r, st_c,
+                                              zero_mask if it == 0 else None, streams)
+        for c, (kind, slot) in enumerate(slots):
+            keep = clean[:, c]
+            if kind == "real":
+                st_r[keep, slot] = obs_r[keep, slot]
+            else:
+                st_c[keep, slot] = obs_c[keep, slot]
+    reals = decoded.real_means.copy()
+    cats = np.zeros_like(obs_c)
+    simplexes = {}
+    for c, (kind, slot) in enumerate(slots):
+        keep = clean[:, c]
+        if kind == "real":
+            reals[keep, slot] = obs_r[keep, slot]
+            continue
+        feat = schema.features[c]
+        probs = decoded.cat_probs[feat.name].copy()
+        cats[:, slot] = np.argmax(probs, axis=1)
+        cats[keep, slot] = obs_c[keep, slot]
+        probs[keep] = np.eye(feat.cardinality)[obs_c[keep, slot]]
+        simplexes[feat.name] = probs
+    return stage_one, (reals, cats, simplexes)
+
+
+def test_chains_replay_numpy_seeded_per_call_draws(trained):
+    model, table, _ = trained
+    (decoded, pi_ref), (reals, cats, simplexes) = reference_two_stage(model, table, 3, seed=21)
+
+    one, pi_hat = repair_one_stage(model, table, gibbs_iters=3, seed=21)
+    np.testing.assert_array_equal(pi_hat, pi_ref)
+    np.testing.assert_array_equal(
+        one.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+    for j, feat in enumerate(model.schema.cat_features):
+        np.testing.assert_array_equal(one.simplexes[feat.name], decoded.cat_probs[feat.name])
+        np.testing.assert_array_equal(one.table.cats[:, j],
+                                      np.argmax(decoded.cat_probs[feat.name], axis=1))
+
+    two = repair_two_stage(model, table, gibbs_iters=3, seed=21)
+    np.testing.assert_array_equal(two.table.reals,
+                                  destandardize(table.with_values(reals=reals)).reals)
+    np.testing.assert_array_equal(two.table.cats, cats)
+    for name, probs in simplexes.items():
+        np.testing.assert_array_equal(two.simplexes[name], probs)
+
+
+def test_sampled_latents_replay_numpy_seeded_draws(trained):
+    from rvae.model import clean_logliks_values, decode_values, encode_values
+
+    model, table, _ = trained
+    nets = model.networks
+    streams = [NumpyRowStream(13, r) for r in range(table.n_rows)]
+    mu, sig = nets.encoder.latent_values(
+        encode_values(model.schema, table.reals, table.cats, nets.embeddings))
+    eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
+    decoded = decode_values(nets.decoder, mu + sig * eps)
+    expected = -clean_logliks_values(nets.decoder, decoded, table.reals, table.cats)
+    np.testing.assert_array_equal(score(model, table, "nll", seed=13).cell_scores, expected)
+    sampled = repair_map(model, table, sample_z=True, seed=13)
+    np.testing.assert_array_equal(
+        sampled.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+
+
+# -- artifact writers against csv.writer ---------------------------------------------
+
+QUOTED_SCHEMA = TableSchema((
+    FeatureSpec('a,"b"', "real"),
+    FeatureSpec("line\nbreak", "categorical", ("x,1", 'say "y"', "z\r\nw")),
+    FeatureSpec('c"', "categorical", ("p", "q,r")),
+))
+
+
+def csv_writer_lines(path, header, lines):
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for line in lines:
+            writer.writerow(line)
+
+
+def quoted_repair(n=7, seed=2):
+    rng = np.random.default_rng(seed)
+    simplexes = {}
+    cats = np.zeros((n, 2), dtype=np.int64)
+    for j, feat in enumerate(QUOTED_SCHEMA.cat_features):
+        probs = rng.dirichlet(np.ones(feat.cardinality), size=n)
+        simplexes[feat.name] = probs
+        cats[:, j] = np.argmax(probs, axis=1)
+    table = MixedTable(schema=QUOTED_SCHEMA, reals=rng.normal(size=(n, 1)), cats=cats)
+    return RepairResult(table=table, simplexes=simplexes, method="map")
+
+
+def test_score_report_save_matches_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(1)
+    cells = rng.exponential(size=(6, 3))
+    cells[0, 0] = 0.0
+    report = ScoreReport(rule="pi", cell_scores=cells, row_scores=cells.sum(axis=1))
+    report.save(tmp_path / "new.csv", QUOTED_SCHEMA)
+    lines = []
+    for r in range(6):
+        for c, feat in enumerate(QUOTED_SCHEMA.features):
+            lines.append([r, feat.name, "pi", repr(float(cells[r, c]))])
+        lines.append([r, "__row__", "pi", repr(float(report.row_scores[r]))])
+    csv_writer_lines(tmp_path / "ref.csv", ["row_id", "feature", "rule", "score"], lines)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    loaded = ScoreReport.load(tmp_path / "new.csv", QUOTED_SCHEMA)
+    np.testing.assert_array_equal(loaded.cell_scores, cells)
+
+
+def test_simplex_sidecar_matches_csv_writer_bytes(tmp_path):
+    result = quoted_repair()
+    result.save(tmp_path / "t.csv", tmp_path / "new.csv")
+    lines = [[r, feat.name, label, repr(float(result.simplexes[feat.name][r, c]))]
+             for feat in QUOTED_SCHEMA.cat_features
+             for r in range(result.table.n_rows)
+             for c, label in enumerate(feat.categories)]
+    csv_writer_lines(tmp_path / "ref.csv", ["row_id", "feature", "category", "probability"],
+                     lines)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    loaded = load_simplexes(tmp_path / "new.csv", QUOTED_SCHEMA, result.table.n_rows)
     for name, probs in result.simplexes.items():
         np.testing.assert_array_equal(loaded[name], probs)
