@@ -355,6 +355,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         args.fn(args)
     except ConfigError as exc:
         print(f"rvae: config error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine
 from .engine import Tensor
 from .errors import DataFormatError, SchemaMismatchError
 from .nn import Rng
@@ -173,11 +172,6 @@ class MixedTable:
     @property
     def is_standardized(self) -> bool:
         return self.stats is not None
-
-    def cell(self, row: int, column: int):
-        """Raw cell value: float for real features, int index for categorical."""
-        kind, slot = self.schema.kind_index(column)
-        return float(self.reals[row, slot]) if kind == REAL else int(self.cats[row, slot])
 
     def with_values(self, reals: np.ndarray | None = None, cats: np.ndarray | None = None,
                     stats="__keep__") -> "MixedTable":
@@ -364,10 +358,6 @@ def destandardize(table: MixedTable) -> MixedTable:
     return table.with_values(reals=values, stats=None)
 
 
-def destandardize_column(values: np.ndarray, stats: ColumnStats) -> np.ndarray:
-    return values * stats.std + stats.mean
-
-
 def one_hot(index: int, cardinality: int) -> np.ndarray:
     if not 0 <= index < cardinality:
         raise ValueError(f"index {index} out of range for {cardinality} categories")
@@ -391,6 +381,11 @@ class EmbeddingBank:
                 rows /= np.linalg.norm(rows, axis=1, keepdims=True)
             self.tensors[feat.name] = Tensor(rows)
 
+    @property
+    def tables(self) -> list[Tensor]:
+        """The embedding matrices in categorical-feature order."""
+        return list(self.tensors.values())
+
     def renormalize(self) -> None:
         """Rescale every row to unit Euclidean norm (called after optimizer steps)."""
         for t in self.tensors.values():
@@ -404,33 +399,24 @@ def encoded_dim(schema: TableSchema, embedding_dim: int) -> int:
     return len(schema.real_features) + embedding_dim * len(schema.cat_features)
 
 
-def encode_rows(schema: TableSchema, reals: np.ndarray, cats: np.ndarray,
-                bank: EmbeddingBank, zero_mask: np.ndarray | None = None) -> Tensor:
-    """Model input for a batch: standardized reals then one embedding per categorical.
+def encode_values(schema: TableSchema, reals: np.ndarray, cats: np.ndarray,
+                  zero_mask: np.ndarray | None = None) -> np.ndarray:
+    """Model input for a batch: standardized reals, then a one-hot block per
+    categorical, (B, n_real + sum C_d).
 
-    Differentiable w.r.t. the embedding matrices. ``zero_mask`` (B, n_cat)
-    replaces selected embedding rows with zero vectors, which is how
+    The encoder's first layer reads each block through the feature's
+    embedding matrix (:func:`engine.onehot_dense`). ``zero_mask`` (B, n_cat)
+    zeroes selected blocks, which stands for a zero embedding: this is how
     mean-behaviour imputation represents unknown categoricals.
     """
-    parts: list[Tensor] = []
-    if reals.shape[1]:
-        parts.append(Tensor(reals))
-    for j, feat in enumerate(schema.cat_features):
-        emb = engine.take_rows(bank.tensors[feat.name], cats[:, j])
-        if zero_mask is not None:
-            keep = (~zero_mask[:, j]).astype(np.float64)[:, None]
-            emb = engine.mul(emb, keep)
-        parts.append(emb)
-    if len(parts) == 1:
-        return parts[0]
-    return engine.concat(parts, axis=1)
-
-
-def encode_row(row_reals: np.ndarray, row_cats: np.ndarray, schema: TableSchema, bank: EmbeddingBank) -> Tensor:
-    """Single-row convenience wrapper around :func:`encode_rows`."""
-    out = encode_rows(schema, np.atleast_2d(np.asarray(row_reals, dtype=np.float64)),
-                      np.atleast_2d(np.asarray(row_cats, dtype=np.int64)), bank)
-    return engine.reshape(out, (out.shape[1],))
+    n = reals.shape[0] if reals.size else cats.shape[0]
+    n_real = reals.shape[1]
+    offsets = n_real + np.cumsum([0] + [f.cardinality for f in schema.cat_features])
+    x = np.zeros((n, offsets[-1]))
+    x[:, :n_real] = reals
+    if cats.shape[1]:
+        x[np.arange(n)[:, None], offsets[:-1] + cats] = 1.0 if zero_mask is None else ~zero_mask
+    return x
 
 
 def require_same_schema(a: TableSchema, b: TableSchema, context: str = "") -> None:

@@ -23,6 +23,9 @@ __all__ = [
     "softplus",
     "clip",
     "matmul",
+    "dense",
+    "onehot_dense",
+    "fold_weight",
     "tsum",
     "tmean",
     "reshape",
@@ -32,6 +35,8 @@ __all__ = [
     "gather_cols",
     "permute_cols",
     "log_softmax",
+    "block_softmax",
+    "block_log_softmax_at",
 ]
 
 
@@ -265,6 +270,94 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """One affine layer ``x @ w + b``, with an optional ReLU, as one node.
+
+    Forward and backward make the numpy operations of the matmul -> add ->
+    relu chain in the same order, so values and gradients match it bit for
+    bit.
+    """
+    x = _wrap(x)
+    val = x.value @ w.value
+    val += b.value
+    if relu:
+        np.maximum(val, 0.0, out=val)
+    out = Tensor(val, (x, w, b))
+
+    def bw(g):
+        if relu:
+            g = g * (val > 0.0)
+        w._acc(x.value.T @ g)
+        b._acc(g.sum(axis=0))
+        x._acc(g @ w.value.T)
+
+    out._bw = bw
+    return out
+
+
+def fold_weight(w: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """The weight a layer applies to a one-hot-coded input.
+
+    ``w`` (n_lead + sum d_j, H) holds a leading block for the plain input
+    columns, then one (d_j, H) block ``w_j`` per (C_j, d_j) table. The
+    result (n_lead + sum C_j, H) keeps the leading block and replaces each
+    ``w_j`` by ``table_j @ w_j``, so a one-hot code of category c times its
+    block equals ``table_j[c] @ w_j``.
+    """
+    if not tables:
+        return w
+    row = w.shape[0] - sum(t.shape[1] for t in tables)
+    parts = [w[:row]]
+    for t in tables:
+        parts.append(t @ w[row:row + t.shape[1]])
+        row += t.shape[1]
+    return np.concatenate(parts, axis=0)
+
+
+def onehot_dense(x: np.ndarray, w: Tensor, b: Tensor, tables: list[Tensor],
+                 relu: bool = False) -> Tensor:
+    """A dense layer whose input rows look categories up in ``tables``, as one node.
+
+    ``x`` (B, n_lead + sum C_j) is a plain array: n_lead plain columns,
+    then per table a block of C_j columns holding a one-hot code (or
+    zeros, for an input row of zeros). It stands for the layer input
+    ``[x_lead | table_0[c_0] | ...]`` of a layer with weight ``w`` and bias
+    ``b``; the product runs against :func:`fold_weight`, rebuilt on every
+    call from the current tables. Gradients flow into ``w``, ``b`` and the
+    tables, not into ``x``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    values = [t.value for t in tables]
+    folded = fold_weight(w.value, values)
+    if x.ndim != 2 or x.shape[1] != folded.shape[0]:
+        raise ValueError(f"input width {x.shape[-1]} does not match the folded weight "
+                         f"({folded.shape[0]} rows)")
+    val = x @ folded
+    val += b.value
+    if relu:
+        np.maximum(val, 0.0, out=val)
+    out = Tensor(val, (w, b, *tables))
+
+    def bw(g):
+        if relu:
+            g = g * (val > 0.0)
+        d_folded = x.T @ g
+        dw = np.empty_like(w.value)
+        row = col = w.shape[0] - sum(v.shape[1] for v in values)
+        dw[:row] = d_folded[:row]
+        for t, v in zip(tables, values):
+            block, w_j = d_folded[col:col + v.shape[0]], w.value[row:row + v.shape[1]]
+            dw[row:row + v.shape[1]] = v.T @ block
+            t._acc(block @ w_j.T)
+            row += v.shape[1]
+            col += v.shape[0]
+        w._acc(dw)
+        b._acc(g.sum(axis=0))
+
+    out._bw = bw
+    return out
+
+
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     out = Tensor(a.value.sum(axis=axis, keepdims=keepdims), (a,))
 
@@ -374,6 +467,46 @@ def log_softmax(a: Tensor) -> Tensor:
     def bw(g):
         p = np.exp(val)
         a._acc(g - p * g.sum(axis=1, keepdims=True))
+
+    out._bw = bw
+    return out
+
+
+def block_softmax(x: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise softmax within consecutive column blocks of a 2-D array.
+
+    The blocks have widths ``sizes`` and tile ``x``; each is shifted by its
+    row maximum before exponentiating. Returns the shifted values, each
+    block's sum of exponentials (B, n_blocks) and the probabilities.
+    """
+    starts = np.cumsum([0] + list(sizes[:-1]))
+    shifted = x - np.repeat(np.maximum.reduceat(x, starts, axis=1), sizes, axis=1)
+    e = np.exp(shifted)
+    sums = np.add.reduceat(e, starts, axis=1)
+    return shifted, sums, e / np.repeat(sums, sizes, axis=1)
+
+
+def block_log_softmax_at(a: Tensor, start: int, sizes: list[int], idx: np.ndarray) -> Tensor:
+    """Log softmax within column blocks, at one column per block and row.
+
+    Columns ``start:`` of the 2-D tensor ``a`` form consecutive blocks of
+    widths ``sizes``; ``idx`` (B, n_blocks) holds one position within each
+    block per row. Returns the (B, n_blocks) log probabilities at those
+    positions. Backward, per block: ``g * (onehot(idx) - softmax)``.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    shifted, sums, probs = block_softmax(a.value[:, start:], sizes)
+    rows = np.arange(idx.shape[0])[:, None]
+    cols = np.cumsum([0] + list(sizes[:-1])) + idx
+    out = Tensor(shifted[rows, cols] - np.log(sums), (a,))
+
+    def bw(g):
+        buf = np.zeros_like(a.value)
+        block = buf[:, start:]
+        np.multiply(np.repeat(-g, sizes, axis=1), probs, out=block)
+        # blocks are disjoint, so no (row, column) pair repeats
+        block[rows, cols] += g
+        a._acc(buf)
 
     out._bw = bw
     return out

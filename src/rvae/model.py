@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .data import REAL, EmbeddingBank, TableSchema, encode_rows
+from .data import REAL, EmbeddingBank, TableSchema, encode_values
 from .engine import Tensor
 from .errors import ConfigError
 from .nn import DenseNet, Rng
@@ -64,21 +64,25 @@ class GateParams:
 
 
 class Encoder:
-    """Encoded row -> hidden -> (posterior mean, log std diag), both length K."""
+    """Encoded row -> hidden -> (posterior mean, log std diag), both length K.
+
+    The input is the one-hot-coded row of :func:`encode_values`; the first
+    layer reads each categorical block through its embedding matrix.
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int, latent_dim: int, rng: Rng | None):
         self.latent_dim = latent_dim
         self.net = DenseNet([input_dim, hidden_dim, 2 * latent_dim], ["relu", "identity"], rng, name="encoder")
 
-    def latent(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        out = self.net.apply(x)
+    def latent(self, x: np.ndarray, bank: EmbeddingBank) -> tuple[Tensor, Tensor, Tensor]:
+        out = self.net.apply(x, bank.tables)
         k = self.latent_dim
         mu = engine.slice_cols(out, 0, k)
         log_sigma = engine.clip(engine.slice_cols(out, k, 2 * k), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
         return mu, log_sigma, engine.exp(log_sigma)
 
-    def latent_values(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = _net_values(self.net, x)
+    def latent_values(self, x: np.ndarray, bank: EmbeddingBank) -> tuple[np.ndarray, np.ndarray]:
+        out = self.net.values(x, bank.tables)
         k = self.latent_dim
         log_sigma = np.clip(out[:, k:2 * k], LOG_SIGMA_MIN, LOG_SIGMA_MAX)
         return out[:, :k], np.exp(log_sigma)
@@ -93,10 +97,11 @@ class Decoder:
     The head ``W`` (H, n_real + sum C_d) and ``b`` hold the real means in
     their first n_real columns (real-feature order), then each
     categorical's logits in a block at a fixed offset (categorical order);
-    ``columns`` maps a feature name to its column slice. ``log_sigma``
-    holds the learned log sigma_d of every real feature. Initial weights
-    are drawn per feature in schema order, one (H, 1) or (H, C_d) draw
-    each, and placed into the fused columns.
+    ``columns`` maps a feature name to its column slice and ``cat_sizes``
+    lists the block widths. ``log_sigma`` holds the learned log sigma_d of
+    every real feature. Initial weights are drawn per feature in schema
+    order, one (H, 1) or (H, C_d) draw each, and placed into the fused
+    columns.
     """
 
     def __init__(self, schema: TableSchema, latent_dim: int, hidden_dim: int, rng: Rng | None):
@@ -104,6 +109,7 @@ class Decoder:
         self.latent_dim = latent_dim
         self.trunk = DenseNet([latent_dim, hidden_dim], ["relu"], rng, name="decoder.trunk")
         self.n_real = len(schema.real_features)
+        self.cat_sizes = [feat.cardinality for feat in schema.cat_features]
         self.columns: dict[str, slice] = {}
         for j, feat in enumerate(schema.real_features):
             self.columns[feat.name] = slice(j, j + 1)
@@ -209,15 +215,6 @@ def build_networks(schema: TableSchema, latent_dim: int, hidden_dim: int,
     return RvaeNetworks(encoder, decoder, embeddings, pi_encoder)
 
 
-def _net_values(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    out = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
-        out = out @ layer.W.value + layer.b.value
-        if layer.activation == "relu":
-            out = np.maximum(out, 0.0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form pieces
 # ---------------------------------------------------------------------------
@@ -290,13 +287,14 @@ def outlier_logliks(components: OutlierComponents, schema: TableSchema,
 # ---------------------------------------------------------------------------
 
 def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray,
-                       cats: np.ndarray, eps: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
-    """Shared forward pass: encoded input, clean log likelihoods (B, D), KL(z)."""
-    x_enc = encode_rows(schema, reals, cats, nets.embeddings)
-    mu, log_sigma, sigma = nets.encoder.latent(x_enc)
+                       cats: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, Tensor, Tensor]:
+    """Shared forward pass: encoded input (a plain array), clean log
+    likelihoods (B, D), KL(z)."""
+    x_enc = encode_values(schema, reals, cats)
+    mu, log_sigma, sigma = nets.encoder.latent(x_enc, nets.embeddings)
     z = engine.add(mu, engine.mul(sigma, eps))
     dec = nets.decoder
-    head = engine.add(engine.matmul(dec.hidden(z), dec.W), dec.b)
+    head = engine.dense(dec.hidden(z), dec.W, dec.b)
     cols: list[Tensor] = []
     if dec.n_real:
         mean = engine.slice_cols(head, 0, dec.n_real)
@@ -304,11 +302,8 @@ def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarra
         resid = engine.mul(engine.sub(engine._wrap(reals), mean), engine.exp(engine.neg(log_sigma_d)))
         cols.append(engine.sub(engine.sub(engine._wrap(-HALF_LOG_2PI), log_sigma_d),
                                engine.mul(engine.mul(resid, resid), 0.5)))
-    for j, feat in enumerate(schema.cat_features):
-        cat_cols = dec.columns[feat.name]
-        logits = engine.slice_cols(head, cat_cols.start, cat_cols.stop)
-        ll = engine.gather_cols(engine.log_softmax(logits), cats[:, j])
-        cols.append(engine.reshape(ll, (ll.shape[0], 1)))
+    if dec.cat_sizes:
+        cols.append(engine.block_log_softmax_at(head, dec.n_real, dec.cat_sizes, cats))
     ll_clean = engine.concat(cols, axis=1)
     if dec.schema_order is not None:
         ll_clean = engine.permute_cols(ll_clean, dec.schema_order)
@@ -392,7 +387,7 @@ def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarr
     if amortized and pi_override is None:
         if nets.pi_encoder is None:
             raise ConfigError("amortized objective requires a pi encoder")
-        logits = nets.pi_encoder.apply(x_enc)
+        logits = nets.pi_encoder.apply(x_enc, nets.embeddings.tables)
         pi_t = engine.sigmoid(logits)
         mix = engine.tsum(engine.add(engine.mul(pi_t, ll_clean),
                                      engine.mul(engine.sub(engine._wrap(1.0), pi_t), ll_out)), axis=1)
@@ -415,19 +410,6 @@ def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarr
 # plain-value forward paths (scoring and repair; no tape)
 # ---------------------------------------------------------------------------
 
-def encode_values(schema: TableSchema, reals: np.ndarray, cats: np.ndarray,
-                  bank: EmbeddingBank, zero_mask: np.ndarray | None = None) -> np.ndarray:
-    parts = []
-    if reals.shape[1]:
-        parts.append(np.asarray(reals, dtype=np.float64))
-    for j, feat in enumerate(schema.cat_features):
-        emb = bank.tensors[feat.name].value[cats[:, j]]
-        if zero_mask is not None:
-            emb = emb * (~zero_mask[:, j]).astype(np.float64)[:, None]
-        parts.append(emb)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
 @dataclass
 class DecodedValues:
     real_means: np.ndarray            # (B, n_real)
@@ -438,19 +420,16 @@ class DecodedValues:
 def decode_values(decoder: Decoder, z: np.ndarray) -> DecodedValues:
     """Means, sigmas and category probabilities at latents z: one head
     product, then a softmax over every categorical's column block."""
-    head = _net_values(decoder.trunk, z) @ decoder.W.value + decoder.b.value
+    head = decoder.trunk.values(z) @ decoder.W.value
+    head += decoder.b.value
     n_real = decoder.n_real
     stds = np.exp(np.clip(decoder.log_sigma.value, LOG_SIGMA_MIN, LOG_SIGMA_MAX))
     probs = {}
-    cat_features = decoder.schema.cat_features
-    if cat_features:
-        logits = head[:, n_real:]
-        starts = [decoder.columns[f.name].start - n_real for f in cat_features]
-        sizes = [f.cardinality for f in cat_features]
-        shifted = logits - np.repeat(np.maximum.reduceat(logits, starts, axis=1), sizes, axis=1)
-        e = np.exp(shifted)
-        p = e / np.repeat(np.add.reduceat(e, starts, axis=1), sizes, axis=1)
-        probs = {f.name: p[:, s:s + c] for f, s, c in zip(cat_features, starts, sizes)}
+    if decoder.cat_sizes:
+        _, _, p = engine.block_softmax(head[:, n_real:], decoder.cat_sizes)
+        starts = np.cumsum([0] + decoder.cat_sizes)
+        probs = {f.name: p[:, s:e]
+                 for f, s, e in zip(decoder.schema.cat_features, starts, starts[1:])}
     return DecodedValues(real_means=head[:, :n_real], real_stds=stds, cat_probs=probs)
 
 

@@ -162,11 +162,7 @@ class Layer:
 
 
 class DenseNet:
-    """A plain MLP: affine layers with ReLU or identity activations.
-
-    ``forward`` caches the tape so ``backward`` can return gradients for
-    every parameter and for the input, per the engine contract.
-    """
+    """A plain MLP: affine layers with ReLU or identity activations."""
 
     def __init__(self, sizes: list[int], activations: list[str], rng: Rng | None = None, name: str = "net"):
         if len(activations) != len(sizes) - 1:
@@ -184,7 +180,6 @@ class DenseNet:
                 scale = np.sqrt((2.0 if act == "relu" else 1.0) / n_in)
                 w = rng.normal((n_in, n_out)) * scale
             self.layers.append(Layer(Tensor(w), Tensor(np.zeros(n_out)), act))
-        self._cache: tuple[Tensor, Tensor] | None = None
 
     @classmethod
     def from_layers(cls, layers: list[tuple[np.ndarray, np.ndarray, str]], name: str = "net") -> "DenseNet":
@@ -214,41 +209,36 @@ class DenseNet:
     def n_outputs(self) -> int:
         return self.layers[-1].W.value.shape[1]
 
-    def apply(self, x: Tensor) -> Tensor:
-        """Tape-through forward on a (B, n_inputs) tensor."""
+    def apply(self, x: Tensor | np.ndarray, tables: list[Tensor] | None = None) -> Tensor:
+        """Tape-through forward, one :func:`engine.dense` node per layer.
+
+        ``x`` is a (B, n_inputs) tensor or, with ``tables``, a plain
+        one-hot-coded array that the first layer reads through
+        :func:`engine.onehot_dense`.
+        """
+        if tables is None and x.shape[-1] != self.n_inputs:
+            raise ValueError(f"input length {x.shape[-1]} does not match first layer ({self.n_inputs})")
         out = x
-        for layer in self.layers:
-            out = engine.add(engine.matmul(out, layer.W), layer.b)
-            if layer.activation == "relu":
-                out = engine.relu(out)
+        for i, layer in enumerate(self.layers):
+            relu = layer.activation == "relu"
+            if i == 0 and tables is not None:
+                out = engine.onehot_dense(x, layer.W, layer.b, tables, relu)
+            else:
+                out = engine.dense(out, layer.W, layer.b, relu)
         return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Plain-array forward; caches the tape for :meth:`backward`."""
-        x = np.asarray(x, dtype=np.float64)
-        vector_in = x.ndim == 1
-        if vector_in:
-            x = x[None, :]
-        if x.shape[1] != self.n_inputs:
-            raise ValueError(f"input length {x.shape[1]} does not match first layer ({self.n_inputs})")
-        x_t = Tensor(x)
-        out_t = self.apply(x_t)
-        self._cache = (x_t, out_t)
-        return out_t.value[0] if vector_in else out_t.value
-
-    def backward(self, upstream: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Gradients w.r.t. every parameter and the input of the cached forward."""
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_t, out_t = self._cache
-        upstream = np.asarray(upstream, dtype=np.float64)
-        vector_out = upstream.ndim == 1
-        if vector_out:
-            upstream = upstream[None, :]
-        out_t.backward(seed=upstream.reshape(out_t.value.shape))
-        grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.value)) for name, t in self.params().items()}
-        x_grad = x_t.grad if x_t.grad is not None else np.zeros_like(x_t.value)
-        return grads, (x_grad[0] if vector_out else x_grad)
+    def values(self, x: np.ndarray, tables: list[Tensor] | None = None) -> np.ndarray:
+        """Plain-array forward with the arithmetic of :meth:`apply`."""
+        out = np.asarray(x, dtype=np.float64)
+        for i, layer in enumerate(self.layers):
+            w = layer.W.value
+            if i == 0 and tables is not None:
+                w = engine.fold_weight(w, [t.value for t in tables])
+            out = out @ w
+            out += layer.b.value
+            if layer.activation == "relu":
+                np.maximum(out, 0.0, out=out)
+        return out
 
     def params(self) -> dict[str, Tensor]:
         out = {}

@@ -19,7 +19,7 @@ from .data import (CATEGORICAL, REAL, WRITE_BLOCK_ROWS, MixedTable, TableSchema,
 from .engine import stable_sigmoid
 from .errors import ConfigError, DataFormatError, ScoreRuleError
 from .model import (DecodedValues, clean_logliks_values, decode_values,
-                    encode_values, outlier_logliks, pi_update, _net_values)
+                    encode_values, outlier_logliks, pi_update)
 from .nn import Rng
 from .train import RvaeModel
 
@@ -159,6 +159,8 @@ class RepairResult:
 
     def __post_init__(self):
         for name, probs in self.simplexes.items():
+            if not np.all(np.isfinite(probs)):
+                raise DataFormatError(f"simplexes for '{name}' hold a non-finite probability")
             if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
                 raise DataFormatError(f"simplexes for '{name}' do not sum to 1")
         for j, feat in enumerate(self.table.schema.cat_features):
@@ -281,7 +283,7 @@ def _pi_cell_scores(pi: np.ndarray) -> np.ndarray:
 
 def _sampled_latents(model: RvaeModel, x: np.ndarray, streams: list[Rng]) -> np.ndarray:
     """z = mu + sigma * eps with one standard-normal draw per row stream."""
-    mu, sig = model.networks.encoder.latent_values(x)
+    mu, sig = model.networks.encoder.latent_values(x, model.networks.embeddings)
     eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
     return mu + sig * eps
 
@@ -300,9 +302,9 @@ def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads
 
     def chunk_scores(rows: np.ndarray):
         reals, cats = table.reals[rows], table.cats[rows]
-        x = encode_values(schema, reals, cats, nets.embeddings)
+        x = encode_values(schema, reals, cats)
         if rule == "pi" and model.config.is_amortized:
-            pi = stable_sigmoid(_net_values(nets.pi_encoder, x))
+            pi = stable_sigmoid(nets.pi_encoder.values(x, nets.embeddings.tables))
             return (_pi_cell_scores(pi),)
         z = _sampled_latents(model, x, Rng(seed).derive_rows(rows))
         decoded = decode_values(nets.decoder, z)
@@ -353,11 +355,11 @@ def repair_map(model: RvaeModel, table: MixedTable, sample_z: bool = False,
     schema, nets = model.schema, model.networks
 
     def chunk_repair(rows: np.ndarray):
-        x = encode_values(schema, table.reals[rows], table.cats[rows], nets.embeddings)
+        x = encode_values(schema, table.reals[rows], table.cats[rows])
         if sample_z:
             z = _sampled_latents(model, x, Rng(seed).derive_rows(rows))
         else:
-            z, _ = nets.encoder.latent_values(x)
+            z, _ = nets.encoder.latent_values(x, nets.embeddings)
         decoded = decode_values(nets.decoder, z)
         cats, simplexes = _modes(schema, decoded)
         return decoded.real_means, cats, simplexes
@@ -386,7 +388,8 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
     call (one per categorical). With a (B, D) ``clean`` mask in schema
     column order, clean cells stay at their observed values in every round
     and dirty cells start at mean behaviour: zero for standardized reals, a
-    zero embedding for categoricals. Returns the last round's decoded values.
+    zero one-hot block (a zero embedding) for categoricals. Returns the
+    last round's decoded values.
     """
     schema, nets = model.schema, model.networks
     k, n_real, n_cat = model.config.latent_dim, obs_reals.shape[1], obs_cats.shape[1]
@@ -395,8 +398,8 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
         keep_reals, keep_cats = _split_by_kind(schema, clean)
         reals, zero_mask = np.where(keep_reals, obs_reals, 0.0), ~keep_cats
     for it in range(iters):
-        x = encode_values(schema, reals, cats, nets.embeddings, zero_mask if it == 0 else None)
-        mu, sig = nets.encoder.latent_values(x)
+        x = encode_values(schema, reals, cats, zero_mask if it == 0 else None)
+        mu, sig = nets.encoder.latent_values(x, nets.embeddings)
         eps = np.stack([s.normal(k + n_real) for s in streams])
         u = np.stack([s.uniform(n_cat) for s in streams])
         decoded = decode_values(nets.decoder, mu + sig * eps[:, :k])

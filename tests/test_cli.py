@@ -273,6 +273,21 @@ def test_negative_seed_is_a_config_error(workspace, tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["score", "repair"])
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_is_a_config_error(workspace, tmp_path, capsys, command, threads):
+    ws = workspace
+    argv = {
+        "score": ["score", "--input", ws / "clean.csv", "--checkpoint", ws / "small.ckpt",
+                  "--rule", "pi", "--out", tmp_path / "s.csv"],
+        "repair": ["repair", "--input", ws / "clean.csv", "--checkpoint", ws / "small.ckpt",
+                   "--out", tmp_path / "r.csv"],
+    }[command]
+    assert run([*argv, "--threads", threads]) == 2
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_config_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         TrainConfig(seed=-3).validate()

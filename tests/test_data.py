@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvae.data import (EmbeddingBank, FeatureSpec, MixedTable,
-                       TableSchema, apply_stats, destandardize, encode_row,
-                       encode_rows, encoded_dim, load_csv, one_hot, read_table,
+                       TableSchema, apply_stats, destandardize, encode_values,
+                       encoded_dim, load_csv, one_hot, read_table,
                        standardize, write_table)
-from rvae.engine import tsum
+from rvae.engine import Tensor, onehot_dense, tsum
 from rvae.errors import DataFormatError
 from rvae.nn import Rng
 
@@ -152,10 +152,21 @@ def test_apply_stats_matches_model_side_standardization(mixed_schema):
 
 # -- encoding ----------------------------------------------------------------
 
+def embedded_input(schema, bank, reals, cats, zero_mask=None):
+    """The encoder's first layer with an identity weight and zero bias:
+    [reals | embedding rows], read through the one-hot input."""
+    tables = bank.tables
+    width = encoded_dim(schema, bank.dim)
+    x = encode_values(schema, reals, cats, zero_mask)
+    return onehot_dense(x, Tensor(np.eye(width)), Tensor(np.zeros(width)), tables)
+
+
 def test_encode_all_real_equals_row(real_schema):
     bank = EmbeddingBank(real_schema, dim=5, rng=Rng(0))
-    row = np.array([0.4, -1.1])
-    out = encode_row(row, np.zeros(0, dtype=np.int64), real_schema, bank)
+    row = np.array([[0.4, -1.1]])
+    out = encode_values(real_schema, row, np.zeros((1, 0), dtype=np.int64))
+    np.testing.assert_array_equal(out, row)
+    out = embedded_input(real_schema, bank, row, np.zeros((1, 0), dtype=np.int64))
     np.testing.assert_array_equal(out.value, row)
 
 
@@ -163,8 +174,10 @@ def test_encode_single_categorical_is_embedding_row():
     schema = TableSchema((FeatureSpec("c", "categorical", ("x", "y", "z")),))
     bank = EmbeddingBank(schema, dim=6, rng=Rng(4))
     for c in range(3):
-        out = encode_row(np.zeros(0), np.array([c]), schema, bank)
-        np.testing.assert_array_equal(out.value, bank.tensors["c"].value[c])
+        x = encode_values(schema, np.zeros((1, 0)), np.array([[c]]))
+        np.testing.assert_array_equal(x[0], one_hot(c, 3))
+        out = embedded_input(schema, bank, np.zeros((1, 0)), np.array([[c]]))
+        np.testing.assert_array_equal(out.value[0], bank.tensors["c"].value[c])
 
 
 def test_encoded_length_mixed():
@@ -173,15 +186,16 @@ def test_encoded_length_mixed():
         + [FeatureSpec(f"c{i}", "categorical", ("a", "b")) for i in range(2)]))
     assert encoded_dim(schema, 50) == 103
     bank = EmbeddingBank(schema, dim=50, rng=Rng(0))
-    out = encode_rows(schema, np.zeros((4, 3)), np.zeros((4, 2), dtype=np.int64), bank)
-    assert out.shape == (4, 103)
+    reals, cats = np.zeros((4, 3)), np.zeros((4, 2), dtype=np.int64)
+    assert encode_values(schema, reals, cats).shape == (4, 3 + 2 + 2)
+    assert embedded_input(schema, bank, reals, cats).shape == (4, 103)
 
 
 def test_encode_gradient_reaches_embeddings(mixed_schema):
     bank = EmbeddingBank(mixed_schema, dim=4, rng=Rng(1))
     reals = np.zeros((2, 2))
     cats = np.array([[1, 0], [1, 1]])
-    tsum(encode_rows(mixed_schema, reals, cats, bank)).backward()
+    tsum(embedded_input(mixed_schema, bank, reals, cats)).backward()
     grad = bank.tensors["b"].grad  # both rows hit embedding row 1
     assert grad is not None
     np.testing.assert_array_equal(grad[1], 2.0)
@@ -194,7 +208,10 @@ def test_encode_zero_mask_blanks_embeddings(mixed_schema):
     reals = np.zeros((1, 2))
     cats = np.array([[2, 1]])
     mask = np.array([[True, False]])
-    out = encode_rows(mixed_schema, reals, cats, bank, zero_mask=mask).value
+    x = encode_values(mixed_schema, reals, cats, zero_mask=mask)
+    np.testing.assert_array_equal(x[0, 2:5], 0.0)
+    np.testing.assert_array_equal(x[0, 5:], one_hot(1, 2))
+    out = embedded_input(mixed_schema, bank, reals, cats, zero_mask=mask).value
     np.testing.assert_array_equal(out[0, 2:6], 0.0)
     np.testing.assert_array_equal(out[0, 6:], bank.tensors["d"].value[1])
 

@@ -185,8 +185,8 @@ def test_elbo_vae_matches_hand_composition(mixed_schema):
     eps = Rng(5).normal((1, 3))
     per_row = elbo_vae(nets, mixed_schema, reals, cats, eps=eps)
 
-    x = encode_values(mixed_schema, reals, cats, nets.embeddings)
-    mu, sigma = nets.encoder.latent_values(x)
+    x = encode_values(mixed_schema, reals, cats)
+    mu, sigma = nets.encoder.latent_values(x, nets.embeddings)
     z = mu + sigma * eps
     cells = clean_loglik(nets.decoder, z, reals, cats)
     assert cells.shape == (1, 4)
@@ -318,14 +318,12 @@ def test_elbo_gradients_match_finite_differences(mixed_schema):
 def test_value_paths_match_tape(mixed_schema):
     nets = tiny_networks(mixed_schema, seed=30)
     reals, cats = random_batch(mixed_schema, 4, seed=31)
-    from rvae.data import encode_rows
+    x_t, _, _ = forward_elbo_parts(nets, mixed_schema, reals, cats, np.zeros((4, 3)))
+    x_v = encode_values(mixed_schema, reals, cats)
+    np.testing.assert_array_equal(x_t, x_v)
 
-    x_t = encode_rows(mixed_schema, reals, cats, nets.embeddings)
-    x_v = encode_values(mixed_schema, reals, cats, nets.embeddings)
-    np.testing.assert_array_equal(x_t.value, x_v)
-
-    mu_t, logsig_t, sig_t = nets.encoder.latent(x_t)
-    mu_v, sig_v = nets.encoder.latent_values(x_v)
+    mu_t, logsig_t, sig_t = nets.encoder.latent(x_t, nets.embeddings)
+    mu_v, sig_v = nets.encoder.latent_values(x_v, nets.embeddings)
     np.testing.assert_array_equal(mu_t.value, mu_v)
     np.testing.assert_array_equal(sig_t.value, sig_v)
 

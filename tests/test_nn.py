@@ -10,9 +10,22 @@ from rvae.nn import DenseNet, Rng, adam_step, init_adam, sample_gaussian, softma
 from conftest import assert_grads_close, finite_difference
 
 
+def forward(net, x):
+    """One row through DenseNet.apply."""
+    return net.apply(Tensor(np.atleast_2d(x))).value[0]
+
+
+def forward_backward(net, x, upstream):
+    """Parameter and input gradients of upstream . net(x) for one row."""
+    x_t = Tensor(np.atleast_2d(x))
+    net.apply(x_t).backward(seed=np.atleast_2d(upstream))
+    grads = {name: t.grad for name, t in net.params().items()}
+    return grads, x_t.grad[0]
+
+
 def test_forward_identity_layer():
     net = DenseNet.from_layers([(np.eye(2), np.zeros(2), "identity")])
-    np.testing.assert_array_equal(net.forward(np.array([1.0, 2.0])), [1.0, 2.0])
+    np.testing.assert_array_equal(forward(net, np.array([1.0, 2.0])), [1.0, 2.0])
 
 
 def test_forward_zero_weights_returns_bias():
@@ -20,7 +33,7 @@ def test_forward_zero_weights_returns_bias():
     net = DenseNet.from_layers([(np.zeros((4, 3)), bias, "identity")])
     for seed in (0, 1):
         x = np.random.default_rng(seed).normal(size=4)
-        np.testing.assert_array_equal(net.forward(x), bias)
+        np.testing.assert_array_equal(forward(net, x), bias)
 
 
 def test_forward_matches_hand_matmul_chain():
@@ -30,13 +43,14 @@ def test_forward_matches_hand_matmul_chain():
     w0, b0 = net.layers[0].W.value, net.layers[0].b.value
     w1, b1 = net.layers[1].W.value, net.layers[1].b.value
     expected = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
-    np.testing.assert_allclose(net.forward(x), expected, rtol=1e-15)
+    np.testing.assert_allclose(forward(net, x), expected, rtol=1e-15)
+    np.testing.assert_allclose(net.values(x[None])[0], expected, rtol=1e-15)
 
 
 def test_forward_dimension_mismatch():
     net = DenseNet([3, 2], ["identity"], Rng(0))
     with pytest.raises(ValueError, match="does not match first layer"):
-        net.forward(np.ones(4))
+        forward(net, np.ones(4))
 
 
 def test_backward_linear_rows():
@@ -44,8 +58,7 @@ def test_backward_linear_rows():
     w = np.zeros((3, 2))
     net = DenseNet.from_layers([(w, np.zeros(2), "identity")])
     x = np.array([1.0, 2.0, 3.0])
-    net.forward(x)
-    grads, x_grad = net.backward(np.array([1.0, 0.0]))
+    grads, x_grad = forward_backward(net, x, np.array([1.0, 0.0]))
     np.testing.assert_array_equal(grads["net.W0"][:, 0], x)
     np.testing.assert_array_equal(grads["net.W0"][:, 1], 0.0)
     np.testing.assert_array_equal(x_grad, w[:, 0])
@@ -57,10 +70,9 @@ def test_backward_matches_finite_differences():
     upstream = np.array([1.0, -0.5, 2.0])
 
     def loss():
-        return float(net.forward(x) @ upstream)
+        return float(forward(net, x) @ upstream)
 
-    net.forward(x)
-    analytic, _ = net.backward(upstream)
+    analytic, _ = forward_backward(net, x, upstream)
     numeric = finite_difference(lambda: loss(), net.params())
     assert_grads_close(analytic, numeric)
 
@@ -68,16 +80,9 @@ def test_backward_matches_finite_differences():
 def test_relu_blocks_gradient_at_negative_preactivation():
     # single unit with a strongly negative preactivation
     net = DenseNet.from_layers([(np.array([[1.0]]), np.array([-5.0]), "relu")])
-    net.forward(np.array([1.0]))
-    grads, x_grad = net.backward(np.array([1.0]))
+    grads, x_grad = forward_backward(net, np.array([1.0]), np.array([1.0]))
     assert grads["net.W0"][0, 0] == 0.0
     assert x_grad[0] == 0.0
-
-
-def test_backward_before_forward_errors():
-    net = DenseNet([2, 2], ["identity"], Rng(0))
-    with pytest.raises(RuntimeError, match="before forward"):
-        net.backward(np.ones(2))
 
 
 def test_from_layers_validates_dimensions():

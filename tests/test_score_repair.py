@@ -215,6 +215,14 @@ def test_repair_result_validates_simplexes(trained):
                                       np.argmax(result.simplexes[feat.name], axis=1))
 
 
+@pytest.mark.parametrize("row", [[np.nan, np.nan], [np.inf, 0.0], [1.0, -np.inf]])
+def test_repair_result_rejects_non_finite_simplex_rows(row):
+    schema = TableSchema((FeatureSpec("c", "categorical", ("x", "y")),))
+    table = MixedTable(schema=schema, reals=np.zeros((1, 0)), cats=np.zeros((1, 1), dtype=np.int64))
+    with pytest.raises(DataFormatError, match="non-finite"):
+        RepairResult(table=table, simplexes={"c": np.array([row])}, method="map")
+
+
 # -- pseudo-Gibbs chains -------------------------------------------------------
 
 def test_one_stage_requires_iterations(trained):
@@ -337,8 +345,8 @@ def reference_round(model, reals, cats, zero_mask, streams):
     from rvae.model import decode_values, encode_values
 
     schema, nets = model.schema, model.networks
-    x = encode_values(schema, reals, cats, nets.embeddings, zero_mask)
-    mu, sig = nets.encoder.latent_values(x)
+    x = encode_values(schema, reals, cats, zero_mask)
+    mu, sig = nets.encoder.latent_values(x, nets.embeddings)
     eps_z = np.stack([s.normal(model.config.latent_dim) for s in streams])
     decoded = decode_values(nets.decoder, mu + sig * eps_z)
     new_reals = reals.copy()
@@ -432,7 +440,7 @@ def test_sampled_latents_replay_numpy_seeded_draws(trained):
     nets = model.networks
     streams = [NumpyRowStream(13, r) for r in range(table.n_rows)]
     mu, sig = nets.encoder.latent_values(
-        encode_values(model.schema, table.reals, table.cats, nets.embeddings))
+        encode_values(model.schema, table.reals, table.cats), nets.embeddings)
     eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
     decoded = decode_values(nets.decoder, mu + sig * eps)
     expected = -clean_logliks_values(nets.decoder, decoded, table.reals, table.cats)
