@@ -219,9 +219,7 @@ def save_marginal_model(model: MarginalModel, path) -> None:
 
 
 def load_marginal_model(path) -> MarginalModel:
-    header, tensors = read_container(path)
-    if header.get("format") != MARGINAL_FORMAT:
-        raise CheckpointError(f"{path}: container holds '{header.get('format')}', not a marginal model")
+    header, tensors = read_container(path, MARGINAL_FORMAT, CheckpointError)
     schema = TableSchema.from_json_obj(header["schema"])
     gmms = {}
     for feat in schema.real_features:

@@ -1,7 +1,9 @@
 """Operator-facing command line: corrupt -> train -> score -> repair ->
-evaluate, plus an experiment sweep. Commands compose through files only
-and every artifact-producing command writes a run manifest with input and
-output digests.
+evaluate, plus an experiment sweep. Commands compose through files only:
+CSV tables, and binary containers for checkpoints, scores, simplexes and
+corruption records, which ``export`` writes as CSV. Every
+artifact-producing command writes a run manifest with input and output
+digests.
 
 Exit codes: 2 config error, 3 I/O error, 4 training failure, 5 schema
 mismatch, 6 scoring rule undefined for the checkpoint.
@@ -20,15 +22,17 @@ import numpy as np
 
 from . import __version__
 from .baselines import fit_marginals, marginal_repair, marginal_score
-from .corrupt import (CorruptionRecord, GaussianMixtureNoise, GaussianNoise,
+from .container import header_schema, read_container
+from .corrupt import (RECORD_FORMAT, CorruptionRecord, GaussianMixtureNoise, GaussianNoise,
                       LaplaceNoise, LogNormalNoise, NoiseSpec,
                       TemperedCategorical, make_scenario)
 from .data import MixedTable, TableSchema, apply_stats, read_table, standardize, write_table
 from .errors import (CheckpointError, ConfigError, DataFormatError, RvaeError,
                      SchemaMismatchError, ScoreRuleError, TrainingError)
 from .metrics import evaluate
-from .score_repair import (RepairResult, ScoreReport, load_simplexes,
-                           repair_map, repair_one_stage, repair_two_stage, score)
+from .score_repair import (SCORES_FORMAT, SIMPLEX_FORMAT, RepairResult, ScoreReport,
+                           export_simplexes, load_simplexes, repair_map, repair_one_stage,
+                           repair_two_stage, score)
 from .train import TrainConfig, load_model, save_model, train
 
 EXIT_CONFIG = 2
@@ -156,6 +160,8 @@ def cmd_score(args) -> None:
 
 def cmd_repair(args) -> None:
     tic = time.perf_counter()
+    if args.sample_z and args.method != "map":
+        raise ConfigError(f"--sample-z applies to the map method, not to {args.method}")
     model = load_model(args.checkpoint)
     table = _load_standardized_for(model, args)
     if args.method == "map":
@@ -169,7 +175,7 @@ def cmd_repair(args) -> None:
                                   seed=args.seed, threads=args.threads)
     else:
         raise ConfigError(f"unknown repair method '{args.method}'")
-    simplex_path = args.out_simplexes or (str(args.out) + ".simplexes.csv")
+    simplex_path = args.out_simplexes or (str(args.out) + ".simplexes")
     result.save(args.out, simplex_path)
     _write_manifest(args.out, "repair",
                     {"method": args.method, "gibbs_iters": args.gibbs_iters,
@@ -213,6 +219,27 @@ def cmd_evaluate(args) -> None:
     _write_manifest(args.out, "evaluate", {"scores": bool(args.scores),
                                            "repaired": bool(args.repaired)},
                     None, inputs, outputs, time.perf_counter() - tic)
+
+
+def cmd_export(args) -> None:
+    """Write a score, simplex or corruption-record artifact as CSV."""
+    tic = time.perf_counter()
+    header, tensors = read_container(args.input)
+    kind = header.get("format")
+    if kind == RECORD_FORMAT:
+        CorruptionRecord.load(args.input).export(args.out)
+    elif kind == SCORES_FORMAT:
+        schema = header_schema(args.input, header)
+        ScoreReport.load(args.input, schema).export(args.out, schema)
+    elif kind == SIMPLEX_FORMAT:
+        schema = header_schema(args.input, header)
+        n_rows = next((len(t) for t in tensors.values() if t.ndim), 0)
+        export_simplexes(args.out, schema, load_simplexes(args.input, schema, n_rows))
+    else:
+        raise DataFormatError(f"{args.input}: holds '{kind}', not a score, simplex or "
+                              "corruption-record artifact")
+    _write_manifest(args.out, "export", {"format": kind}, None, [args.input], [args.out],
+                    time.perf_counter() - tic)
 
 
 def cmd_experiment(args) -> None:
@@ -330,6 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out", default=None)
     p.set_defaults(fn=cmd_evaluate)
+
+    p = sub.add_parser("export", help="write a score, simplex or record artifact as CSV")
+    p.add_argument("--input", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=cmd_export)
 
     p = sub.add_parser("experiment", help="sweep corruption levels, tabulate metrics")
     p.add_argument("--input", required=True)

@@ -15,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import REAL, MixedTable, csv_columns
+from .container import read_container, require_tensors, write_container
+from .data import REAL, MixedTable
 from .errors import ConfigError, DataFormatError
 from .nn import Rng
 
-RECORD_MAGIC = "rvae-corruption-record"
+RECORD_FORMAT = "rvae-corruption-record"
 RECORD_COLUMNS = "row,column,original_value"
 
 
@@ -172,17 +173,22 @@ class CorruptionRecord:
         return dirty.with_values(reals=reals, cats=cats)
 
     def save(self, path) -> None:
-        """One file: a JSON header line, then a (row,column,original_value) CSV."""
-        lines = [json.dumps({
-            "format": RECORD_MAGIC,
+        """An artifact container: the marked cells as a (M, 2) tensor of
+        (row, column) in row-major order and their original values, with the
+        columns whose originals are integers (the categorical ones) named in
+        the header."""
+        cells = sorted(self.originals)
+        values = [self.originals[cell] for cell in cells]
+        write_container(path, {
+            "format": RECORD_FORMAT,
             "seed": self.seed,
             "row_fraction": self.row_fraction,
             "feat_fraction": self.feat_fraction,
             "shape": list(self.mask.shape),
-        }), RECORD_COLUMNS]
-        cells = sorted(self.originals)
-        lines += map("{0[0]},{0[1]},{1!r}".format, cells, map(self.originals.__getitem__, cells))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            "categorical_columns": sorted({c for (_, c), v in zip(cells, values)
+                                           if isinstance(v, int)}),
+        }, {"cells": np.array(cells, dtype=np.float64).reshape(-1, 2),
+            "originals": np.array(values, dtype=np.float64)})
 
     @classmethod
     def load(cls, path) -> "CorruptionRecord":
@@ -191,44 +197,33 @@ class CorruptionRecord:
         Every cell must lie inside the header's shape and appear once, and
         the cells must have the layout make_scenario selects for the header's
         fractions: round(row_fraction * N) rows with round(feat_fraction * D)
-        cells each. Anything else raises DataFormatError.
+        cells each. Originals of categorical columns must be integers and
+        load as ``int``. Anything else raises DataFormatError.
         """
-        try:
-            text = Path(path).read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
-        if not text:
-            raise DataFormatError(f"{path}: empty record file")
-        try:
-            header = json.loads(text[0])
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: record header does not parse: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != RECORD_MAGIC:
-            raise DataFormatError(f"{path}: not a corruption record")
+        header, tensors = read_container(path, RECORD_FORMAT)
         shape, seed = header.get("shape"), header.get("seed")
+        cat_columns = header.get("categorical_columns")
         fractions = (header.get("row_fraction"), header.get("feat_fraction"))
         if not (isinstance(shape, list) and len(shape) == 2 and all(map(_is_count, shape))
-                and _is_count(seed) and all(map(_is_fraction, fractions))):
-            raise DataFormatError(f"{path}: record header needs a shape [rows, columns], "
-                                  "a seed and two fractions in [0, 1]")
-        if text[1:2] != [RECORD_COLUMNS]:
-            raise DataFormatError(f"{path}: line 2 is not '{RECORD_COLUMNS}'")
+                and _is_count(seed) and all(map(_is_fraction, fractions))
+                and isinstance(cat_columns, list)
+                and all(_is_count(c) and c < shape[1] for c in cat_columns)):
+            raise DataFormatError(f"{path}: record header needs a shape [rows, columns], a seed, "
+                                  "two fractions in [0, 1] and the categorical columns")
         n, d = shape
-        fields = [line.split(",", 2) for line in text[2:] if line]
-        try:
-            row_texts, col_texts, value_texts = csv_columns(fields, 3)
-            rows = np.fromiter(map(int, row_texts), np.int64, len(fields))
-            cols = np.fromiter(map(int, col_texts), np.int64, len(fields))
-            values = list(map(_record_value, value_texts))
-        except (ValueError, OverflowError) as exc:
-            raise DataFormatError(f"{path}: malformed cell line: {exc}") from None
+        m = require_tensors(path, tensors, {"cells": (None, 2), "originals": (None,)})
+        cells, values = tensors["cells"], tensors["originals"]
+        is_cat = np.isin(cells[:, 1], cat_columns)
+        if not (_integral(cells) and _integral(values[is_cat])):
+            raise DataFormatError(f"{path}: cells and categorical original values must be integers")
+        rows, cols = cells.astype(np.int64).T
         outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= d)
         if outside.any():
             i = int(np.argmax(outside))
             raise DataFormatError(f"{path}: cell ({rows[i]}, {cols[i]}) lies outside shape {shape}")
         mask = np.zeros((n, d), dtype=bool)
         mask[rows, cols] = True
-        if mask.sum() != len(fields):
+        if mask.sum() != m:
             counts = np.bincount(rows * d + cols)
             r, c = divmod(int(np.argmax(counts > 1)), d)
             raise DataFormatError(f"{path}: cell ({r}, {c}) appears more than once")
@@ -236,12 +231,26 @@ class CorruptionRecord:
         marked = per_row[per_row > 0]
         if (marked.size != _round_half_up(fractions[0] * n)
                 or np.any(marked != _round_half_up(fractions[1] * d))):
-            raise DataFormatError(f"{path}: {len(fields)} cells in {marked.size} rows do not match "
+            raise DataFormatError(f"{path}: {m} cells in {marked.size} rows do not match "
                                   f"row fraction {fractions[0]} and feature fraction "
                                   f"{fractions[1]} of shape {shape}")
-        originals = dict(zip(zip(rows.tolist(), cols.tolist()), values))
+        originals = {(r, c): int(v) if cat else v for r, c, v, cat
+                     in zip(rows.tolist(), cols.tolist(), values.tolist(), is_cat.tolist())}
         return cls(mask=mask, originals=originals, seed=seed,
                    row_fraction=fractions[0], feat_fraction=fractions[1])
+
+    def export(self, path) -> None:
+        """Text form: a JSON header line, then a (row,column,original_value) CSV."""
+        lines = [json.dumps({
+            "format": RECORD_FORMAT,
+            "seed": self.seed,
+            "row_fraction": self.row_fraction,
+            "feat_fraction": self.feat_fraction,
+            "shape": list(self.mask.shape),
+        }), RECORD_COLUMNS]
+        cells = sorted(self.originals)
+        lines += map("{0[0]},{0[1]},{1!r}".format, cells, map(self.originals.__getitem__, cells))
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _is_count(value) -> bool:
@@ -252,12 +261,9 @@ def _is_fraction(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
-def _record_value(text: str) -> float | int:
-    # values are repr() of int or float, both of which round-trip exactly
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
+def _integral(values: np.ndarray) -> bool:
+    """Whether every value is an integer that float64 holds exactly."""
+    return bool(np.all(np.abs(values) < 2.0 ** 53) and np.all(values == np.floor(values)))
 
 
 def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: int,

@@ -100,15 +100,14 @@ class TableSchema:
         if not isinstance(obj, list):
             raise DataFormatError("schema JSON must be an array of feature objects")
         feats = []
-        for entry in obj:
-            try:
+        try:
+            for entry in obj:
                 kind = entry["kind"]
-                name = entry["name"]
-            except (TypeError, KeyError) as exc:
-                raise DataFormatError(f"schema entry missing field: {exc}") from exc
-            cats = tuple(entry["categories"]) if kind == CATEGORICAL else None
-            feats.append(FeatureSpec(name=name, kind=kind, categories=cats))
-        return cls(tuple(feats))
+                cats = tuple(entry["categories"]) if kind == CATEGORICAL else None
+                feats.append(FeatureSpec(name=entry["name"], kind=kind, categories=cats))
+            return cls(tuple(feats))
+        except (TypeError, KeyError) as exc:
+            raise DataFormatError(f"malformed schema entry: {exc!r}") from None
 
     @classmethod
     def load(cls, path) -> "TableSchema":

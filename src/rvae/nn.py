@@ -141,11 +141,11 @@ class Rng:
         states = _pcg64_states(_spawn_entropy(self.seed, [rows.astype(np.uint32)]))
         return [Rng(self.seed, self.algorithm, _state=s) for s in states]
 
-    def normal(self, size=None) -> np.ndarray:
-        return self.gen.standard_normal(size)
+    def normal(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
+        return self.gen.standard_normal(size, out=out)
 
-    def uniform(self, size=None) -> np.ndarray:
-        return self.gen.random(size)
+    def uniform(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
+        return self.gen.random(size, out=out)
 
     def permutation(self, n: int) -> np.ndarray:
         return self.gen.permutation(n)

@@ -7,15 +7,14 @@ so results are identical for any thread count or chunking.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import (CATEGORICAL, REAL, WRITE_BLOCK_ROWS, MixedTable, TableSchema, csv_columns,
-                   csv_field, destandardize, read_csv, write_csv, write_table)
+from .container import header_schema, read_container, require_tensors, write_container
+from .data import (CATEGORICAL, REAL, WRITE_BLOCK_ROWS, MixedTable, TableSchema, csv_field,
+                   destandardize, require_same_schema, write_csv, write_table)
 from .engine import stable_sigmoid
 from .errors import ConfigError, DataFormatError, ScoreRuleError
 from .model import (DecodedValues, clean_logliks_values, decode_values,
@@ -27,6 +26,8 @@ SCORE_RULES = ("nll", "pi")
 ROW_MARKER = "__row__"
 SCORE_HEADER = ["row_id", "feature", "rule", "score"]
 SIMPLEX_HEADER = ["row_id", "feature", "category", "probability"]
+SCORES_FORMAT = "rvae-scores"
+SIMPLEX_FORMAT = "rvae-simplexes"
 
 
 @dataclass
@@ -42,7 +43,29 @@ class ScoreReport:
             raise DataFormatError("scores must be finite")
 
     def save(self, path, schema: TableSchema) -> None:
-        """One line per cell, then a row line, for each row in turn."""
+        """An artifact container holding both score arrays, with the rule and
+        the table schema in its header."""
+        write_container(path, {"format": SCORES_FORMAT, "rule": self.rule,
+                               "schema": schema.to_json_obj()},
+                        {"cell_scores": self.cell_scores, "row_scores": self.row_scores})
+
+    @classmethod
+    def load(cls, path, schema: TableSchema) -> "ScoreReport":
+        """Read a report written by :meth:`save` for a table of ``schema``."""
+        header, tensors = read_container(path, SCORES_FORMAT)
+        require_same_schema(schema, header_schema(path, header), context=str(path))
+        if header.get("rule") not in SCORE_RULES:
+            raise DataFormatError(f"{path}: unknown scoring rule {header.get('rule')!r}")
+        require_tensors(path, tensors, {"cell_scores": (None, schema.n_features),
+                                        "row_scores": (None,)})
+        try:
+            return cls(rule=header["rule"], cell_scores=tensors["cell_scores"],
+                       row_scores=tensors["row_scores"])
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+
+    def export(self, path, schema: TableSchema) -> None:
+        """CSV with one line per cell, then a row line, for each row in turn."""
         per_row = schema.n_features + 1
         rule = csv_field(self.rule)
         names = [csv_field(name) for name in schema.names + [ROW_MARKER]]
@@ -57,95 +80,20 @@ class ScoreReport:
 
         write_csv(path, SCORE_HEADER, blocks())
 
-    @classmethod
-    def load(cls, path, schema: TableSchema) -> "ScoreReport":
-        """Read a report written by :meth:`save`. Every row needs exactly one
-        row line and one line per feature, else this raises DataFormatError."""
-        header, entries = read_csv(path)
-        if header != SCORE_HEADER:
-            raise DataFormatError(f"{path}: not a score report")
-        d = schema.n_features
-        column = {feat.name: i for i, feat in enumerate(schema.features)}
-        column[ROW_MARKER] = d
-        try:
-            id_texts, names, rules, value_texts = csv_columns(entries, 4)
-            m = len(entries)
-            rows = np.fromiter(map(int, id_texts), np.int64, m)
-            cols = np.fromiter(map(column.__getitem__, names), np.int64, m)
-            values = np.fromiter(map(float, value_texts), np.float64, m)
-            if m and rows.min() < 0:
-                raise ValueError
-        except (ValueError, KeyError, OverflowError):
-            raise _bad_line_error(path, entries,
-                                  lambda e: _score_line_problem(e, column)) from None
-        is_row = cols == d
-        row_ids, cell_rows = rows[is_row], rows[~is_row]
-        n = row_ids.size
-        _each_once(path, row_ids, n, lambda r: f"row score for row {r}")
-        if np.any(cell_rows >= n):
-            r = cell_rows[np.argmax(cell_rows >= n)]
-            raise DataFormatError(f"{path}: cell score for row {r}, which has no row score")
-        cells = cell_rows * d + cols[~is_row]
-        _each_once(path, cells, n * d,
-                   lambda k: f"score for row {k // d}, feature '{schema.features[k % d].name}'")
-        cell_scores = np.empty(n * d)
-        cell_scores[cells] = values[~is_row]
-        row_scores = np.empty(n)
-        row_scores[row_ids] = values[is_row]
-        return cls(rule=rules[-1] if entries else None,
-                   cell_scores=cell_scores.reshape(n, d), row_scores=row_scores)
-
 
 def _repeat_ids(start: int, stop: int, times: int) -> list[str]:
     """Row ids start..stop-1 as text, each repeated ``times`` times."""
     return list(map(str, np.repeat(np.arange(start, stop), times).tolist()))
 
 
-def _bad_line_error(path, entries: list[list[str]], problem) -> DataFormatError:
-    """Error path: the DataFormatError for the first line that
-    ``problem(entry)`` faults, naming its line in the file."""
-    for i, entry in enumerate(entries):
-        text = problem(entry)
-        if text is not None:
-            return DataFormatError(f"{path}: line {_file_line(path, i)}{text}")
-    return DataFormatError(f"{path}: malformed line")
-
-
-def _file_line(path, index: int) -> int:
-    """The file line on which data line ``index`` ends (after the header)."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for _ in range(index + 2):
-            next(reader)
-        return reader.line_num
-
-
-def _score_line_problem(entry: list[str], column: dict[str, int]) -> str | None:
-    if len(entry) != 4:
-        return f" has {len(entry)} fields, expected 4"
-    try:
-        row = int(entry[0])
-        float(entry[3])
-    except ValueError as exc:
-        return f": {exc}"
-    if row < 0:
-        return ": negative row id"
-    if row >= 2 ** 63:
-        return ": row id out of range"
-    if entry[1] not in column:
-        return f": unknown feature '{entry[1]}'"
-    return None
-
-
-def _each_once(path, keys: np.ndarray, size: int, describe) -> None:
-    """Check that non-negative ``keys`` hold every value in [0, size) exactly
-    once, naming the first key that repeats or is missing. With exactly
-    ``size`` keys, one past the range leaves a value missing."""
-    counts = np.bincount(np.minimum(keys, size), minlength=size + 1)[:size]
-    if np.any(counts > 1):
-        raise DataFormatError(f"{path}: more than one {describe(int(np.argmax(counts > 1)))}")
-    if np.any(counts == 0):
-        raise DataFormatError(f"{path}: no {describe(int(np.argmax(counts == 0)))}")
+def _check_simplexes(simplexes: dict[str, np.ndarray], where: str = "") -> None:
+    """Every probability lies in [0, 1] and every row sums to 1 within 1e-9."""
+    for name, probs in simplexes.items():
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise DataFormatError(f"{where}simplexes for '{name}' hold a non-finite probability "
+                                  "or one outside [0, 1]")
+        if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+            raise DataFormatError(f"{where}simplexes for '{name}' do not sum to 1")
 
 
 @dataclass
@@ -158,11 +106,7 @@ class RepairResult:
     method: str
 
     def __post_init__(self):
-        for name, probs in self.simplexes.items():
-            if not np.all(np.isfinite(probs)):
-                raise DataFormatError(f"simplexes for '{name}' hold a non-finite probability")
-            if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
-                raise DataFormatError(f"simplexes for '{name}' do not sum to 1")
+        _check_simplexes(self.simplexes)
         for j, feat in enumerate(self.table.schema.cat_features):
             if feat.name in self.simplexes:
                 if not np.array_equal(np.argmax(self.simplexes[feat.name], axis=1),
@@ -171,82 +115,41 @@ class RepairResult:
                                           "argmaxes of their simplexes")
 
     def save(self, csv_path, simplex_path=None) -> None:
+        """The table as CSV and, given ``simplex_path``, the simplexes as an
+        artifact container, one (N, C_j) tensor per categorical feature."""
         write_table(self.table, csv_path)
-        if simplex_path is None:
-            return
-
-        def blocks():
-            for feat in self.table.schema.cat_features:
-                probs = self.simplexes[feat.name]
-                name = csv_field(feat.name)
-                labels = [csv_field(label) for label in feat.categories]
-                for start in range(0, probs.shape[0], WRITE_BLOCK_ROWS):
-                    block = probs[start:start + WRITE_BLOCK_ROWS]
-                    yield [_repeat_ids(start, start + block.shape[0], feat.cardinality),
-                           [name] * block.size, labels * block.shape[0],
-                           list(map(repr, block.ravel().tolist()))]
-
-        write_csv(simplex_path, SIMPLEX_HEADER, blocks())
+        if simplex_path is not None:
+            schema = self.table.schema
+            write_container(simplex_path,
+                            {"format": SIMPLEX_FORMAT, "schema": schema.to_json_obj()},
+                            {f.name: self.simplexes[f.name] for f in schema.cat_features})
 
 
 def load_simplexes(path, schema: TableSchema, n_rows: int) -> dict[str, np.ndarray]:
-    """Read a simplex sidecar written by :meth:`RepairResult.save`: exactly
-    one probability in [0, 1] per (row, categorical feature, category) for
-    rows 0..n_rows-1, else DataFormatError."""
-    header, entries = read_csv(path)
-    if header != SIMPLEX_HEADER:
-        raise DataFormatError(f"{path}: not a simplex sidecar")
-    slots, offsets, width = {}, {}, 0
-    for feat in schema.cat_features:
-        offsets[feat.name] = width
-        for label in feat.categories:
-            slots[feat.name, label] = width
-            width += 1
-    try:
-        id_texts, names, labels, value_texts = csv_columns(entries, 4)
-        m = len(entries)
-        rows = np.fromiter(map(int, id_texts), np.int64, m)
-        cols = np.fromiter(map(slots.__getitem__, zip(names, labels)), np.int64, m)
-        values = np.fromiter(map(float, value_texts), np.float64, m)
-        if m and (rows.min() < 0 or rows.max() >= n_rows
-                  or not np.all((values >= 0.0) & (values <= 1.0))):
-            raise ValueError
-    except (ValueError, KeyError, OverflowError):
-        raise _bad_line_error(path, entries,
-                              lambda e: _simplex_line_problem(e, schema, n_rows)) from None
-    slot_names = [(f, label) for f in schema.cat_features for label in f.categories]
-
-    def describe(key):
-        feat, label = slot_names[key % width]
-        return f"probability for row {key // width}, feature '{feat.name}', category '{label}'"
-
-    cells = rows * width + cols
-    _each_once(path, cells, n_rows * width, describe)
-    probs = np.empty(n_rows * width)
-    probs[cells] = values
-    probs = probs.reshape(n_rows, width)
-    return {f.name: probs[:, offsets[f.name]:offsets[f.name] + f.cardinality].copy()
-            for f in schema.cat_features}
+    """Read a simplex sidecar written by :meth:`RepairResult.save`: for each
+    categorical feature, n_rows probability rows in [0, 1] that sum to 1."""
+    header, tensors = read_container(path, SIMPLEX_FORMAT)
+    require_same_schema(schema, header_schema(path, header), context=str(path))
+    require_tensors(path, tensors, {f.name: (n_rows, f.cardinality) for f in schema.cat_features})
+    _check_simplexes(tensors, f"{path}: ")
+    return tensors
 
 
-def _simplex_line_problem(entry: list[str], schema: TableSchema, n_rows: int) -> str | None:
-    if len(entry) != 4:
-        return f" has {len(entry)} fields, expected 4"
-    row_text, name, label, value_text = entry
-    try:
-        row, value = int(row_text), float(value_text)
-    except ValueError as exc:
-        return f": {exc}"
-    if not 0 <= row < n_rows:
-        return f": row id {row} outside 0..{n_rows - 1}"
-    if not 0.0 <= value <= 1.0:
-        return f": probability {value_text} outside [0, 1]"
-    feats = {f.name: f for f in schema.cat_features}
-    if name not in feats:
-        return f": unknown categorical feature '{name}'"
-    if label not in feats[name].categories:
-        return f": unknown category '{label}' of feature '{name}'"
-    return None
+def export_simplexes(path, schema: TableSchema, simplexes: dict[str, np.ndarray]) -> None:
+    """CSV with one line per (row, category), feature by feature."""
+
+    def blocks():
+        for feat in schema.cat_features:
+            probs = simplexes[feat.name]
+            name = csv_field(feat.name)
+            labels = [csv_field(label) for label in feat.categories]
+            for start in range(0, probs.shape[0], WRITE_BLOCK_ROWS):
+                block = probs[start:start + WRITE_BLOCK_ROWS]
+                yield [_repeat_ids(start, start + block.shape[0], feat.cardinality),
+                       [name] * block.size, labels * block.shape[0],
+                       list(map(repr, block.ravel().tolist()))]
+
+    write_csv(path, SIMPLEX_HEADER, blocks())
 
 
 CHUNK_ROWS = 512
@@ -281,11 +184,19 @@ def _pi_cell_scores(pi: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(pi, 1e-300))
 
 
+def _row_draws(streams: list[Rng], draw, width: int) -> np.ndarray:
+    """A (B, width) array whose row i is one ``draw`` (``Rng.normal`` or
+    ``Rng.uniform``) call on row stream i, written in place."""
+    out = np.empty((len(streams), width))
+    for stream, row in zip(streams, out):
+        draw(stream, out=row)
+    return out
+
+
 def _sampled_latents(model: RvaeModel, x: np.ndarray, streams: list[Rng]) -> np.ndarray:
     """z = mu + sigma * eps with one standard-normal draw per row stream."""
     mu, sig = model.networks.encoder.latent_values(x, model.networks.embeddings)
-    eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
-    return mu + sig * eps
+    return mu + sig * _row_draws(streams, Rng.normal, model.config.latent_dim)
 
 
 def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads: int = 1) -> ScoreReport:
@@ -400,8 +311,8 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
     for it in range(iters):
         x = encode_values(schema, reals, cats, zero_mask if it == 0 else None)
         mu, sig = nets.encoder.latent_values(x, nets.embeddings)
-        eps = np.stack([s.normal(k + n_real) for s in streams])
-        u = np.stack([s.uniform(n_cat) for s in streams])
+        eps = _row_draws(streams, Rng.normal, k + n_real)
+        u = _row_draws(streams, Rng.uniform, n_cat)
         decoded = decode_values(nets.decoder, mu + sig * eps[:, :k])
         reals = decoded.real_means + decoded.real_stds * eps[:, k:]
         cats = np.empty_like(obs_cats)
@@ -476,7 +387,7 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
         _, pi_hat = _stage_one(model, obs_reals, obs_cats, streams, gibbs_iters)
         if pi_override is not None:
             pi_hat = np.broadcast_to(np.asarray(pi_override, dtype=np.float64), pi_hat.shape)
-        clean = np.stack([s.uniform(schema.n_features) for s in streams]) < pi_hat
+        clean = _row_draws(streams, Rng.uniform, schema.n_features) < pi_hat
         decoded = _run_chain(model, obs_reals, obs_cats, streams, gibbs_iters, clean)
         keep_reals, keep_cats = _split_by_kind(schema, clean)
         cats, simplexes = _modes(schema, decoded)

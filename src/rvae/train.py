@@ -184,9 +184,7 @@ def save_model(model: RvaeModel, path) -> None:
 
 
 def load_model(path, expected_schema: TableSchema | None = None) -> RvaeModel:
-    header, tensors = read_container(path)
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: container holds '{header.get('format')}', not a model checkpoint")
+    header, tensors = read_container(path, CHECKPOINT_FORMAT, CheckpointError)
     absent = [key for key in ("schema", "config", "stats") if key not in header]
     if absent:
         raise CheckpointError(f"{path}: header has no {absent} entry")
@@ -197,9 +195,9 @@ def load_model(path, expected_schema: TableSchema | None = None) -> RvaeModel:
         config = TrainConfig(**header["config"])
         stats = {name: ColumnStats(mean=entry["mean"], std=entry["std"])
                  for name, entry in header["stats"].items()}
+        config.validate()
     except (TypeError, KeyError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed config or stats entry: {exc!r}") from exc
-    config.validate()
     nets = build_networks(schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=None, amortized=config.is_amortized)
     expected = nets.checkpoint_arrays()

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from rvae.container import read_container, write_container
 from rvae.data import FeatureSpec, MixedTable, TableSchema
 from rvae.model import build_networks
 from rvae.nn import Rng
@@ -67,3 +70,22 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-6):
         assert np.all(err <= tol), (
             f"gradient mismatch for {name}: max err {err.max():.3e} vs tol {tol[err.argmax() // 1]}"
             if err.ndim == 1 else f"gradient mismatch for {name}: max err {err.max():.3e}")
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a container, applying `edit` to its raw JSON header (manifest
+    included) and keeping the payload bytes."""
+    raw = src.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + n])
+    edit(header)
+    new = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + n:])
+
+
+def rewrite_tensors(src, dst, edit):
+    """Copy a container through read_container and write_container, applying
+    `edit(header, tensors)` in between."""
+    header, tensors = read_container(src)
+    edit(header, tensors)
+    write_container(dst, header, tensors)

@@ -264,13 +264,13 @@ def test_criterion_7_determinism(tmp_path):
                      str(d / "dirty.csv"), "--schema", str(base / "schema.json"),
                      "--scores", str(d / "scores.csv"), "--repaired",
                      str(d / "repaired.csv"), "--simplexes",
-                     str(d / "repaired.csv") + ".simplexes.csv",
+                     str(d / "repaired.csv") + ".simplexes",
                      "--out", str(d / "eval.json")]) == 0
         return d
 
     d1, d2 = pipeline("run1"), pipeline("run2")
     for name in ("dirty.csv", "record.csv", "model.ckpt", "scores.csv",
-                 "repaired.csv", "repaired.csv.simplexes.csv", "eval.json"):
+                 "repaired.csv", "repaired.csv.simplexes", "eval.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
     print("\n[PASS] criterion 7: checkpoints, scores, repairs and reports are "
           "byte-identical across two same-seed runs")

@@ -1,7 +1,8 @@
-"""Byte-level fuzzing of the CSV and record loaders.
+"""Byte-level fuzzing of the table loader and of the container loaders
+(score reports, simplex sidecars, corruption records and checkpoints).
 
 A damaged file must either load or raise an RvaeError subclass (which the
-CLI maps to an exit code); dropping a whole line from a score report, a
+CLI maps to an exit code); dropping a whole tensor from a score report, a
 simplex sidecar or a corruption record must raise DataFormatError.
 """
 
@@ -10,12 +11,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rvae.container import read_container
 from rvae.corrupt import (CorruptionRecord, GaussianNoise, NoiseSpec, TemperedCategorical,
                           make_scenario)
-from rvae.data import read_table, write_table
+from rvae.data import read_table, standardize, write_table
 from rvae.errors import DataFormatError, RvaeError
 from rvae.score_repair import RepairResult, ScoreReport, load_simplexes
 from rvae.synthetic import mixture_table
+from rvae.train import TrainConfig, load_model, save_model, train
+
+from conftest import rewrite_tensors
 
 N_ROWS = 6
 FUZZ = settings(max_examples=60, deadline=None,
@@ -30,20 +35,24 @@ def artifacts(tmp_path_factory):
     schema = table.schema
     write_table(table, root / "table.csv")
     cells = np.random.default_rng(0).exponential(size=(N_ROWS, schema.n_features))
-    ScoreReport("pi", cells, cells.sum(axis=1)).save(root / "scores.csv", schema)
+    ScoreReport("pi", cells, cells.sum(axis=1)).save(root / "scores", schema)
     simplexes = {f.name: np.eye(f.cardinality)[table.cats[:, j]]
                  for j, f in enumerate(schema.cat_features)}
-    RepairResult(table, simplexes, "map").save(root / "repaired.csv", root / "simplexes.csv")
+    RepairResult(table, simplexes, "map").save(root / "repaired.csv", root / "simplexes")
     noise = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
-    make_scenario(table, 0.5, noise, seed=2, feat_frac=0.4)[1].save(root / "record.csv")
+    make_scenario(table, 0.5, noise, seed=2, feat_frac=0.4)[1].save(root / "record")
+    model, _ = train(standardize(table), TrainConfig(epochs=1, batch_size=N_ROWS, hidden_dim=4,
+                                                     latent_dim=2, embedding_dim=2))
+    save_model(model, root / "checkpoint")
     loaders = {
         "table": lambda p: read_table(p, schema),
         "scores": lambda p: ScoreReport.load(p, schema),
         "simplexes": lambda p: load_simplexes(p, schema, N_ROWS),
         "record": CorruptionRecord.load,
+        "checkpoint": lambda p: load_model(p, expected_schema=schema),
     }
-    files = {"table": "table.csv", "scores": "scores.csv", "simplexes": "simplexes.csv",
-             "record": "record.csv"}
+    files = {kind: kind for kind in loaders}
+    files["table"] = "table.csv"
     return root, {k: (root / f).read_bytes() for k, f in files.items()}, loaders
 
 
@@ -61,7 +70,7 @@ def survives(artifacts, kind, data):
         pass
 
 
-KINDS = ["table", "scores", "simplexes", "record"]
+KINDS = ["table", "scores", "simplexes", "record", "checkpoint"]
 
 
 def test_valid_files_load(artifacts):
@@ -98,11 +107,13 @@ def test_files_with_mutated_bytes_load_or_raise_rvae_errors(artifacts, kind, edi
 
 
 @pytest.mark.parametrize("kind", ["scores", "simplexes", "record"])
-def test_dropping_any_line_is_a_data_format_error(artifacts, kind):
-    data = artifacts[1][kind]
-    ending = b"\n" if kind == "record" else b"\r\n"
-    lines = data.split(ending)[:-1]
-    for i in range(len(lines)):
-        damaged = ending.join(lines[:i] + lines[i + 1:]) + ending
+def test_dropping_any_tensor_is_a_data_format_error(artifacts, kind):
+    root, originals, _ = artifacts
+    valid = root / f"valid-{kind}"
+    valid.write_bytes(originals[kind])
+    names = list(read_container(valid)[1])
+    assert names
+    for name in names:
+        rewrite_tensors(valid, root / "dropped", lambda header, tensors: tensors.pop(name))
         with pytest.raises(DataFormatError):
-            load_bytes(artifacts, kind, damaged)
+            load_bytes(artifacts, kind, (root / "dropped").read_bytes())

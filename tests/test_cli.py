@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rvae.cli import build_parser, main, parse_noise_spec
@@ -9,6 +10,8 @@ from rvae.data import write_table
 from rvae.errors import ConfigError
 from rvae.synthetic import mixture_table
 from rvae.train import TrainConfig
+
+from conftest import rewrite_header, rewrite_tensors
 
 TRAIN_FAST = ["--epochs", "4", "--hidden", "32", "--latent", "4", "--embedding", "8",
               "--batch", "64"]
@@ -121,7 +124,7 @@ def test_full_pipeline(workspace):
     assert run(["evaluate", "--record", ws / "record.csv", "--dirty", ws / "dirty.csv",
                 "--schema", ws / "schema.json", "--scores", ws / "scores.csv",
                 "--repaired", ws / "repaired.csv",
-                "--simplexes", str(ws / "repaired.csv") + ".simplexes.csv",
+                "--simplexes", str(ws / "repaired.csv") + ".simplexes",
                 "--out", ws / "eval.json", "--csv-out", ws / "eval.csv"]) == 0
     report = json.loads((ws / "eval.json").read_text())
     assert 0.0 <= report["row_avpr"] <= 1.0
@@ -185,16 +188,6 @@ def small_checkpoint(workspace):
     return path
 
 
-def rewrite_header(src, dst, edit):
-    """Copy a checkpoint container, applying `edit` to its JSON header."""
-    raw = src.read_bytes()
-    n = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16:16 + n])
-    edit(header)
-    new = json.dumps(header, sort_keys=True).encode()
-    dst.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + n:])
-
-
 def score_with(workspace, checkpoint, out):
     return run(["score", "--input", workspace / "clean.csv", "--checkpoint", checkpoint,
                 "--rule", "pi", "--out", out])
@@ -224,6 +217,26 @@ def test_checkpoint_shape_disagreeing_with_nbytes_exits_3(workspace, small_check
     rewrite_header(small_checkpoint, tmp_path / "bad.ckpt", bad_shape)
     assert score_with(workspace, tmp_path / "bad.ckpt", tmp_path / "s.csv") == 3
     assert "malformed tensor manifest" in capsys.readouterr().err
+
+
+def test_checkpoint_header_that_is_not_an_object_exits_3(workspace, small_checkpoint,
+                                                         tmp_path, capsys):
+    raw = small_checkpoint.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    (tmp_path / "bad.ckpt").write_bytes(raw[:8] + (3).to_bytes(8, "little") + b"[1]"
+                                        + raw[16 + n:])
+    assert score_with(workspace, tmp_path / "bad.ckpt", tmp_path / "s.csv") == 3
+    assert "the header is not a JSON object" in capsys.readouterr().err
+
+
+def test_checkpoint_naming_a_tensor_twice_exits_3(workspace, small_checkpoint, tmp_path,
+                                                  capsys):
+    def rename(header):
+        header["tensors"][1]["name"] = header["tensors"][0]["name"]
+
+    rewrite_header(small_checkpoint, tmp_path / "bad.ckpt", rename)
+    assert score_with(workspace, tmp_path / "bad.ckpt", tmp_path / "s.csv") == 3
+    assert "appears twice" in capsys.readouterr().err
 
 
 def test_threads_flag_does_not_change_outputs(workspace, tmp_path):
@@ -306,43 +319,99 @@ def repaired(tmp_path_factory, workspace):
     assert run(argv) == 0
     assert run(["train", "--input", out / "dirty.csv", "--schema", ws / "schema.json",
                 "--seed", "3", "--out", out / "model.ckpt", *TRAIN_FAST]) == 0
+    assert run(["score", "--input", out / "dirty.csv", "--checkpoint", out / "model.ckpt",
+                "--rule", "pi", "--seed", "3", "--out", out / "scores.csv"]) == 0
     assert run(["repair", "--input", out / "dirty.csv", "--checkpoint", out / "model.ckpt",
                 "--method", "two-stage", "--seed", "3", "--out", out / "repaired.csv",
                 "--out-simplexes", out / "simplexes.csv"]) == 0
     return out
 
 
-def evaluate_with_simplexes(ws, out, simplex_path):
-    return run(["evaluate", "--record", out / "record.csv", "--dirty", out / "dirty.csv",
-                "--schema", ws / "schema.json", "--repaired", out / "repaired.csv",
-                "--simplexes", simplex_path, "--out", simplex_path.parent / "eval.json"])
+def evaluate_with(ws, out, scores=None, simplexes=None):
+    argv = ["evaluate", "--record", out / "record.csv", "--dirty", out / "dirty.csv",
+            "--schema", ws / "schema.json", "--out", out / "eval.json"]
+    if scores:
+        argv += ["--scores", scores]
+    if simplexes:
+        argv += ["--repaired", out / "repaired.csv", "--simplexes", simplexes]
+    return run(argv)
+
+
+def damaged_copy(src, dst, edit):
+    dst.write_bytes(src.read_bytes())
+    edit(dst)
+    return dst
+
+
+def edit_tensors(fn):
+    return lambda path: rewrite_tensors(path, path, lambda header, tensors: fn(tensors))
 
 
 def test_valid_simplex_sidecar_evaluates(workspace, repaired):
-    assert evaluate_with_simplexes(workspace, repaired, repaired / "simplexes.csv") == 0
+    assert evaluate_with(workspace, repaired, repaired / "scores.csv",
+                         repaired / "simplexes.csv") == 0
 
 
-def _first_line_of(lines, prefix):
-    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
-
-
-@pytest.mark.parametrize("case, edit, message", [
-    ("unknown feature", lambda ls: ls.__setitem__(1, ls[1].replace(",c0,", ",c9,")),
-     "unknown categorical feature 'c9'"),
-    ("unknown label", lambda ls: ls.__setitem__(1, ls[1].replace(",k0,", ",k7,")),
-     "unknown category 'k7'"),
-    ("short line", lambda ls: ls.__setitem__(1, ls[1].rsplit(",", 1)[0]), "fields, expected 4"),
-    ("row past the table", lambda ls: ls.__setitem__(1, "160" + ls[1][1:]), "row id 160"),
-    ("negative row", lambda ls: ls.__setitem__(1, "-1" + ls[1][1:]), "row id -1"),
-    ("missing line", lambda ls: ls.pop(5), "no probability for row"),
-    ("duplicate line", lambda ls: ls.insert(7, ls[3]), "more than one probability"),
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(edit_tensors(lambda t: t.update(c9=t.pop("c0"))),
+                 "holds tensors ['c1', 'c9'], expected ['c0', 'c1']", id="unknown feature"),
+    pytest.param(edit_tensors(lambda t: t.pop("c0")), "holds tensors ['c1']",
+                 id="missing tensor"),
+    pytest.param(edit_tensors(lambda t: t.update(c0=np.vstack([t["c0"], t["c0"][:1]]))),
+                 "tensor 'c0' has shape (161, 3), expected (160, 3)", id="row past the table"),
+    pytest.param(lambda p: rewrite_header(p, p, lambda h: h["tensors"][1].update(name="c0")),
+                 "appears twice", id="duplicate name"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:-8]), "truncated payload",
+                 id="truncated payload"),
+    pytest.param(edit_tensors(lambda t: t["c0"].__setitem__((0, 0), 1.5)), "outside [0, 1]",
+                 id="probability past 1"),
+    pytest.param(edit_tensors(lambda t: t["c0"].__setitem__(0, t["c0"][0] / 2)),
+                 "do not sum to 1", id="row not summing to 1"),
 ])
-def test_malformed_simplex_sidecar_exits_3(workspace, repaired, tmp_path, capsys,
-                                          case, edit, message):
-    lines = (repaired / "simplexes.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[1].startswith("0,c0,k0,")
-    edit(lines)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-    assert evaluate_with_simplexes(workspace, repaired, bad) == 3
+def test_malformed_simplex_sidecar_exits_3(workspace, repaired, tmp_path, capsys, edit, message):
+    bad = damaged_copy(repaired / "simplexes.csv", tmp_path / "bad", edit)
+    assert evaluate_with(workspace, repaired, simplexes=bad) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(edit_tensors(lambda t: t["cell_scores"].__setitem__((3, 1), np.nan)),
+                 "scores must be finite", id="NaN score"),
+    pytest.param(lambda p: p.write_text("row_id,feature,rule,score\r\n"),
+                 "not an rvae-scores file", id="CSV-era score file"),
+])
+def test_malformed_score_report_exits_3(workspace, repaired, tmp_path, capsys, edit, message):
+    bad = damaged_copy(repaired / "scores.csv", tmp_path / "bad", edit)
+    assert evaluate_with(workspace, repaired, scores=bad) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artifact", ["scores", "simplexes"])
+def test_artifact_for_another_schema_exits_5(workspace, repaired, tmp_path, capsys, artifact):
+    def relabel(header):
+        header["schema"][-1]["categories"][0] = "k7"
+
+    bad = damaged_copy(repaired / f"{artifact}.csv", tmp_path / "bad",
+                       lambda p: rewrite_header(p, p, relabel))
+    assert evaluate_with(workspace, repaired, **{artifact: bad}) == 5
+    assert "schema mismatch" in capsys.readouterr().err
+
+
+def test_export_writes_each_artifact_as_csv(repaired, tmp_path, capsys):
+    firsts = {"scores.csv": "row_id,feature,rule,score",
+              "simplexes.csv": "row_id,feature,category,probability",
+              "record.csv": '{"format": "rvae-corruption-record", "seed": 5'}
+    for name, first in firsts.items():
+        assert run(["export", "--input", repaired / name, "--out", tmp_path / name]) == 0
+        assert (tmp_path / name).read_text(encoding="utf-8").startswith(first)
+    assert run(["export", "--input", repaired / "model.ckpt", "--out", tmp_path / "m.csv"]) == 3
+    assert "holds 'rvae-model'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["one-stage", "two-stage"])
+def test_sample_z_is_a_config_error_for_chain_methods(workspace, tmp_path, capsys, method):
+    assert run(["repair", "--input", workspace / "clean.csv", "--checkpoint",
+                workspace / "small.ckpt", "--method", method, "--sample-z",
+                "--out", tmp_path / "r.csv"]) == 2
+    assert "--sample-z applies to the map method" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from rvae.corrupt import (CorruptionRecord, GaussianMixtureNoise, GaussianNoise,
 from rvae.errors import ConfigError, DataFormatError
 from rvae.nn import Rng
 
-from conftest import random_table
+from conftest import random_table, rewrite_tensors
 
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
 
@@ -179,54 +182,74 @@ def test_make_scenario_requires_needed_processes(mixed_schema):
 def test_record_file_round_trip(tmp_path, mixed_schema):
     table = random_table(mixed_schema, 120, seed=7)
     dirty, record = make_scenario(table, 0.25, NOISE, seed=9)
-    path = tmp_path / "record.csv"
+    path = tmp_path / "record"
     record.save(path)
     loaded = CorruptionRecord.load(path)
     np.testing.assert_array_equal(loaded.mask, record.mask)
     assert loaded.originals == record.originals
+    assert {type(v) for v in loaded.originals.values()} == {int, float}
+    assert all(type(v) is type(record.originals[cell]) for cell, v in loaded.originals.items())
     assert loaded.seed == record.seed
     assert loaded.row_fraction == record.row_fraction
+    assert loaded.feat_fraction == record.feat_fraction
     restored = loaded.apply_originals(dirty)
     np.testing.assert_array_equal(restored.reals, table.reals)
+    np.testing.assert_array_equal(restored.cats, table.cats)
 
 
-def saved_record_lines(tmp_path, mixed_schema):
+def test_record_export_writes_the_text_form(tmp_path, mixed_schema):
+    _, record = make_scenario(random_table(mixed_schema, 40, seed=7), 0.25, NOISE, seed=9)
+    record.export(tmp_path / "record.csv")
+    lines = (tmp_path / "record.csv").read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[0]) == {"format": "rvae-corruption-record", "seed": 9,
+                                    "row_fraction": 0.25, "feat_fraction": 0.2,
+                                    "shape": [40, 4]}
+    assert lines[1] == "row,column,original_value"
+    assert lines[2:] == [f"{r},{c},{record.originals[r, c]!r}" for r, c in sorted(record.originals)]
+
+
+def saved_record(tmp_path, mixed_schema):
     table = random_table(mixed_schema, 40, seed=7)
     _, record = make_scenario(table, 0.25, NOISE, seed=9, feat_frac=0.5)
-    path = tmp_path / "record.csv"
+    path = tmp_path / "record"
     record.save(path)
-    return path, path.read_text(encoding="utf-8").splitlines()
+    return path, record
+
+
+def set_cell(i, value):
+    return lambda h, t: t["cells"].__setitem__(i, value)
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda ls: ls.__setitem__(2, "3,1"), "wrong number of fields"),
-    (lambda ls: ls.__setitem__(0, ls[0].replace('"shape"', '"form"')), "shape"),
-    (lambda ls: ls.__setitem__(0, ls[0].replace('"seed": 9', '"seed": -9')), "seed"),
-    (lambda ls: ls.__setitem__(0, "[1, 2]"), "not a corruption record"),
-    (lambda ls: ls.__setitem__(2, "40," + ls[2].split(",", 1)[1]), "outside shape"),
-    (lambda ls: ls.__setitem__(2, "-1," + ls[2].split(",", 1)[1]), "outside shape"),
-    (lambda ls: ls.__setitem__(2, ls[2].split(",")[0] + ",4,0"), "outside shape"),
-    (lambda ls: ls.__setitem__(2, ls[2].rsplit(",", 1)[0] + ",x"), "malformed cell line"),
-    (lambda ls: ls.insert(3, ls[2]), "more than once"),
-    (lambda ls: ls.pop(4), "do not match"),
-    (lambda ls: ls.pop(1), "line 2"),
+    (lambda h, t: t.update(cells=np.hstack([t["cells"], t["cells"][:, :1]])),
+     "'cells' has shape (20, 3)"),
+    (lambda h, t: h.update(form=h.pop("shape")), "shape"),
+    (lambda h, t: h.update(seed=-9), "seed"),
+    (lambda h, t: h.update(format="rvae-scores"), "not an rvae-corruption-record"),
+    (set_cell((0, 0), 40), "outside shape"),
+    (set_cell((0, 0), -1), "outside shape"),
+    (set_cell((0, 1), 4), "outside shape"),
+    (set_cell((0, 1), 0.5), "must be integers"),
+    (lambda h, t: t.__setitem__("originals", t["originals"] + 0.5), "must be integers"),
+    (lambda h, t: t.update(cells=np.vstack([t["cells"], t["cells"][:1]]),
+                           originals=np.append(t["originals"], 0.0)), "more than once"),
+    (lambda h, t: t.update(cells=np.delete(t["cells"], 2, axis=0),
+                           originals=np.delete(t["originals"], 2)), "do not match"),
+    (lambda h, t: t.pop("originals"), "holds tensors ['cells']"),
 ])
 def test_record_load_rejects_malformed_files(tmp_path, mixed_schema, edit, message):
-    path, lines = saved_record_lines(tmp_path, mixed_schema)
-    assert CorruptionRecord.load(path).n_cells == len(lines) - 2
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(DataFormatError, match=message):
+    path, record = saved_record(tmp_path, mixed_schema)
+    assert CorruptionRecord.load(path).n_cells == record.n_cells == 20
+    rewrite_tensors(path, path, edit)
+    with pytest.raises(DataFormatError, match=re.escape(message)):
         CorruptionRecord.load(path)
 
 
 def test_record_load_rejects_a_cell_moved_to_another_row(tmp_path, mixed_schema):
     # the count still matches, but one row now has too few cells
-    path, lines = saved_record_lines(tmp_path, mixed_schema)
-    marked = {int(line.split(",")[0]) for line in lines[2:]}
-    free = min(set(range(40)) - marked)
-    lines[2] = f"{free}," + lines[2].split(",", 1)[1]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path, record = saved_record(tmp_path, mixed_schema)
+    free = min(set(range(40)) - {r for r, _ in record.originals})
+    rewrite_tensors(path, path, set_cell((0, 0), free))
     with pytest.raises(DataFormatError, match="do not match"):
         CorruptionRecord.load(path)
 
@@ -234,8 +257,8 @@ def test_record_load_rejects_a_cell_moved_to_another_row(tmp_path, mixed_schema)
 def test_record_without_cells_round_trips(tmp_path, mixed_schema):
     table = random_table(mixed_schema, 10, seed=1)
     _, record = make_scenario(table, 0.0, NOISE, seed=4)
-    record.save(tmp_path / "r.csv")
-    loaded = CorruptionRecord.load(tmp_path / "r.csv")
+    record.save(tmp_path / "r")
+    loaded = CorruptionRecord.load(tmp_path / "r")
     assert loaded.n_cells == 0 and loaded.mask.shape == (10, 4)
 
 

@@ -6,7 +6,8 @@ import pytest
 from rvae.corrupt import GaussianNoise, NoiseSpec, TemperedCategorical, make_scenario
 from rvae.data import (ColumnStats, FeatureSpec, MixedTable, TableSchema,
                        apply_stats, destandardize, standardize)
-from rvae.errors import ConfigError, DataFormatError, ScoreRuleError
+from rvae.cli import main
+from rvae.errors import ConfigError, DataFormatError, SchemaMismatchError, ScoreRuleError
 from rvae.model import build_networks
 from rvae.nn import DenseNet, Rng
 from rvae.score_repair import (RepairResult, ScoreReport, _pi_cell_scores, _run_chain,
@@ -14,6 +15,8 @@ from rvae.score_repair import (RepairResult, ScoreReport, _pi_cell_scores, _run_
                                repair_two_stage, score)
 from rvae.synthetic import mixture_table
 from rvae.train import RvaeModel, TrainConfig, train
+
+from conftest import rewrite_tensors
 
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
 
@@ -115,46 +118,60 @@ def test_nll_score_rises_with_injected_noise(trained):
 
 
 def test_score_report_csv_round_trip(tmp_path, trained):
+    import csv
+
     model, table, _ = trained
     report = score(model, table, "pi", seed=5)
-    path = tmp_path / "scores.csv"
+    path = tmp_path / "scores"
     report.save(path, model.schema)
     loaded = ScoreReport.load(path, model.schema)
     np.testing.assert_array_equal(loaded.cell_scores, report.cell_scores)
     np.testing.assert_array_equal(loaded.row_scores, report.row_scores)
     assert loaded.rule == "pi"
+    assert main(["export", "--input", str(path), "--out", str(tmp_path / "scores.csv")]) == 0
+    with open(tmp_path / "scores.csv", newline="", encoding="utf-8") as fh:
+        lines = list(csv.reader(fh))[1:]
+    values = np.array([float(line[3]) for line in lines]).reshape(table.n_rows, -1)
+    np.testing.assert_array_equal(values[:, :-1], report.cell_scores)
+    np.testing.assert_array_equal(values[:, -1], report.row_scores)
 
 
-def _saved_report_lines(tmp_path, schema):
+def _saved_report(tmp_path, schema):
     report = ScoreReport(rule="pi", cell_scores=np.arange(6.0).reshape(2, 3),
                          row_scores=np.array([3.0, 12.0]))
-    path = tmp_path / "scores.csv"
+    path = tmp_path / "scores"
     report.save(path, schema)
-    return path, path.read_text().splitlines()
+    return path
 
 
-def test_score_report_missing_cell_line_is_rejected(tmp_path, real_schema):
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.pop("cell_scores"), r"holds tensors \['row_scores'\]"),
+    (lambda t: t.update(row_scores=t["row_scores"][:1]), r"'row_scores' has shape \(1,\)"),
+    (lambda t: t.update(cell_scores=t["cell_scores"][:, :2]), r"expected \(2, 3\)"),
+], ids=["missing cell tensor", "short row tensor", "narrow cell tensor"])
+def test_score_report_bad_tensors_are_rejected(tmp_path, real_schema,
+                                                                edit, message):
     schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
-    path, lines = _saved_report_lines(tmp_path, schema)
-    path.write_text("\n".join(line for line in lines if not line.startswith("1,v,")) + "\n")
-    with pytest.raises(DataFormatError, match="row 1, feature 'v'"):
+    path = _saved_report(tmp_path, schema)
+    rewrite_tensors(path, path, lambda header, tensors: edit(tensors))
+    with pytest.raises(DataFormatError, match=message):
         ScoreReport.load(path, schema)
 
 
-def test_score_report_missing_row_line_is_rejected(tmp_path, real_schema):
+def test_score_report_truncated_payload_is_rejected(tmp_path, real_schema):
     schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
-    path, lines = _saved_report_lines(tmp_path, schema)
-    path.write_text("\n".join(line for line in lines if not line.startswith("0,__row__")) + "\n")
-    with pytest.raises(DataFormatError, match="no row score for row 0"):
+    path = _saved_report(tmp_path, schema)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(DataFormatError, match="truncated payload for tensor 'row_scores'"):
         ScoreReport.load(path, schema)
 
 
-def test_score_report_short_last_line_is_rejected(tmp_path, real_schema):
+def test_score_report_for_another_schema_is_a_schema_mismatch(tmp_path, real_schema):
     schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
-    path, lines = _saved_report_lines(tmp_path, schema)
-    path.write_text("\n".join(lines[:-1] + ["1,__row__"]) + "\n")
-    with pytest.raises(DataFormatError, match="fields, expected 4"):
-        ScoreReport.load(path, schema)
+    path = _saved_report(tmp_path, schema)
+    other = TableSchema(real_schema.features + (FeatureSpec("x", "real"),))
+    with pytest.raises(SchemaMismatchError, match="feature names differ"):
+        ScoreReport.load(path, other)
 
 
 def test_score_threads_do_not_change_results(trained):
@@ -315,7 +332,7 @@ def test_load_simplexes_round_trip(tmp_path, trained):
     model, table, _ = trained
     result = repair_map(model, table)
     csv_path = tmp_path / "repaired.csv"
-    simplex_path = tmp_path / "simplexes.csv"
+    simplex_path = tmp_path / "simplexes"
     result.save(csv_path, simplex_path)
     loaded = load_simplexes(simplex_path, model.schema, table.n_rows)
     for name, probs in result.simplexes.items():
@@ -481,12 +498,17 @@ def quoted_repair(n=7, seed=2):
     return RepairResult(table=table, simplexes=simplexes, method="map")
 
 
+def export(artifact, out):
+    assert main(["export", "--input", str(artifact), "--out", str(out)]) == 0
+
+
 def test_score_report_save_matches_csv_writer_bytes(tmp_path):
     rng = np.random.default_rng(1)
     cells = rng.exponential(size=(6, 3))
     cells[0, 0] = 0.0
     report = ScoreReport(rule="pi", cell_scores=cells, row_scores=cells.sum(axis=1))
-    report.save(tmp_path / "new.csv", QUOTED_SCHEMA)
+    report.save(tmp_path / "scores", QUOTED_SCHEMA)
+    export(tmp_path / "scores", tmp_path / "new.csv")
     lines = []
     for r in range(6):
         for c, feat in enumerate(QUOTED_SCHEMA.features):
@@ -494,13 +516,14 @@ def test_score_report_save_matches_csv_writer_bytes(tmp_path):
         lines.append([r, "__row__", "pi", repr(float(report.row_scores[r]))])
     csv_writer_lines(tmp_path / "ref.csv", ["row_id", "feature", "rule", "score"], lines)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    loaded = ScoreReport.load(tmp_path / "new.csv", QUOTED_SCHEMA)
+    loaded = ScoreReport.load(tmp_path / "scores", QUOTED_SCHEMA)
     np.testing.assert_array_equal(loaded.cell_scores, cells)
 
 
 def test_simplex_sidecar_matches_csv_writer_bytes(tmp_path):
     result = quoted_repair()
-    result.save(tmp_path / "t.csv", tmp_path / "new.csv")
+    result.save(tmp_path / "t.csv", tmp_path / "simplexes")
+    export(tmp_path / "simplexes", tmp_path / "new.csv")
     lines = [[r, feat.name, label, repr(float(result.simplexes[feat.name][r, c]))]
              for feat in QUOTED_SCHEMA.cat_features
              for r in range(result.table.n_rows)
@@ -508,6 +531,6 @@ def test_simplex_sidecar_matches_csv_writer_bytes(tmp_path):
     csv_writer_lines(tmp_path / "ref.csv", ["row_id", "feature", "category", "probability"],
                      lines)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    loaded = load_simplexes(tmp_path / "new.csv", QUOTED_SCHEMA, result.table.n_rows)
+    loaded = load_simplexes(tmp_path / "simplexes", QUOTED_SCHEMA, result.table.n_rows)
     for name, probs in result.simplexes.items():
         np.testing.assert_array_equal(loaded[name], probs)
