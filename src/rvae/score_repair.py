@@ -58,11 +58,15 @@ class ScoreReport:
             raise DataFormatError(f"{path}: unknown scoring rule {header.get('rule')!r}")
         require_tensors(path, tensors, {"cell_scores": (None, schema.n_features),
                                         "row_scores": (None,)})
-        try:
-            return cls(rule=header["rule"], cell_scores=tensors["cell_scores"],
-                       row_scores=tensors["row_scores"])
-        except DataFormatError as exc:
-            raise DataFormatError(f"{path}: {exc}") from None
+        cells, rows = tensors["cell_scores"], tensors["row_scores"]
+        if not np.isfinite(cells).all():
+            r, j = np.argwhere(~np.isfinite(cells))[0]
+            raise DataFormatError(f"{path}: scores must be finite; no score for row {r}, "
+                                  f"feature '{schema.names[j]}'")
+        if not np.isfinite(rows).all():
+            raise DataFormatError(f"{path}: scores must be finite; no row score for row "
+                                  f"{np.argmin(np.isfinite(rows))}")
+        return cls(rule=header["rule"], cell_scores=cells, row_scores=rows)
 
     def export(self, path, schema: TableSchema) -> None:
         """CSV with one line per cell, then a row line, for each row in turn."""
@@ -130,7 +134,17 @@ def load_simplexes(path, schema: TableSchema, n_rows: int) -> dict[str, np.ndarr
     categorical feature, n_rows probability rows in [0, 1] that sum to 1."""
     header, tensors = read_container(path, SIMPLEX_FORMAT)
     require_same_schema(schema, header_schema(path, header), context=str(path))
-    require_tensors(path, tensors, {f.name: (n_rows, f.cardinality) for f in schema.cat_features})
+    shapes = {f.name: (n_rows, f.cardinality) for f in schema.cat_features}
+    for name, probs in tensors.items():
+        rows = probs.shape[0] if probs.ndim else n_rows
+        if name not in shapes:
+            raise DataFormatError(f"{path}: unknown categorical feature '{name}'")
+        if rows < n_rows:
+            raise DataFormatError(f"{path}: no probability for row {rows} of feature '{name}'")
+        if rows > n_rows:
+            raise DataFormatError(f"{path}: row id {n_rows} of feature '{name}' lies past "
+                                  f"the {n_rows}-row table")
+    require_tensors(path, tensors, shapes)
     _check_simplexes(tensors, f"{path}: ")
     return tensors
 

@@ -2,8 +2,9 @@
 (score reports, simplex sidecars, corruption records and checkpoints).
 
 A damaged file must either load or raise an RvaeError subclass (which the
-CLI maps to an exit code); dropping a whole tensor from a score report, a
-simplex sidecar or a corruption record must raise DataFormatError.
+CLI maps to an exit code); dropping a whole tensor, or one line of the CSV
+form (one row of a tensor), from a score report, a simplex sidecar or a
+corruption record must raise DataFormatError.
 """
 
 import numpy as np
@@ -117,3 +118,17 @@ def test_dropping_any_tensor_is_a_data_format_error(artifacts, kind):
         rewrite_tensors(valid, root / "dropped", lambda header, tensors: tensors.pop(name))
         with pytest.raises(DataFormatError):
             load_bytes(artifacts, kind, (root / "dropped").read_bytes())
+
+
+@pytest.mark.parametrize("kind", ["scores", "simplexes", "record"])
+def test_dropping_any_line_is_a_data_format_error(artifacts, kind):
+    root, originals, _ = artifacts
+    valid = root / f"valid-{kind}"
+    valid.write_bytes(originals[kind])
+    for name, tensor in read_container(valid)[1].items():
+        assert len(tensor)
+        for i in range(len(tensor)):
+            rewrite_tensors(valid, root / "dropped",
+                            lambda header, tensors: tensors.update({name: np.delete(tensor, i, 0)}))
+            with pytest.raises(DataFormatError):
+                load_bytes(artifacts, kind, (root / "dropped").read_bytes())

@@ -352,23 +352,27 @@ def test_valid_simplex_sidecar_evaluates(workspace, repaired):
                          repaired / "simplexes.csv") == 0
 
 
-@pytest.mark.parametrize("edit, message", [
-    pytest.param(edit_tensors(lambda t: t.update(c9=t.pop("c0"))),
-                 "holds tensors ['c1', 'c9'], expected ['c0', 'c1']", id="unknown feature"),
-    pytest.param(edit_tensors(lambda t: t.pop("c0")), "holds tensors ['c1']",
+@pytest.mark.parametrize("case, edit, message", [
+    ("unknown feature", edit_tensors(lambda t: t.update(c9=t.pop("c0"))),
+     "unknown categorical feature 'c9'"),
+    ("missing line", edit_tensors(lambda t: t.update(c0=t["c0"][:-1])), "no probability for row"),
+    ("row past the table", edit_tensors(lambda t: t.update(c0=np.vstack([t["c0"], t["c0"][:1]]))),
+     "row id 160"),
+    pytest.param("missing tensor", edit_tensors(lambda t: t.pop("c0")), "holds tensors ['c1']",
                  id="missing tensor"),
-    pytest.param(edit_tensors(lambda t: t.update(c0=np.vstack([t["c0"], t["c0"][:1]]))),
-                 "tensor 'c0' has shape (161, 3), expected (160, 3)", id="row past the table"),
-    pytest.param(lambda p: rewrite_header(p, p, lambda h: h["tensors"][1].update(name="c0")),
+    pytest.param("duplicate name",
+                 lambda p: rewrite_header(p, p, lambda h: h["tensors"][1].update(name="c0")),
                  "appears twice", id="duplicate name"),
-    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:-8]), "truncated payload",
-                 id="truncated payload"),
-    pytest.param(edit_tensors(lambda t: t["c0"].__setitem__((0, 0), 1.5)), "outside [0, 1]",
-                 id="probability past 1"),
-    pytest.param(edit_tensors(lambda t: t["c0"].__setitem__(0, t["c0"][0] / 2)),
+    pytest.param("truncated payload", lambda p: p.write_bytes(p.read_bytes()[:-8]),
+                 "truncated payload", id="truncated payload"),
+    pytest.param("probability past 1", edit_tensors(lambda t: t["c0"].__setitem__((0, 0), 1.5)),
+                 "outside [0, 1]", id="probability past 1"),
+    pytest.param("row not summing to 1",
+                 edit_tensors(lambda t: t["c0"].__setitem__(0, t["c0"][0] / 2)),
                  "do not sum to 1", id="row not summing to 1"),
 ])
-def test_malformed_simplex_sidecar_exits_3(workspace, repaired, tmp_path, capsys, edit, message):
+def test_malformed_simplex_sidecar_exits_3(workspace, repaired, tmp_path, capsys,
+                                           case, edit, message):
     bad = damaged_copy(repaired / "simplexes.csv", tmp_path / "bad", edit)
     assert evaluate_with(workspace, repaired, simplexes=bad) == 3
     assert message in capsys.readouterr().err

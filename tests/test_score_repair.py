@@ -158,6 +158,22 @@ def test_score_report_bad_tensors_are_rejected(tmp_path, real_schema,
         ScoreReport.load(path, schema)
 
 
+def test_score_report_missing_cell_line_is_rejected(tmp_path, real_schema):
+    schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
+    path = _saved_report(tmp_path, schema)
+    rewrite_tensors(path, path, lambda h, t: t["cell_scores"].__setitem__((1, 1), np.nan))
+    with pytest.raises(DataFormatError, match="no score for row 1, feature 'v'"):
+        ScoreReport.load(path, schema)
+
+
+def test_score_report_missing_row_line_is_rejected(tmp_path, real_schema):
+    schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
+    path = _saved_report(tmp_path, schema)
+    rewrite_tensors(path, path, lambda h, t: t["row_scores"].__setitem__(0, np.nan))
+    with pytest.raises(DataFormatError, match="no row score for row 0"):
+        ScoreReport.load(path, schema)
+
+
 def test_score_report_truncated_payload_is_rejected(tmp_path, real_schema):
     schema = TableSchema(real_schema.features + (FeatureSpec("w", "real"),))
     path = _saved_report(tmp_path, schema)
