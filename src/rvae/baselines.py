@@ -11,16 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .container import read_container, write_container
 from .data import REAL, MixedTable, TableSchema, destandardize, require_same_schema
-from .errors import CheckpointError, ConfigError
+from .errors import ConfigError
 from .model import gaussian_log_pdf
 from .nn import Rng
 from .score_repair import RepairResult, ScoreReport
-from . import __version__
 
 STD_FLOOR = 1e-4
-MARGINAL_FORMAT = "rvae-marginal"
 
 
 @dataclass
@@ -200,32 +197,3 @@ def marginal_repair(model: MarginalModel, table: MixedTable, mask: np.ndarray) -
     repaired = destandardize(table.with_values(reals=reals, cats=cats))
     return RepairResult(table=repaired, simplexes=simplexes, method="marginal")
 
-
-def save_marginal_model(model: MarginalModel, path) -> None:
-    meta = {
-        "format": MARGINAL_FORMAT,
-        "tool_version": __version__,
-        "schema": model.schema.to_json_obj(),
-        "n_rows": model.n_rows,
-    }
-    tensors = {}
-    for name, gmm in model.gmms.items():
-        tensors[f"gmm.{name}.weights"] = gmm.weights
-        tensors[f"gmm.{name}.means"] = gmm.means
-        tensors[f"gmm.{name}.stds"] = gmm.stds
-    for name, freq in model.frequencies.items():
-        tensors[f"freq.{name}"] = freq
-    write_container(path, meta, tensors)
-
-
-def load_marginal_model(path) -> MarginalModel:
-    header, tensors = read_container(path, MARGINAL_FORMAT, CheckpointError)
-    schema = TableSchema.from_json_obj(header["schema"])
-    gmms = {}
-    for feat in schema.real_features:
-        gmms[feat.name] = Gmm1D(weights=tensors[f"gmm.{feat.name}.weights"],
-                                means=tensors[f"gmm.{feat.name}.means"],
-                                stds=tensors[f"gmm.{feat.name}.stds"])
-    frequencies = {feat.name: tensors[f"freq.{feat.name}"] for feat in schema.cat_features}
-    return MarginalModel(schema=schema, gmms=gmms, frequencies=frequencies,
-                         n_rows=int(header["n_rows"]))

@@ -87,14 +87,6 @@ class NoiseSpec:
     real: RealNoise | None = None
     cat: TemperedCategorical | None = None
 
-    def describe(self) -> str:
-        parts = []
-        if self.real is not None:
-            parts.append(type(self.real).__name__)
-        if self.cat is not None:
-            parts.append(f"tempered(beta={self.cat.beta})")
-        return "+".join(parts) if parts else "none"
-
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
@@ -221,19 +213,24 @@ class CorruptionRecord:
         if outside.any():
             i = int(np.argmax(outside))
             raise DataFormatError(f"{path}: cell ({rows[i]}, {cols[i]}) lies outside shape {shape}")
-        mask = np.zeros((n, d), dtype=bool)
-        mask[rows, cols] = True
-        if mask.sum() != m:
-            counts = np.bincount(rows * d + cols)
-            r, c = divmod(int(np.argmax(counts > 1)), d)
-            raise DataFormatError(f"{path}: cell ({r}, {c}) appears more than once")
-        per_row = mask.sum(axis=1)
-        marked = per_row[per_row > 0]
+        order = np.lexsort((cols, rows))
+        sorted_rows, sorted_cols = rows[order], cols[order]
+        repeated = (sorted_rows[1:] == sorted_rows[:-1]) & (sorted_cols[1:] == sorted_cols[:-1])
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            raise DataFormatError(f"{path}: cell ({sorted_rows[i]}, {sorted_cols[i]}) appears "
+                                  "more than once")
+        marked = np.unique(sorted_rows, return_counts=True)[1]
         if (marked.size != _round_half_up(fractions[0] * n)
                 or np.any(marked != _round_half_up(fractions[1] * d))):
             raise DataFormatError(f"{path}: {m} cells in {marked.size} rows do not match "
                                   f"row fraction {fractions[0]} and feature fraction "
                                   f"{fractions[1]} of shape {shape}")
+        try:
+            mask = np.zeros((n, d), dtype=bool)
+        except (MemoryError, ValueError):
+            raise DataFormatError(f"{path}: no memory for a mask of shape {shape}") from None
+        mask[rows, cols] = True
         originals = {(r, c): int(v) if cat else v for r, c, v, cat
                      in zip(rows.tolist(), cols.tolist(), values.tolist(), is_cat.tolist())}
         return cls(mask=mask, originals=originals, seed=seed,

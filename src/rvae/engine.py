@@ -207,8 +207,11 @@ def neg(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.value), (a,))
-    out._bw = lambda g: a._acc(g * out.value)
+    val = np.exp(a.value)
+    out = Tensor(val, (a,))
+    # the closure holds the value, not `out`: a node that refers to itself
+    # keeps its whole tape alive until the cycle collector runs
+    out._bw = lambda g: a._acc(g * val)
     return out
 
 

@@ -109,11 +109,6 @@ class EvalReport:
         Path(path).write_text(json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
 
-    @classmethod
-    def load(cls, path) -> "EvalReport":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**obj)
-
     def flatten_csv(self, path) -> None:
         lines = ["metric,feature,value"]
         if self.row_avpr is not None:

@@ -49,20 +49,6 @@ class OutlierComponents:
         return -math.log(cardinality)
 
 
-@dataclass(frozen=True)
-class GateParams:
-    """Prior clean probability plus the per-cell variational probabilities."""
-
-    alpha: float
-    pi: np.ndarray
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if np.any(self.pi < 0.0) or np.any(self.pi > 1.0):
-            raise ConfigError("pi values must lie in [0, 1]")
-
-
 class Encoder:
     """Encoded row -> hidden -> (posterior mean, log std diag), both length K.
 
@@ -82,10 +68,9 @@ class Encoder:
         return mu, log_sigma, engine.exp(log_sigma)
 
     def latent_values(self, x: np.ndarray, bank: EmbeddingBank) -> tuple[np.ndarray, np.ndarray]:
-        out = self.net.values(x, bank.tables)
-        k = self.latent_dim
-        log_sigma = np.clip(out[:, k:2 * k], LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-        return out[:, :k], np.exp(log_sigma)
+        """The values of :meth:`latent`'s mean and std."""
+        mu, _, sigma = self.latent(x, bank)
+        return mu.value, sigma.value
 
     def params(self) -> dict[str, Tensor]:
         return self.net.params()
@@ -134,8 +119,27 @@ class Decoder:
             order.append(slot if kind == REAL else self.n_real + slot)
         self.schema_order = None if order == sorted(order) else np.array(order)
 
-    def hidden(self, z: Tensor) -> Tensor:
-        return self.trunk.apply(z)
+    def head(self, z: Tensor | np.ndarray) -> Tensor:
+        """The fused head at latents z: real means, then each categorical's logits."""
+        return engine.dense(self.trunk.apply(z), self.W, self.b)
+
+    def clean_logliks(self, head: Tensor, reals: np.ndarray, cats: np.ndarray) -> Tensor:
+        """(B, D) clean-component log likelihoods of the observed cells under
+        ``head`` (from :meth:`head`), schema order."""
+        cols: list[Tensor] = []
+        if self.n_real:
+            mean = engine.slice_cols(head, 0, self.n_real)
+            log_sigma = engine.clip(self.log_sigma, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+            resid = engine.mul(engine.sub(engine._wrap(reals), mean),
+                               engine.exp(engine.neg(log_sigma)))
+            cols.append(engine.sub(engine.sub(engine._wrap(-HALF_LOG_2PI), log_sigma),
+                                   engine.mul(engine.mul(resid, resid), 0.5)))
+        if self.cat_sizes:
+            cols.append(engine.block_log_softmax_at(head, self.n_real, self.cat_sizes, cats))
+        ll_clean = engine.concat(cols, axis=1)
+        if self.schema_order is not None:
+            ll_clean = engine.permute_cols(ll_clean, self.schema_order)
+        return ll_clean
 
     def params(self) -> dict[str, Tensor]:
         out = dict(self.trunk.params())
@@ -224,15 +228,6 @@ def gaussian_log_pdf(x, mean, std):
     return -HALF_LOG_2PI - np.log(std) - 0.5 * ((x - mean) / std) ** 2
 
 
-def kl_gaussian(mu, sigma) -> float:
-    """KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 * sum(mu^2 + sigma^2 - 1 - ln sigma^2)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0):
-        raise ValueError("sigma must be positive")
-    return float(0.5 * np.sum(mu ** 2 + sigma ** 2 - 1.0 - 2.0 * np.log(sigma)))
-
-
 def kl_bernoulli(pi, alpha):
     """KL(Bernoulli(pi) || Bernoulli(alpha)) with the 0*ln(0) := 0 convention."""
     if not 0.0 < alpha < 1.0:
@@ -294,19 +289,7 @@ def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarra
     mu, log_sigma, sigma = nets.encoder.latent(x_enc, nets.embeddings)
     z = engine.add(mu, engine.mul(sigma, eps))
     dec = nets.decoder
-    head = engine.dense(dec.hidden(z), dec.W, dec.b)
-    cols: list[Tensor] = []
-    if dec.n_real:
-        mean = engine.slice_cols(head, 0, dec.n_real)
-        log_sigma_d = engine.clip(dec.log_sigma, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-        resid = engine.mul(engine.sub(engine._wrap(reals), mean), engine.exp(engine.neg(log_sigma_d)))
-        cols.append(engine.sub(engine.sub(engine._wrap(-HALF_LOG_2PI), log_sigma_d),
-                               engine.mul(engine.mul(resid, resid), 0.5)))
-    if dec.cat_sizes:
-        cols.append(engine.block_log_softmax_at(head, dec.n_real, dec.cat_sizes, cats))
-    ll_clean = engine.concat(cols, axis=1)
-    if dec.schema_order is not None:
-        ll_clean = engine.permute_cols(ll_clean, dec.schema_order)
+    ll_clean = dec.clean_logliks(dec.head(z), reals, cats)
     kl_z = engine.mul(engine.tsum(
         engine.sub(engine.sub(engine.add(engine.mul(mu, mu), engine.mul(sigma, sigma)), 1.0),
                    engine.mul(log_sigma, 2.0)),
@@ -314,47 +297,11 @@ def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarra
     return x_enc, ll_clean, kl_z
 
 
-def _draw_eps(rng: Rng | None, eps, n: int, latent_dim: int) -> np.ndarray:
-    if eps is not None:
-        eps = np.asarray(eps, dtype=np.float64)
-        if eps.shape != (n, latent_dim):
-            raise ValueError(f"eps shape {eps.shape} does not match ({n}, {latent_dim})")
-        return eps
-    if rng is None:
-        raise ValueError("provide either eps or rng")
-    return rng.normal((n, latent_dim))
-
-
 def elbo_vae(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray, cats: np.ndarray,
-             eps: np.ndarray | None = None, rng: Rng | None = None) -> Tensor:
+             eps: np.ndarray) -> Tensor:
     """Per-row ELBO (B,): sum_d E_q[log p(x_d | z)] - KL(q(z|x) || p(z))."""
-    n = reals.shape[0] if reals.size else cats.shape[0]
-    eps = _draw_eps(rng, eps, n, nets.encoder.latent_dim)
     _, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
     return engine.sub(engine.tsum(ll_clean, axis=1), kl_z)
-
-
-def elbo_rvae(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray, cats: np.ndarray,
-              components: OutlierComponents, pi: np.ndarray, alpha: float,
-              eps: np.ndarray | None = None, rng: Rng | None = None) -> Tensor:
-    """Per-row gated ELBO (B,) with pi treated as constants.
-
-    sum_d [pi * E_q log p(x_d|z) + (1 - pi) * log p0(x_d)]
-      - KL(q(z|x) || p(z)) - sum_d KL(Bernoulli(pi) || Bernoulli(alpha)).
-
-    The gradient w.r.t. decoder parameters through cell d carries the
-    factor pi_nd, which is the down-weighting mechanism.
-    """
-    n = reals.shape[0] if reals.size else cats.shape[0]
-    eps = _draw_eps(rng, eps, n, nets.encoder.latent_dim)
-    pi = np.asarray(pi, dtype=np.float64)
-    if pi.shape != (n, schema.n_features):
-        raise ValueError(f"pi shape {pi.shape} does not match ({n}, {schema.n_features})")
-    _, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
-    ll_out = outlier_logliks(components, schema, reals, cats)
-    mix = engine.tsum(engine.add(engine.mul(ll_clean, pi), (1.0 - pi) * ll_out), axis=1)
-    kl_w = kl_bernoulli(pi, alpha).sum(axis=1)
-    return engine.sub(engine.sub(mix, kl_z), engine._wrap(kl_w))
 
 
 def kl_bernoulli_from_logits(logits: Tensor, alpha: float) -> Tensor:
@@ -376,6 +323,12 @@ def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarr
                         eps: np.ndarray, amortized: bool,
                         pi_override: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Per-row gated ELBO for one training step, plus the pi values used.
+
+    sum_d [pi * E_q log p(x_d|z) + (1 - pi) * log p0(x_d)]
+      - KL(q(z|x) || p(z)) - sum_d KL(Bernoulli(pi) || Bernoulli(alpha)).
+
+    The gradient w.r.t. decoder parameters through cell d carries the
+    factor pi_nd, which is the down-weighting mechanism.
 
     Coordinate mode infers pi in closed form from the same single z sample
     and treats it as constant for the gradient; amortized mode takes pi
@@ -407,21 +360,22 @@ def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# plain-value forward paths (scoring and repair; no tape)
+# value readers for scoring and repair (the tape functions above, read as
+# plain arrays)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class DecodedValues:
+    head: np.ndarray                  # (B, n_real + sum C_d), :meth:`Decoder.head`'s value
     real_means: np.ndarray            # (B, n_real)
     real_stds: np.ndarray             # (n_real,)
     cat_probs: dict[str, np.ndarray]  # name -> (B, C_d)
 
 
 def decode_values(decoder: Decoder, z: np.ndarray) -> DecodedValues:
-    """Means, sigmas and category probabilities at latents z: one head
-    product, then a softmax over every categorical's column block."""
-    head = decoder.trunk.values(z) @ decoder.W.value
-    head += decoder.b.value
+    """Means, sigmas and category probabilities at latents z: the head,
+    then a softmax over every categorical's column block."""
+    head = decoder.head(z).value
     n_real = decoder.n_real
     stds = np.exp(np.clip(decoder.log_sigma.value, LOG_SIGMA_MIN, LOG_SIGMA_MAX))
     probs = {}
@@ -430,21 +384,10 @@ def decode_values(decoder: Decoder, z: np.ndarray) -> DecodedValues:
         starts = np.cumsum([0] + decoder.cat_sizes)
         probs = {f.name: p[:, s:e]
                  for f, s, e in zip(decoder.schema.cat_features, starts, starts[1:])}
-    return DecodedValues(real_means=head[:, :n_real], real_stds=stds, cat_probs=probs)
+    return DecodedValues(head=head, real_means=head[:, :n_real], real_stds=stds, cat_probs=probs)
 
 
 def clean_logliks_values(decoder: Decoder, decoded: DecodedValues,
                          reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
     """(B, D) clean-component log likelihoods of observed cells, schema order."""
-    schema = decoder.schema
-    n = reals.shape[0] if reals.size else cats.shape[0]
-    out = np.empty((n, schema.n_features))
-    for column, feat in enumerate(schema.features):
-        kind, slot = schema.kind_index(column)
-        if kind == REAL:
-            out[:, column] = gaussian_log_pdf(reals[:, slot], decoded.real_means[:, slot],
-                                              decoded.real_stds[slot])
-        else:
-            p = decoded.cat_probs[feat.name][np.arange(n), cats[:, slot]]
-            out[:, column] = np.log(np.maximum(p, 1e-300))
-    return out
+    return decoder.clean_logliks(Tensor(decoded.head), reals, cats).value

@@ -1,4 +1,4 @@
-"""Dense feed-forward networks, Adam, and seeded sampling.
+"""Dense feed-forward networks, Adam, and seeded random streams.
 
 Everything runs in float64 on the tape from :mod:`rvae.engine`, so every
 network used by the models is checkable against finite differences.
@@ -181,33 +181,9 @@ class DenseNet:
                 w = rng.normal((n_in, n_out)) * scale
             self.layers.append(Layer(Tensor(w), Tensor(np.zeros(n_out)), act))
 
-    @classmethod
-    def from_layers(cls, layers: list[tuple[np.ndarray, np.ndarray, str]], name: str = "net") -> "DenseNet":
-        net = cls([1, 1], ["identity"], name=name)
-        net.layers = []
-        prev_out = None
-        for w, b, act in layers:
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation: {act}")
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError("layer shapes disagree")
-            if prev_out is not None and w.shape[0] != prev_out:
-                raise ValueError(f"consecutive layer dimensions disagree: {prev_out} vs {w.shape[0]}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError("non-finite parameters")
-            prev_out = w.shape[1]
-            net.layers.append(Layer(Tensor(w), Tensor(b), act))
-        return net
-
     @property
     def n_inputs(self) -> int:
         return self.layers[0].W.value.shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.layers[-1].W.value.shape[1]
 
     def apply(self, x: Tensor | np.ndarray, tables: list[Tensor] | None = None) -> Tensor:
         """Tape-through forward, one :func:`engine.dense` node per layer.
@@ -227,33 +203,12 @@ class DenseNet:
                 out = engine.dense(out, layer.W, layer.b, relu)
         return out
 
-    def values(self, x: np.ndarray, tables: list[Tensor] | None = None) -> np.ndarray:
-        """Plain-array forward with the arithmetic of :meth:`apply`."""
-        out = np.asarray(x, dtype=np.float64)
-        for i, layer in enumerate(self.layers):
-            w = layer.W.value
-            if i == 0 and tables is not None:
-                w = engine.fold_weight(w, [t.value for t in tables])
-            out = out @ w
-            out += layer.b.value
-            if layer.activation == "relu":
-                np.maximum(out, 0.0, out=out)
-        return out
-
     def params(self) -> dict[str, Tensor]:
         out = {}
         for i, layer in enumerate(self.layers):
             out[f"{self.name}.W{i}"] = layer.W
             out[f"{self.name}.b{i}"] = layer.b
         return out
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max subtraction; rows sum to 1 within 1e-12."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 @dataclass
@@ -333,18 +288,3 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     state.flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return state
 
-
-def sample_gaussian(rng: Rng, mean, std):
-    """Reparameterized draw mean + std * eps with eps ~ N(0, I).
-
-    Accepts plain arrays or tape tensors; with tensors the draw is
-    differentiable w.r.t. mean and std. Rejects non-positive std.
-    """
-    mean_val = mean.value if isinstance(mean, Tensor) else np.asarray(mean, dtype=np.float64)
-    std_val = std.value if isinstance(std, Tensor) else np.asarray(std, dtype=np.float64)
-    if np.any(std_val <= 0.0):
-        raise ValueError("std must be positive elementwise")
-    eps = rng.normal(np.broadcast_shapes(mean_val.shape, std_val.shape))
-    if isinstance(mean, Tensor) or isinstance(std, Tensor):
-        return engine.add(engine._wrap(mean), engine.mul(engine._wrap(std), eps))
-    return mean_val + std_val * eps

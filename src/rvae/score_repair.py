@@ -229,7 +229,7 @@ def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads
         reals, cats = table.reals[rows], table.cats[rows]
         x = encode_values(schema, reals, cats)
         if rule == "pi" and model.config.is_amortized:
-            pi = stable_sigmoid(nets.pi_encoder.values(x, nets.embeddings.tables))
+            pi = stable_sigmoid(nets.pi_encoder.apply(x, nets.embeddings.tables).value)
             return (_pi_cell_scores(pi),)
         z = _sampled_latents(model, x, Rng(seed).derive_rows(rows))
         decoded = decode_values(nets.decoder, z)
@@ -241,16 +241,6 @@ def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads
 
     cells, = _map_chunks(table.n_rows, threads, chunk_scores)
     return ScoreReport(rule=rule, cell_scores=cells, row_scores=cells.sum(axis=1))
-
-
-def gate_probabilities(model: RvaeModel, table: MixedTable, seed: int = 0,
-                       threads: int = 1) -> "GateParams":
-    """Per-cell clean probabilities (the quantity behind the pi rule),
-    bundled with the prior they were inferred under."""
-    from .model import GateParams
-
-    report = score(model, table, "pi", seed=seed, threads=threads)
-    return GateParams(alpha=model.config.alpha, pi=np.exp(-report.cell_scores))
 
 
 def _modes(schema: TableSchema, decoded: DecodedValues):

@@ -5,7 +5,7 @@ import pytest
 
 from rvae.container import read_container, write_container
 from rvae.data import FeatureSpec, MixedTable, TableSchema
-from rvae.model import build_networks
+from rvae.model import build_networks, rvae_step_objective
 from rvae.nn import Rng
 
 
@@ -42,6 +42,38 @@ def random_table(schema, n, seed):
 def tiny_networks(schema, seed, latent=3, hidden=8, emb=4, amortized=False):
     return build_networks(schema, latent_dim=latent, hidden_dim=hidden,
                           embedding_dim=emb, rng=Rng(seed), amortized=amortized)
+
+
+def kl_gaussian(mu, sigma) -> float:
+    """Reference KL(N(mu, diag sigma^2) || N(0, I)) = 0.5 * sum(mu^2 + sigma^2 - 1 - ln sigma^2)."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    return float(0.5 * np.sum(mu ** 2 + sigma ** 2 - 1.0 - 2.0 * np.log(sigma)))
+
+
+def softmax(x, axis=-1):
+    """Reference softmax with max subtraction."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def gated_elbo(nets, schema, reals, cats, comps, pi, alpha, eps):
+    """The gated training objective per row, with the gates fixed to ``pi``."""
+    return rvae_step_objective(nets, schema, reals, cats, comps, alpha, eps,
+                               amortized=False, pi_override=pi)[0]
+
+
+def wire_identity_autoencoder(nets):
+    """Hand-wire networks built for one real feature (latent 1, hidden 2,
+    zero weights) so that mu(x) = x via relu(x) - relu(-x), log sigma sits
+    at its floor of -6, and the decoded mean reads z back the same way."""
+    enc0, enc1 = nets.encoder.net.layers
+    enc0.W.value = np.array([[1.0, -1.0]])
+    enc1.W.value = np.array([[1.0, -6.0], [-1.0, -6.0]])
+    enc1.b.value = np.array([0.0, -6.0])
+    nets.decoder.trunk.layers[0].W.value = np.array([[1.0, -1.0]])
+    nets.decoder.W.value = np.array([[1.0], [-1.0]])
 
 
 def finite_difference(loss_fn, params, h=1e-5):

@@ -14,16 +14,15 @@ from rvae.corrupt import (GaussianNoise, NoiseSpec, TemperedCategorical,
 from rvae.data import FeatureSpec, TableSchema, destandardize, standardize, write_table
 from rvae.engine import neg, tmean
 from rvae.metrics import average_precision, brier, evaluate, smse
-from rvae.model import (OutlierComponents, build_networks, elbo_rvae, elbo_vae,
-                        forward_elbo_parts, kl_bernoulli, kl_gaussian,
-                        outlier_logliks, pi_update, rvae_step_objective)
+from rvae.model import (OutlierComponents, build_networks, elbo_vae,
+                        forward_elbo_parts, kl_bernoulli, outlier_logliks,
+                        pi_update, rvae_step_objective)
 from rvae.nn import Rng
-from rvae.score_repair import (gate_probabilities, repair_map, repair_one_stage,
-                               repair_two_stage, score)
+from rvae.score_repair import repair_map, repair_one_stage, repair_two_stage, score
 from rvae.synthetic import mixture_table
 from rvae.train import TrainConfig, train
 
-from conftest import assert_grads_close, finite_difference
+from conftest import assert_grads_close, finite_difference, gated_elbo, kl_gaussian
 
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
 SCENARIO_SEEDS = (0, 1, 2)
@@ -82,10 +81,9 @@ def test_criterion_1_gradient_correctness():
 
         objectives = {
             "vae": lambda: elbo_vae(nets, schema, reals, cats, eps=eps),
-            "gated": (lambda: rvae_step_objective(nets, schema, reals, cats, comps,
-                                                  alpha, eps, amortized=True)[0])
-            if amortized else
-            (lambda: elbo_rvae(nets, schema, reals, cats, comps, pi, alpha, eps=eps)),
+            "gated": lambda: rvae_step_objective(nets, schema, reals, cats, comps, alpha, eps,
+                                                 amortized=amortized,
+                                                 pi_override=None if amortized else pi)[0],
         }
         params = nets.params()
         for objective in objectives.values():
@@ -114,15 +112,14 @@ def test_criterion_2_coordinate_optimality():
         _, ll_clean, _ = forward_elbo_parts(nets, schema, reals, cats, eps)
         r = ll_clean.value - outlier_logliks(comps, schema, reals, cats)
         pi_hat = pi_update(r, alpha)
-        base = float(elbo_rvae(nets, schema, reals, cats, comps, pi_hat, alpha,
-                               eps=eps).value.sum())
+        base = float(gated_elbo(nets, schema, reals, cats, comps, pi_hat, alpha, eps).value.sum())
         for col in range(schema.n_features):
             for delta in (0.01, 0.1):
                 for sign in (1.0, -1.0):
                     pert = pi_hat.copy()
                     pert[0, col] = np.clip(pert[0, col] + sign * delta, 0.0, 1.0)
-                    value = float(elbo_rvae(nets, schema, reals, cats, comps, pert,
-                                            alpha, eps=eps).value.sum())
+                    value = float(gated_elbo(nets, schema, reals, cats, comps, pert,
+                                             alpha, eps).value.sum())
                     worst = max(worst, value - base)
     elapsed = time.perf_counter() - tic
     assert worst <= 1e-9
@@ -136,10 +133,17 @@ def test_criterion_3_closed_form_spot_values():
         assert pi_update(0.0, alpha) == alpha
         assert kl_bernoulli(alpha, alpha) == 0.0
     assert kl_gaussian([0.0], [1.0]) == 0.0
+    # the KL(z) term training uses: zero weights put the posterior at the prior
+    schema = TableSchema((FeatureSpec("a", "real"), FeatureSpec("b", "categorical", ("x", "y"))))
+    nets = build_networks(schema, 2, 3, 2, rng=None)
+    _, _, kl_z = forward_elbo_parts(nets, schema, np.zeros((1, 1)), np.zeros((1, 1), dtype=np.int64),
+                                    np.zeros((1, 2)))
+    assert kl_z.value[0] == 0.0
     assert abs(average_precision([0.9, 0.8, 0.1], [1, 0, 1]) - 5.0 / 6.0) <= 1e-9
     assert brier([[1.0, 0.0]], [[0.5, 0.5]]) == 0.25
     assert smse([0.7, -1.3, 0.2], [0.0, 0.0, 0.0]) == 1.0
-    print("\n[PASS] criterion 3: pi_update(0,a)=a, kl_bernoulli(a,a)=0, kl_gaussian(0,1)=0, "
+    print("\n[PASS] criterion 3: pi_update(0,a)=a, kl_bernoulli(a,a)=0, kl_gaussian(0,1)=0 "
+          "(reference and training term), "
           "AVPR=5/6 (1e-9), Brier=0.25, zero-imputation SMSE=1.0, all exact")
 
 
@@ -203,7 +207,7 @@ def test_criterion_5_robustness_separation(scenario_runs):
                                  if n in marg_eval.cell_avpr]))
         smse_rvae.append(rvae_eval.smse_real_avg)
         smse_vae.append(vae_eval.smse_real_avg)
-        pi = gate_probabilities(rvae, std, seed=seed).pi
+        pi = np.exp(-score(rvae, std, "pi", seed=seed).cell_scores)
         gaps.append(pi[~record.mask].mean() - pi[record.mask].mean())
     total = scenario_runs["build_seconds"] + (time.perf_counter() - tic)
     assert np.mean(cat_rvae) > np.mean(cat_marg), (cat_rvae, cat_marg)

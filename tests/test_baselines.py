@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rvae.baselines import (Gmm1D, MarginalModel, fit_gmm_1d, fit_gmm_bic,
-                            fit_marginals, load_marginal_model, marginal_repair,
-                            marginal_score, save_marginal_model)
+                            fit_marginals, marginal_repair, marginal_score)
 from rvae.data import FeatureSpec, MixedTable, TableSchema
 from rvae.nn import Rng
 
@@ -161,22 +160,6 @@ def test_marginal_repair_only_touches_flagged_cells(mixed_schema):
     untouched[5] = False
     np.testing.assert_array_equal(result.table.reals[untouched], table.reals[untouched])
     np.testing.assert_array_equal(result.table.cats, table.cats)
-
-
-def test_marginal_model_container_round_trip(tmp_path, mixed_schema):
-    table = random_table(mixed_schema, 80, seed=5)
-    model = fit_marginals(table, max_components=3, seed=5)
-    path = tmp_path / "marginal.ckpt"
-    save_marginal_model(model, path)
-    loaded = load_marginal_model(path)
-    assert loaded.schema == model.schema
-    assert loaded.n_rows == model.n_rows
-    for name, gmm in model.gmms.items():
-        np.testing.assert_array_equal(loaded.gmms[name].weights, gmm.weights)
-        np.testing.assert_array_equal(loaded.gmms[name].means, gmm.means)
-        np.testing.assert_array_equal(loaded.gmms[name].stds, gmm.stds)
-    for name, freq in model.frequencies.items():
-        np.testing.assert_array_equal(loaded.frequencies[name], freq)
 
 
 def test_fit_is_deterministic(mixed_schema):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rvae.cli import build_parser, main, parse_noise_spec
+from rvae.container import write_container
 from rvae.corrupt import (GaussianMixtureNoise, GaussianNoise, LaplaceNoise,
                           LogNormalNoise)
 from rvae.data import write_table
@@ -410,6 +411,18 @@ def test_export_writes_each_artifact_as_csv(repaired, tmp_path, capsys):
         assert (tmp_path / name).read_text(encoding="utf-8").startswith(first)
     assert run(["export", "--input", repaired / "model.ckpt", "--out", tmp_path / "m.csv"]) == 3
     assert "holds 'rvae-model'" in capsys.readouterr().err
+
+
+def test_record_too_large_to_hold_exits_3(tmp_path, capsys):
+    # a header that passes every layout check (no rows at row fraction 0)
+    # but whose (N, D) mask cannot be allocated
+    header = {"format": "rvae-corruption-record", "seed": 0, "row_fraction": 0.0,
+              "feat_fraction": 0.2, "shape": [10_000_000, 10_000_000], "categorical_columns": []}
+    write_container(tmp_path / "record.rvae", header,
+                    {"cells": np.zeros((0, 2)), "originals": np.zeros(0)})
+    assert run(["export", "--input", tmp_path / "record.rvae", "--out", tmp_path / "r.csv"]) == 3
+    assert "no memory for a mask of shape [10000000, 10000000]" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("method", ["one-stage", "two-stage"])

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -6,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvae import engine
-from rvae.data import FeatureSpec, TableSchema
+from rvae.data import FeatureSpec, MixedTable, TableSchema
 from rvae.engine import Tensor, neg, tmean
 from rvae.model import (OutlierComponents, build_networks,
-                        clean_logliks_values, decode_values, elbo_rvae,
-                        elbo_vae, encode_values, forward_elbo_parts,
-                        kl_bernoulli, kl_bernoulli_from_logits, kl_gaussian,
-                        outlier_logliks, pi_update, rvae_step_objective)
+                        clean_logliks_values, decode_values, elbo_vae,
+                        encode_values, forward_elbo_parts, kl_bernoulli,
+                        kl_bernoulli_from_logits, outlier_logliks, pi_update,
+                        rvae_step_objective)
 from rvae.nn import Rng
+from rvae.score_repair import score
+from rvae.train import RvaeModel, TrainConfig
 
-from conftest import (assert_grads_close, finite_difference, random_batch,
-                      tiny_networks)
+from conftest import (assert_grads_close, finite_difference, gated_elbo, kl_gaussian,
+                      random_batch, tiny_networks, wire_identity_autoencoder)
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
@@ -208,19 +211,9 @@ def test_elbo_batch_is_mean_of_rows(mixed_schema):
 def test_elbo_vae_structural_limit():
     # hand-wired identity autoencoder on one real feature:
     # ELBO -> max log-lik - KL as the posterior narrows
-    from rvae.nn import DenseNet
-
     schema = TableSchema((FeatureSpec("a", "real"),))
     nets = build_networks(schema, latent_dim=1, hidden_dim=2, embedding_dim=2, rng=None)
-    # encoder: mu(x) = x via relu(x), relu(-x); log sigma fixed very small
-    nets.encoder.net = DenseNet.from_layers([
-        (np.array([[1.0, -1.0]]), np.zeros(2), "relu"),
-        (np.array([[1.0, -6.0], [-1.0, -6.0]]), np.array([0.0, -6.0]), "identity"),
-    ], name="encoder")
-    # decoder trunk passes z through; mean head reads it back
-    nets.decoder.trunk = DenseNet.from_layers([
-        (np.array([[1.0, -1.0]]), np.zeros(2), "relu")], name="decoder.trunk")
-    nets.decoder.W.value = np.array([[1.0], [-1.0]])
+    wire_identity_autoencoder(nets)
     x = 0.73
     eps = np.zeros((1, 1))
     elbo = float(elbo_vae(nets, schema, np.array([[x]]), np.zeros((1, 0), dtype=np.int64),
@@ -236,7 +229,7 @@ def test_elbo_rvae_with_unit_gates_matches_vae(mixed_schema):
     eps = Rng(11).normal((3, 3))
     alpha = 0.95
     pi = np.ones((3, 4))
-    gated = elbo_rvae(nets, mixed_schema, reals, cats, comps, pi, alpha, eps=eps)
+    gated = gated_elbo(nets, mixed_schema, reals, cats, comps, pi, alpha, eps)
     plain = elbo_vae(nets, mixed_schema, reals, cats, eps=eps)
     offset = 4 * kl_bernoulli(1.0, alpha)
     np.testing.assert_allclose(gated.value, plain.value - offset, atol=1e-12)
@@ -248,7 +241,7 @@ def test_zero_gate_kills_decoder_head_gradient(mixed_schema):
     reals, cats = random_batch(mixed_schema, 1, seed=13)
     eps = Rng(14).normal((1, 3))
     pi = np.array([[1.0, 1.0, 0.0, 1.0]])  # gate off feature "c" (real head)
-    loss = neg(tmean(elbo_rvae(nets, mixed_schema, reals, cats, comps, pi, 0.95, eps=eps)))
+    loss = neg(tmean(gated_elbo(nets, mixed_schema, reals, cats, comps, pi, 0.95, eps)))
     loss.backward()
     dec = nets.decoder
     c, a = dec.columns["c"], dec.columns["a"]
@@ -264,11 +257,10 @@ def probe_coordinate_optimality(schema, seed, alpha, deltas=(0.01, 0.1)):
     comps = OutlierComponents(2.0)
     reals, cats = random_batch(schema, 2, seed=seed + 1)
     eps = Rng(seed + 2).normal((2, 3))
-    from rvae.model import forward_elbo_parts
     _, ll_clean, _ = forward_elbo_parts(nets, schema, reals, cats, eps)
     r = ll_clean.value - outlier_logliks(comps, schema, reals, cats)
     pi_hat = pi_update(r, alpha)
-    base = elbo_rvae(nets, schema, reals, cats, comps, pi_hat, alpha, eps=eps).value.sum()
+    base = gated_elbo(nets, schema, reals, cats, comps, pi_hat, alpha, eps).value.sum()
     worst = -np.inf
     for row in range(pi_hat.shape[0]):
         for col in range(pi_hat.shape[1]):
@@ -276,9 +268,8 @@ def probe_coordinate_optimality(schema, seed, alpha, deltas=(0.01, 0.1)):
                 for sign in (1.0, -1.0):
                     pert = pi_hat.copy()
                     pert[row, col] = np.clip(pert[row, col] + sign * delta, 0.0, 1.0)
-                    value = elbo_rvae(schema=schema, nets=nets, reals=reals, cats=cats,
-                                      components=comps, pi=pert, alpha=alpha,
-                                      eps=eps).value.sum()
+                    value = gated_elbo(nets, schema, reals, cats, comps, pert, alpha,
+                                       eps).value.sum()
                     worst = max(worst, value - base)
     return worst
 
@@ -298,7 +289,7 @@ def test_elbo_gradients_match_finite_differences(mixed_schema):
 
     cases = {
         "vae": lambda nets: elbo_vae(nets, mixed_schema, reals, cats, eps=eps),
-        "rvae": lambda nets: elbo_rvae(nets, mixed_schema, reals, cats, comps, pi, 0.9, eps=eps),
+        "rvae": lambda nets: gated_elbo(nets, mixed_schema, reals, cats, comps, pi, 0.9, eps),
         "avi": lambda nets: rvae_step_objective(nets, mixed_schema, reals, cats, comps, 0.9,
                                                 eps, amortized=True)[0],
     }
@@ -313,35 +304,60 @@ def test_elbo_gradients_match_finite_differences(mixed_schema):
         assert_grads_close(analytic, numeric)
 
 
-# -- value paths agree with the tape -----------------------------------------
+# -- scoring reads the training forward pass ----------------------------------
 
 def test_value_paths_match_tape(mixed_schema):
     nets = tiny_networks(mixed_schema, seed=30)
     reals, cats = random_batch(mixed_schema, 4, seed=31)
-    x_t, _, _ = forward_elbo_parts(nets, mixed_schema, reals, cats, np.zeros((4, 3)))
-    x_v = encode_values(mixed_schema, reals, cats)
-    np.testing.assert_array_equal(x_t, x_v)
+    x_t, ll_tape, _ = forward_elbo_parts(nets, mixed_schema, reals, cats, np.zeros((4, 3)))
+    np.testing.assert_array_equal(x_t, encode_values(mixed_schema, reals, cats))
 
-    mu_t, logsig_t, sig_t = nets.encoder.latent(x_t, nets.embeddings)
-    mu_v, sig_v = nets.encoder.latent_values(x_v, nets.embeddings)
-    np.testing.assert_array_equal(mu_t.value, mu_v)
-    np.testing.assert_array_equal(sig_t.value, sig_v)
-
-    # eps = 0 puts the tape's latent at the posterior mean
-    _, ll_tape, _ = forward_elbo_parts(nets, mixed_schema, reals, cats, np.zeros_like(mu_v))
+    # eps = 0 puts the training latent at the posterior mean
+    mu, _, _ = nets.encoder.latent(x_t, nets.embeddings)
     dec = nets.decoder
-    decoded = decode_values(dec, mu_v)
-    ll_values = clean_logliks_values(dec, decoded, reals, cats)
-    np.testing.assert_allclose(ll_tape.value, ll_values, atol=1e-12)
-
-    head = engine.add(engine.matmul(dec.hidden(Tensor(mu_v)), dec.W), dec.b)
-    np.testing.assert_array_equal(head.value[:, :dec.n_real], decoded.real_means)
+    decoded = decode_values(dec, mu.value)
+    np.testing.assert_array_equal(clean_logliks_values(dec, decoded, reals, cats), ll_tape.value)
+    head = engine.add(engine.matmul(dec.trunk.apply(mu), dec.W), dec.b)
+    np.testing.assert_array_equal(decoded.head, head.value)
+    np.testing.assert_array_equal(decoded.real_means, head.value[:, :dec.n_real])
     for feat in mixed_schema.cat_features:
         cols = dec.columns[feat.name]
         tape_probs = np.exp(engine.log_softmax(engine.slice_cols(head, cols.start,
                                                                  cols.stop)).value)
         np.testing.assert_allclose(tape_probs, decoded.cat_probs[feat.name], atol=1e-12,
                                    err_msg=feat.name)
+
+    # score's nll cells are the training pass at the latent draws score makes
+    model = RvaeModel(networks=nets, schema=mixed_schema,
+                      config=TrainConfig(latent_dim=3, hidden_dim=8, embedding_dim=4),
+                      stats={}, components=OutlierComponents(2.0))
+    table = MixedTable(schema=mixed_schema, reals=reals, cats=cats, stats=None)
+    eps = np.stack([s.normal(3) for s in Rng(5).derive_rows(np.arange(4))])
+    _, ll_sampled, _ = forward_elbo_parts(nets, mixed_schema, reals, cats, eps)
+    np.testing.assert_array_equal(score(model, table, "nll", seed=5).cell_scores,
+                                  -ll_sampled.value)
+
+
+def test_forward_passes_leave_no_reference_cycles(mixed_schema):
+    # a tape node whose backward closure refers to the node keeps the whole
+    # tape, activations included, alive until the cycle collector runs
+    nets = tiny_networks(mixed_schema, seed=32, amortized=True)
+    reals, cats = random_batch(mixed_schema, 4, seed=33)
+    comps = OutlierComponents(2.0)
+    x = encode_values(mixed_schema, reals, cats)
+    gc.collect()
+    gc.disable()
+    try:
+        for amortized in (False, True):
+            per_row, _ = rvae_step_objective(nets, mixed_schema, reals, cats, comps, 0.9,
+                                             np.zeros((4, 3)), amortized=amortized)
+            neg(tmean(per_row)).backward()
+        mu, _ = nets.encoder.latent_values(x, nets.embeddings)
+        clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu), reals, cats)
+        del per_row
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fused_head_keeps_per_feature_initial_draws(mixed_schema):

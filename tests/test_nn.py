@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from rvae.engine import Tensor
 from rvae.errors import TrainingError
-from rvae.nn import DenseNet, Rng, adam_step, init_adam, sample_gaussian, softmax
+from rvae.nn import DenseNet, Rng, adam_step, init_adam
 
-from conftest import assert_grads_close, finite_difference
+from conftest import assert_grads_close, finite_difference, softmax
 
 
 def forward(net, x):
@@ -24,13 +24,15 @@ def forward_backward(net, x, upstream):
 
 
 def test_forward_identity_layer():
-    net = DenseNet.from_layers([(np.eye(2), np.zeros(2), "identity")])
+    net = DenseNet([2, 2], ["identity"])
+    net.layers[0].W.value = np.eye(2)
     np.testing.assert_array_equal(forward(net, np.array([1.0, 2.0])), [1.0, 2.0])
 
 
 def test_forward_zero_weights_returns_bias():
     bias = np.array([0.5, -1.5, 3.0])
-    net = DenseNet.from_layers([(np.zeros((4, 3)), bias, "identity")])
+    net = DenseNet([4, 3], ["identity"])
+    net.layers[0].b.value = bias
     for seed in (0, 1):
         x = np.random.default_rng(seed).normal(size=4)
         np.testing.assert_array_equal(forward(net, x), bias)
@@ -44,7 +46,6 @@ def test_forward_matches_hand_matmul_chain():
     w1, b1 = net.layers[1].W.value, net.layers[1].b.value
     expected = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
     np.testing.assert_allclose(forward(net, x), expected, rtol=1e-15)
-    np.testing.assert_allclose(net.values(x[None])[0], expected, rtol=1e-15)
 
 
 def test_forward_dimension_mismatch():
@@ -55,8 +56,8 @@ def test_forward_dimension_mismatch():
 
 def test_backward_linear_rows():
     # y = W x with loss = y[0]: dL/dW is x on row 0 outputs, zero elsewhere
-    w = np.zeros((3, 2))
-    net = DenseNet.from_layers([(w, np.zeros(2), "identity")])
+    net = DenseNet([3, 2], ["identity"])
+    w = net.layers[0].W.value
     x = np.array([1.0, 2.0, 3.0])
     grads, x_grad = forward_backward(net, x, np.array([1.0, 0.0]))
     np.testing.assert_array_equal(grads["net.W0"][:, 0], x)
@@ -79,18 +80,19 @@ def test_backward_matches_finite_differences():
 
 def test_relu_blocks_gradient_at_negative_preactivation():
     # single unit with a strongly negative preactivation
-    net = DenseNet.from_layers([(np.array([[1.0]]), np.array([-5.0]), "relu")])
+    net = DenseNet([1, 1], ["relu"])
+    net.layers[0].W.value = np.array([[1.0]])
+    net.layers[0].b.value = np.array([-5.0])
     grads, x_grad = forward_backward(net, np.array([1.0]), np.array([1.0]))
     assert grads["net.W0"][0, 0] == 0.0
     assert x_grad[0] == 0.0
 
 
-def test_from_layers_validates_dimensions():
-    with pytest.raises(ValueError, match="dimensions disagree"):
-        DenseNet.from_layers([(np.ones((2, 3)), np.zeros(3), "relu"),
-                              (np.ones((4, 1)), np.zeros(1), "identity")])
-    with pytest.raises(ValueError, match="non-finite"):
-        DenseNet.from_layers([(np.full((2, 2), np.nan), np.zeros(2), "identity")])
+def test_densenet_validates_layer_spec():
+    with pytest.raises(ValueError, match="one activation per layer"):
+        DenseNet([2, 3, 1], ["relu"])
+    with pytest.raises(ValueError, match="unknown activation"):
+        DenseNet([2, 2], ["tanh"])
 
 
 # -- Adam -------------------------------------------------------------------
@@ -199,33 +201,7 @@ def test_adam_rejects_a_parameter_rebound_after_init():
         adam_step(params, {"w": np.ones(2)}, state)
 
 
-# -- sampling and rng --------------------------------------------------------
-
-def test_sample_gaussian_rejects_non_positive_std():
-    with pytest.raises(ValueError, match="positive"):
-        sample_gaussian(Rng(0), np.zeros(3), np.array([1.0, 0.0, 1.0]))
-
-
-def test_sample_gaussian_reproducible():
-    a = sample_gaussian(Rng(42), np.zeros(5), np.ones(5))
-    b = sample_gaussian(Rng(42), np.zeros(5), np.ones(5))
-    np.testing.assert_array_equal(a, b)
-
-
-def test_sample_gaussian_moments():
-    draws = sample_gaussian(Rng(7), np.zeros(100_000), np.ones(100_000))
-    assert abs(draws.mean()) < 0.02
-    assert abs(draws.var() - 1.0) < 0.05
-
-
-def test_sample_gaussian_differentiable():
-    mean = Tensor(np.array([1.0, 2.0]))
-    std = Tensor(np.array([0.5, 0.5]))
-    out = sample_gaussian(Rng(3), mean, std)
-    out.sum().backward()
-    np.testing.assert_array_equal(mean.grad, [1.0, 1.0])
-    assert std.grad is not None
-
+# -- rng ------------------------------------------------------------------
 
 def test_rng_same_seed_same_stream():
     np.testing.assert_array_equal(Rng(9).normal(10), Rng(9).normal(10))

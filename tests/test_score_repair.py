@@ -9,14 +9,14 @@ from rvae.data import (ColumnStats, FeatureSpec, MixedTable, TableSchema,
 from rvae.cli import main
 from rvae.errors import ConfigError, DataFormatError, SchemaMismatchError, ScoreRuleError
 from rvae.model import build_networks
-from rvae.nn import DenseNet, Rng
+from rvae.nn import Rng
 from rvae.score_repair import (RepairResult, ScoreReport, _pi_cell_scores, _run_chain,
                                load_simplexes, repair_map, repair_one_stage,
                                repair_two_stage, score)
 from rvae.synthetic import mixture_table
 from rvae.train import RvaeModel, TrainConfig, train
 
-from conftest import rewrite_tensors
+from conftest import rewrite_tensors, wire_identity_autoencoder
 
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
 
@@ -37,13 +37,7 @@ def identity_real_model(stats_mean=10.0, stats_std=2.0):
     """Hand-wired model whose decoder reproduces its single real input."""
     schema = TableSchema((FeatureSpec("a", "real"),))
     nets = build_networks(schema, latent_dim=1, hidden_dim=2, embedding_dim=2, rng=None)
-    nets.encoder.net = DenseNet.from_layers([
-        (np.array([[1.0, -1.0]]), np.zeros(2), "relu"),
-        (np.array([[1.0, -6.0], [-1.0, -6.0]]), np.array([0.0, -6.0]), "identity"),
-    ], name="encoder")
-    nets.decoder.trunk = DenseNet.from_layers([
-        (np.array([[1.0, -1.0]]), np.zeros(2), "relu")], name="decoder.trunk")
-    nets.decoder.W.value = np.array([[1.0], [-1.0]])
+    wire_identity_autoencoder(nets)
     config = TrainConfig(model="rvae-cvi", latent_dim=1, hidden_dim=2, embedding_dim=2)
     from rvae.model import OutlierComponents
     return RvaeModel(networks=nets, schema=schema, config=config,

@@ -7,11 +7,11 @@ from rvae.errors import (CheckpointError, ConfigError, SchemaMismatchError,
                          TrainingError)
 from rvae.model import OutlierComponents, rvae_step_objective
 from rvae.nn import Rng
-from rvae.score_repair import gate_probabilities, score
+from rvae.score_repair import score
 from rvae.synthetic import mixture_table
 from rvae.train import TrainConfig, load_model, save_model, train
 
-from conftest import random_batch
+from conftest import random_batch, softmax
 
 TINY = dict(epochs=25, hidden_dim=64, latent_dim=6, embedding_dim=12, batch_size=100)
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
@@ -58,9 +58,9 @@ def test_rvae_on_clean_data_gates_open():
     table = standardize(mixture_table(400, seed=3))
     model, log = train(table, TrainConfig(model="rvae-cvi", alpha=0.95, seed=3, epochs=30, **{
         k: v for k, v in TINY.items() if k != "epochs"}))
-    gates = gate_probabilities(model, table, seed=3)
-    assert gates.alpha == 0.95
-    assert gates.pi.mean() > 0.9
+    pi = np.exp(-score(model, table, "pi", seed=3).cell_scores)
+    assert model.config.alpha == 0.95
+    assert pi.mean() > 0.9
     assert log.epochs[-1].mean_pi > 0.9
 
 
@@ -71,7 +71,7 @@ def test_rvae_separates_corrupted_cells():
         dirty, record = make_scenario(clean, 0.10, NOISE, seed)
         table = standardize(dirty)
         model, _ = train(table, TrainConfig(model="rvae-cvi", alpha=0.95, seed=seed, **TINY))
-        pi = gate_probabilities(model, table, seed=seed).pi
+        pi = np.exp(-score(model, table, "pi", seed=seed).cell_scores)
         gaps.append(pi[~record.mask].mean() - pi[record.mask].mean())
     assert all(g > 0 for g in gaps)
 
@@ -241,7 +241,6 @@ def per_feature_checkpoint(path, schema, seed):
 
 def test_per_feature_checkpoint_loads_and_decodes_identically(tmp_path, mixed_schema):
     from rvae.model import decode_values
-    from rvae.nn import softmax
 
     tensors = per_feature_checkpoint(tmp_path / "legacy.ckpt", mixed_schema, seed=40)
     decoder = load_model(tmp_path / "legacy.ckpt").networks.decoder
