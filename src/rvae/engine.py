@@ -8,6 +8,8 @@ node.  Only the operations the models need are provided.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 __all__ = [
@@ -22,6 +24,8 @@ __all__ = [
     "sigmoid",
     "softplus",
     "clip",
+    "gaussian_params",
+    "gaussian_latent",
     "matmul",
     "dense",
     "onehot_dense",
@@ -31,11 +35,13 @@ __all__ = [
     "reshape",
     "concat",
     "slice_cols",
+    "column",
     "take_rows",
     "gather_cols",
     "permute_cols",
     "log_softmax",
     "block_softmax",
+    "block_log_probs",
     "block_log_softmax_at",
 ]
 
@@ -254,8 +260,53 @@ def softplus(a: Tensor) -> Tensor:
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     # gradient passes inside [lo, hi] and is zero outside, like torch.clamp
     out = Tensor(np.clip(a.value, lo, hi), (a,))
-    mask = (a.value >= lo) & (a.value <= hi)
-    out._bw = lambda g: a._acc(g * mask)
+    out._bw = lambda g: a._acc(g * ((a.value >= lo) & (a.value <= hi)))
+    return out
+
+
+def gaussian_params(v: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split (B, 2K) Gaussian parameters into the mean (a view), the log
+    std clipped to [lo, hi], and the std."""
+    k = v.shape[1] // 2
+    log_sigma = np.clip(v[:, k:], lo, hi)
+    return v[:, :k], log_sigma, np.exp(log_sigma)
+
+
+def gaussian_latent(a: Tensor, eps: np.ndarray, lo: float, hi: float) -> Tensor:
+    """A reparameterised Gaussian latent and its KL to N(0, I), as one node.
+
+    ``a`` (B, 2K) holds the means, then the log stds, which are clipped to
+    [lo, hi] (with :func:`clip`'s gradient). The (B, K + 1) value holds
+    ``z = mu + sigma * eps`` in its first K columns and
+    ``KL(N(mu, sigma^2) || N(0, I))`` per row in the last; read them with
+    :func:`slice_cols` and :func:`column`. Forward and backward make the
+    numpy operations of the slice -> clip -> exp -> add/mul chain in the
+    same order, so values and gradients match it bit for bit.
+    """
+    mu, log_sigma, sigma = gaussian_params(a.value, lo, hi)
+    k = mu.shape[1]
+    val = np.empty((mu.shape[0], k + 1))
+    np.add(mu, sigma * eps, out=val[:, :k])
+    kl = (mu * mu + sigma * sigma - 1.0 - log_sigma * 2.0).sum(axis=1)
+    np.multiply(kl, 0.5, out=val[:, k])
+    out = Tensor(val, (a,))
+
+    def bw(g):
+        g_z, g_kl = g[:, :k], (g[:, k] * 0.5)[:, None]
+        grad = np.empty_like(a.value)
+        # the z path first, then the two factors of each square
+        g_sq = g_kl * mu
+        np.add(g_z + g_sq, g_sq, out=grad[:, :k])
+        g_sq = g_kl * sigma
+        g_sigma = g_z * eps + g_sq
+        g_sigma += g_sq
+        g_log_sigma = g_sigma * sigma
+        g_log_sigma += -g_kl * 2.0
+        # the clip passes the gradient where it left its input unchanged
+        np.multiply(g_log_sigma, log_sigma == a.value[:, k:], out=grad[:, k:])
+        a._acc(grad)
+
+    out._bw = bw
     return out
 
 
@@ -271,6 +322,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     out._bw = bw
     return out
+
+
+def _relu_mask(val: np.ndarray) -> np.ndarray:
+    # as a float array: multiplying by it gives the bits a boolean mask
+    # gives (False becomes 0.0), without the slower mixed-type loop
+    return (val > 0.0).astype(np.float64)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -289,7 +346,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
     def bw(g):
         if relu:
-            g = g * (val > 0.0)
+            g = g * _relu_mask(val)
         w._acc(x.value.T @ g)
         b._acc(g.sum(axis=0))
         x._acc(g @ w.value.T)
@@ -343,7 +400,7 @@ def onehot_dense(x: np.ndarray, w: Tensor, b: Tensor, tables: list[Tensor],
 
     def bw(g):
         if relu:
-            g = g * (val > 0.0)
+            g = g * _relu_mask(val)
         d_folded = x.T @ g
         dw = np.empty_like(w.value)
         row = col = w.shape[0] - sum(v.shape[1] for v in values)
@@ -415,6 +472,19 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return out
 
 
+def column(a: Tensor, j: int) -> Tensor:
+    """Column j of a 2-D tensor, (B, C) -> (B,)."""
+    out = Tensor(a.value[:, j], (a,))
+
+    def bw(g):
+        buf = np.zeros_like(a.value)
+        buf[:, j] = g
+        a._acc(buf)
+
+    out._bw = bw
+    return out
+
+
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Row gather, e.g. embedding lookup: (C, d)[idx] -> (B, d)."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -475,18 +545,53 @@ def log_softmax(a: Tensor) -> Tensor:
     return out
 
 
+def _block_starts(sizes: list[int]) -> np.ndarray:
+    """First column of each of the consecutive blocks of widths ``sizes``."""
+    return np.array([0, *accumulate(sizes[:-1])])
+
+
+def _block_exp(x: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exponentials within consecutive column blocks of a 2-D array.
+
+    The blocks have widths ``sizes`` and tile ``x``; each is shifted by its
+    row maximum before exponentiating. Returns the shifted values, their
+    exponentials and each block's sum of exponentials (B, n_blocks).
+    """
+    starts = _block_starts(sizes)
+    shifted = x - np.repeat(np.maximum.reduceat(x, starts, axis=1), sizes, axis=1)
+    e = np.exp(shifted)
+    return shifted, e, np.add.reduceat(e, starts, axis=1)
+
+
 def block_softmax(x: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise softmax within consecutive column blocks of a 2-D array.
 
-    The blocks have widths ``sizes`` and tile ``x``; each is shifted by its
-    row maximum before exponentiating. Returns the shifted values, each
-    block's sum of exponentials (B, n_blocks) and the probabilities.
+    Returns :func:`_block_exp`'s shifted values and block sums, and the
+    probabilities.
     """
-    starts = np.cumsum([0] + list(sizes[:-1]))
-    shifted = x - np.repeat(np.maximum.reduceat(x, starts, axis=1), sizes, axis=1)
-    e = np.exp(shifted)
-    sums = np.add.reduceat(e, starts, axis=1)
+    shifted, e, sums = _block_exp(x, sizes)
     return shifted, sums, e / np.repeat(sums, sizes, axis=1)
+
+
+def block_log_probs(x: np.ndarray, sizes: list[int], idx: np.ndarray):
+    """Values and gradient of :func:`block_log_softmax_at` on a plain array.
+
+    ``x`` (B, sum sizes) holds the blocks. Returns the (B, n_blocks) log
+    probabilities at ``idx`` and a function ``grad(g, out)`` that writes
+    their gradient for the upstream gradient ``g`` into ``out`` (shaped
+    like ``x``). The probabilities are built only when ``grad`` runs.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    shifted, e, sums = _block_exp(x, sizes)
+    rows = np.arange(idx.shape[0])[:, None]
+    cols = _block_starts(sizes) + idx
+
+    def grad(g, out):
+        np.multiply(np.repeat(-g, sizes, axis=1), e / np.repeat(sums, sizes, axis=1), out=out)
+        # blocks are disjoint, so no (row, column) pair repeats
+        out[rows, cols] += g
+
+    return shifted[rows, cols] - np.log(sums), grad
 
 
 def block_log_softmax_at(a: Tensor, start: int, sizes: list[int], idx: np.ndarray) -> Tensor:
@@ -497,18 +602,12 @@ def block_log_softmax_at(a: Tensor, start: int, sizes: list[int], idx: np.ndarra
     block per row. Returns the (B, n_blocks) log probabilities at those
     positions. Backward, per block: ``g * (onehot(idx) - softmax)``.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    shifted, sums, probs = block_softmax(a.value[:, start:], sizes)
-    rows = np.arange(idx.shape[0])[:, None]
-    cols = np.cumsum([0] + list(sizes[:-1])) + idx
-    out = Tensor(shifted[rows, cols] - np.log(sums), (a,))
+    val, grad = block_log_probs(a.value[:, start:], sizes, idx)
+    out = Tensor(val, (a,))
 
     def bw(g):
         buf = np.zeros_like(a.value)
-        block = buf[:, start:]
-        np.multiply(np.repeat(-g, sizes, axis=1), probs, out=block)
-        # blocks are disjoint, so no (row, column) pair repeats
-        block[rows, cols] += g
+        grad(g, buf[:, start:])
         a._acc(buf)
 
     out._bw = bw

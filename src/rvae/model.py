@@ -60,17 +60,18 @@ class Encoder:
         self.latent_dim = latent_dim
         self.net = DenseNet([input_dim, hidden_dim, 2 * latent_dim], ["relu", "identity"], rng, name="encoder")
 
-    def latent(self, x: np.ndarray, bank: EmbeddingBank) -> tuple[Tensor, Tensor, Tensor]:
-        out = self.net.apply(x, bank.tables)
-        k = self.latent_dim
-        mu = engine.slice_cols(out, 0, k)
-        log_sigma = engine.clip(engine.slice_cols(out, k, 2 * k), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-        return mu, log_sigma, engine.exp(log_sigma)
+    def latent(self, x: np.ndarray, bank: EmbeddingBank, eps: np.ndarray) -> tuple[Tensor, Tensor]:
+        """The latent z = mu + sigma * eps (B, K) and KL(q(z|x) || p(z)) per
+        row (B,), both read from one :func:`engine.gaussian_latent` node."""
+        lat = engine.gaussian_latent(self.net.apply(x, bank.tables), eps,
+                                     LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+        return engine.slice_cols(lat, 0, self.latent_dim), engine.column(lat, self.latent_dim)
 
     def latent_values(self, x: np.ndarray, bank: EmbeddingBank) -> tuple[np.ndarray, np.ndarray]:
-        """The values of :meth:`latent`'s mean and std."""
-        mu, _, sigma = self.latent(x, bank)
-        return mu.value, sigma.value
+        """The posterior mean and std that :meth:`latent` samples from."""
+        mu, _, sigma = engine.gaussian_params(self.net.apply(x, bank.tables).value,
+                                              LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+        return mu, sigma
 
     def params(self) -> dict[str, Tensor]:
         return self.net.params()
@@ -118,6 +119,7 @@ class Decoder:
             kind, slot = schema.kind_index(column)
             order.append(slot if kind == REAL else self.n_real + slot)
         self.schema_order = None if order == sorted(order) else np.array(order)
+        self.inverse_order = None if self.schema_order is None else np.argsort(order)
 
     def head(self, z: Tensor | np.ndarray) -> Tensor:
         """The fused head at latents z: real means, then each categorical's logits."""
@@ -125,21 +127,48 @@ class Decoder:
 
     def clean_logliks(self, head: Tensor, reals: np.ndarray, cats: np.ndarray) -> Tensor:
         """(B, D) clean-component log likelihoods of the observed cells under
-        ``head`` (from :meth:`head`), schema order."""
-        cols: list[Tensor] = []
-        if self.n_real:
-            mean = engine.slice_cols(head, 0, self.n_real)
-            log_sigma = engine.clip(self.log_sigma, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
-            resid = engine.mul(engine.sub(engine._wrap(reals), mean),
-                               engine.exp(engine.neg(log_sigma)))
-            cols.append(engine.sub(engine.sub(engine._wrap(-HALF_LOG_2PI), log_sigma),
-                                   engine.mul(engine.mul(resid, resid), 0.5)))
+        ``head`` (from :meth:`head`), schema order, as one node.
+
+        Forward and backward make the numpy operations of the engine chain
+        (slice, clip, exp, sub, mul for the Gaussian term of the reals;
+        :func:`engine.block_log_softmax_at` for the categoricals; concat;
+        permute) in the same order, so values and gradients match it bit
+        for bit.
+        """
+        n = self.n_real
+        hv, ls_param = head.value, self.log_sigma.value
+        val = np.empty((hv.shape[0], n + len(self.cat_sizes)))
+        if n:
+            log_sigma = np.clip(ls_param, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+            inv_sigma = np.exp(-log_sigma)
+            diff = reals - hv[:, :n]
+            resid = diff * inv_sigma
+            np.subtract(-HALF_LOG_2PI - log_sigma, resid * resid * 0.5, out=val[:, :n])
         if self.cat_sizes:
-            cols.append(engine.block_log_softmax_at(head, self.n_real, self.cat_sizes, cats))
-        ll_clean = engine.concat(cols, axis=1)
+            val[:, n:], cat_grad = engine.block_log_probs(hv[:, n:], self.cat_sizes, cats)
         if self.schema_order is not None:
-            ll_clean = engine.permute_cols(ll_clean, self.schema_order)
-        return ll_clean
+            val = val[:, self.schema_order]
+
+        def bw(g):
+            if self.inverse_order is not None:
+                g = g[:, self.inverse_order]
+            grad = np.empty_like(hv)
+            if n:
+                g_real = g[:, :n]
+                g_sq = -g_real * 0.5
+                g_resid = g_sq * resid
+                g_resid += g_sq * resid
+                g_diff = g_resid * inv_sigma
+                np.negative(g_diff, out=grad[:, :n])
+                g_log_sigma = -g_real.sum(axis=0)
+                g_log_sigma += -((g_resid * diff).sum(axis=0) * inv_sigma)
+                # the clip passes the gradient where it left log sigma unchanged
+                self.log_sigma._acc(g_log_sigma * (log_sigma == ls_param))
+            if self.cat_sizes:
+                cat_grad(g[:, n:], grad[:, n:])
+            head._acc(grad)
+
+        return Tensor(val, (head, self.log_sigma), bw)
 
     def params(self) -> dict[str, Tensor]:
         out = dict(self.trunk.params())
@@ -235,11 +264,15 @@ def kl_bernoulli(pi, alpha):
     pi_arr = np.asarray(pi, dtype=np.float64)
     if np.any(pi_arr < 0.0) or np.any(pi_arr > 1.0):
         raise ValueError("pi must lie in [0, 1]")
+    # each log is taken only where its factor is positive, and stays 0 elsewhere
     out = np.zeros_like(pi_arr)
-    nz = pi_arr > 0.0
-    out[nz] += pi_arr[nz] * np.log(pi_arr[nz] / alpha)
-    lt1 = pi_arr < 1.0
-    out[lt1] += (1.0 - pi_arr[lt1]) * np.log((1.0 - pi_arr[lt1]) / (1.0 - alpha))
+    np.log(pi_arr / alpha, out=out, where=pi_arr > 0.0)
+    out *= pi_arr
+    q = 1.0 - pi_arr
+    t2 = np.zeros_like(pi_arr)
+    np.log(q / (1.0 - alpha), out=t2, where=q > 0.0)
+    t2 *= q
+    out += t2
     return float(out) if np.isscalar(pi) or np.ndim(pi) == 0 else out
 
 
@@ -282,25 +315,22 @@ def outlier_logliks(components: OutlierComponents, schema: TableSchema,
 # ---------------------------------------------------------------------------
 
 def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray,
-                       cats: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, Tensor, Tensor]:
+                       cats: np.ndarray, eps: np.ndarray,
+                       x_enc: np.ndarray | None = None) -> tuple[np.ndarray, Tensor, Tensor]:
     """Shared forward pass: encoded input (a plain array), clean log
-    likelihoods (B, D), KL(z)."""
-    x_enc = encode_values(schema, reals, cats)
-    mu, log_sigma, sigma = nets.encoder.latent(x_enc, nets.embeddings)
-    z = engine.add(mu, engine.mul(sigma, eps))
+    likelihoods (B, D), KL(z). ``x_enc`` is the rows' :func:`encode_values`,
+    when the caller already has it."""
+    if x_enc is None:
+        x_enc = encode_values(schema, reals, cats)
+    z, kl_z = nets.encoder.latent(x_enc, nets.embeddings, eps)
     dec = nets.decoder
-    ll_clean = dec.clean_logliks(dec.head(z), reals, cats)
-    kl_z = engine.mul(engine.tsum(
-        engine.sub(engine.sub(engine.add(engine.mul(mu, mu), engine.mul(sigma, sigma)), 1.0),
-                   engine.mul(log_sigma, 2.0)),
-        axis=1), 0.5)
-    return x_enc, ll_clean, kl_z
+    return x_enc, dec.clean_logliks(dec.head(z), reals, cats), kl_z
 
 
 def elbo_vae(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray, cats: np.ndarray,
-             eps: np.ndarray) -> Tensor:
+             eps: np.ndarray, x_enc: np.ndarray | None = None) -> Tensor:
     """Per-row ELBO (B,): sum_d E_q[log p(x_d | z)] - KL(q(z|x) || p(z))."""
-    _, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
+    _, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps, x_enc)
     return engine.sub(engine.tsum(ll_clean, axis=1), kl_z)
 
 
@@ -318,10 +348,31 @@ def kl_bernoulli_from_logits(logits: Tensor, alpha: float) -> Tensor:
     return engine.add(t1, t2)
 
 
+def _gated_rows(ll_clean: Tensor, kl_z: Tensor, pi: np.ndarray, ll_out: np.ndarray,
+                kl_w: np.ndarray) -> Tensor:
+    """Per-row gated ELBO for constant gates ``pi``, as one node:
+    sum_d [pi * ll_clean + (1 - pi) * ll_out] - kl_z - kl_w.
+
+    The numpy operations are those of the mul -> add -> tsum -> sub -> sub
+    chain, in the same order, so values and gradients match it bit for bit.
+    """
+    val = (ll_clean.value * pi + (1.0 - pi) * ll_out).sum(axis=1)
+    val -= kl_z.value
+    val -= kl_w
+
+    def bw(g):
+        ll_clean._acc(g[:, None] * pi)
+        kl_z._acc(-g)
+
+    return Tensor(val, (ll_clean, kl_z), bw)
+
+
 def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray,
                         cats: np.ndarray, components: OutlierComponents, alpha: float,
                         eps: np.ndarray, amortized: bool,
-                        pi_override: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                        pi_override: np.ndarray | None = None,
+                        x_enc: np.ndarray | None = None,
+                        ll_out: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Per-row gated ELBO for one training step, plus the pi values used.
 
     sum_d [pi * E_q log p(x_d|z) + (1 - pi) * log p0(x_d)]
@@ -333,10 +384,13 @@ def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarr
     Coordinate mode infers pi in closed form from the same single z sample
     and treats it as constant for the gradient; amortized mode takes pi
     from the gate encoder, so gradients flow into it. ``pi_override``
-    substitutes fixed constants in either mode (test hook).
+    substitutes fixed constants in either mode (test hook). ``x_enc`` and
+    ``ll_out`` are the rows' :func:`encode_values` and
+    :func:`outlier_logliks`, when the caller already has them.
     """
-    x_enc, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
-    ll_out = outlier_logliks(components, schema, reals, cats)
+    x_enc, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps, x_enc)
+    if ll_out is None:
+        ll_out = outlier_logliks(components, schema, reals, cats)
     if amortized and pi_override is None:
         if nets.pi_encoder is None:
             raise ConfigError("amortized objective requires a pi encoder")
@@ -353,10 +407,8 @@ def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarr
     else:
         r = ll_clean.value - ll_out
         pi = pi_update(r, alpha)
-    mix = engine.tsum(engine.add(engine.mul(ll_clean, pi), (1.0 - pi) * ll_out), axis=1)
     kl_w = kl_bernoulli(pi, alpha).sum(axis=1)
-    per_row = engine.sub(engine.sub(mix, kl_z), engine._wrap(kl_w))
-    return per_row, pi
+    return _gated_rows(ll_clean, kl_z, pi, ll_out, kl_w), pi
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +439,8 @@ def decode_values(decoder: Decoder, z: np.ndarray) -> DecodedValues:
     return DecodedValues(head=head, real_means=head[:, :n_real], real_stds=stds, cat_probs=probs)
 
 
-def clean_logliks_values(decoder: Decoder, decoded: DecodedValues,
+def clean_logliks_values(decoder: Decoder, head: np.ndarray,
                          reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
-    """(B, D) clean-component log likelihoods of observed cells, schema order."""
-    return decoder.clean_logliks(Tensor(decoded.head), reals, cats).value
+    """(B, D) clean-component log likelihoods of observed cells under the
+    decoder head value ``head``, schema order."""
+    return decoder.clean_logliks(Tensor(head), reals, cats).value

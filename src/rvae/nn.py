@@ -213,12 +213,13 @@ class DenseNet:
 
 @dataclass
 class AdamState:
-    """Adam hyperparameters plus flat parameter and moment buffers.
+    """Adam hyperparameters plus flat parameter, gradient and moment buffers.
 
     :func:`init_adam` copies every parameter into the one float64 buffer
     ``flat`` and rebinds each parameter tensor's value to a view of it, so
-    one vectorised update moves all parameters. ``m`` and ``v`` are flat
-    buffers of the same length; the parameter ``names[i]`` owns
+    one vectorised update moves all parameters. ``grad``, ``m``, ``v`` and
+    ``scratch`` are flat buffers of the same length, and ``finite`` a
+    boolean one, reused by every step; the parameter ``names[i]`` owns
     ``flat[offsets[i]:offsets[i + 1]]``.
     """
 
@@ -231,8 +232,11 @@ class AdamState:
     names: list[str] = field(default_factory=list)
     offsets: list[int] = field(default_factory=lambda: [0])
     flat: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    grad: np.ndarray = field(default_factory=lambda: np.zeros(0))
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    scratch: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    finite: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
 
 def init_adam(params: dict[str, Tensor], lr: float = 0.001, beta1: float = 0.9,
@@ -244,8 +248,9 @@ def init_adam(params: dict[str, Tensor], lr: float = 0.001, beta1: float = 0.9,
     for p, start, stop in zip(params.values(), offsets[:-1], offsets[1:]):
         p.value = flat[start:stop].reshape(p.value.shape)
     return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
-                     names=list(params), offsets=offsets, flat=flat,
-                     m=np.zeros_like(flat), v=np.zeros_like(flat))
+                     names=list(params), offsets=offsets, flat=flat, grad=np.zeros_like(flat),
+                     m=np.zeros_like(flat), v=np.zeros_like(flat),
+                     scratch=np.zeros_like(flat), finite=np.zeros(flat.size, dtype=bool))
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
@@ -256,35 +261,38 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     weight_decay * param before the moment updates (the classic
     optimizer-level weight decay). Each elementwise operation is the one
     a per-parameter update makes, in the same order, so results match it
-    bit for bit.
+    bit for bit. Every intermediate goes to the state's own buffers, so a
+    step allocates no array as long as the parameters.
     """
     if list(params) != state.names:
         raise ValueError("parameters differ from those the optimizer was initialised with")
-    parts = []
-    for name, p in params.items():
+    g = state.grad
+    for name, p, start, stop in zip(state.names, params.values(), state.offsets[:-1],
+                                    state.offsets[1:]):
         if p.value.base is not state.flat:
             raise ValueError(f"parameter '{name}' is no longer a view of the optimizer buffer")
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros(p.value.shape)
-        elif g.shape != p.value.shape:
+        grad = grads.get(name)
+        if grad is not None and grad.shape != p.value.shape:
             raise ValueError(f"gradient shape mismatch for '{name}'")
-        parts.append(g.ravel())
-    g = np.concatenate(parts + [np.zeros(0)])
-    if not np.isfinite(g).all():
+        g[start:stop].reshape(p.value.shape)[...] = 0.0 if grad is None else grad
+    if not np.isfinite(g, out=state.finite).all():
         for name, start, stop in zip(state.names, state.offsets[:-1], state.offsets[1:]):
-            if not np.isfinite(g[start:stop]).all():
+            if not state.finite[start:stop].all():
                 raise TrainingError(f"non-finite gradient for parameter '{name}'")
     state.step_count += 1
     t = state.step_count
+    s = state.scratch
     if state.weight_decay != 0.0:
-        g = g + state.weight_decay * state.flat
+        g += np.multiply(state.weight_decay, state.flat, out=s)
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
+    state.m += np.multiply(1.0 - state.beta1, g, out=s)
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    state.flat -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(1.0 - state.beta2, g, out=s)
+    state.v += np.multiply(s, g, out=s)
+    # the gradient is spent, so its buffer takes the denominator
+    m_hat = np.divide(state.m, 1.0 - state.beta1 ** t, out=s)
+    denom = np.divide(state.v, 1.0 - state.beta2 ** t, out=g)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    state.flat -= np.divide(np.multiply(state.lr, m_hat, out=s), denom, out=s)
     return state
-

@@ -232,8 +232,7 @@ def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads
             pi = stable_sigmoid(nets.pi_encoder.apply(x, nets.embeddings.tables).value)
             return (_pi_cell_scores(pi),)
         z = _sampled_latents(model, x, Rng(seed).derive_rows(rows))
-        decoded = decode_values(nets.decoder, z)
-        ll_clean = clean_logliks_values(nets.decoder, decoded, reals, cats)
+        ll_clean = clean_logliks_values(nets.decoder, nets.decoder.head(z).value, reals, cats)
         if rule == "nll":
             return (-ll_clean,)
         r = ll_clean - outlier_logliks(model.components, schema, reals, cats)
@@ -341,7 +340,7 @@ def _stage_one(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
     """The all-suspect chain and the observed cells' gate probabilities at
     its final latent."""
     decoded = _run_chain(model, obs_reals, obs_cats, streams, gibbs_iters)
-    ll_clean = clean_logliks_values(model.networks.decoder, decoded, obs_reals, obs_cats)
+    ll_clean = clean_logliks_values(model.networks.decoder, decoded.head, obs_reals, obs_cats)
     r = ll_clean - outlier_logliks(model.components, model.schema, obs_reals, obs_cats)
     return decoded, pi_update(r, model.config.alpha)
 

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from rvae import engine
 from rvae.container import read_container, write_container
-from rvae.data import FeatureSpec, MixedTable, TableSchema
-from rvae.model import build_networks, rvae_step_objective
+from rvae.data import FeatureSpec, MixedTable, TableSchema, encode_values
+from rvae.model import (HALF_LOG_2PI, LOG_SIGMA_MAX, LOG_SIGMA_MIN, build_networks,
+                        kl_bernoulli_from_logits, outlier_logliks, pi_update,
+                        rvae_step_objective)
 from rvae.nn import Rng
 
 
@@ -62,6 +65,66 @@ def gated_elbo(nets, schema, reals, cats, comps, pi, alpha, eps):
     """The gated training objective per row, with the gates fixed to ``pi``."""
     return rvae_step_objective(nets, schema, reals, cats, comps, alpha, eps,
                                amortized=False, pi_override=pi)[0]
+
+
+def kl_bernoulli_reference(pi, alpha):
+    """Reference KL(Bernoulli(pi) || Bernoulli(alpha)) per cell, each term
+    added only where its factor is positive."""
+    out = np.zeros_like(pi)
+    nz = pi > 0.0
+    out[nz] += pi[nz] * np.log(pi[nz] / alpha)
+    lt1 = pi < 1.0
+    out[lt1] += (1.0 - pi[lt1]) * np.log((1.0 - pi[lt1]) / (1.0 - alpha))
+    return out
+
+
+def reference_objective(nets, schema, reals, cats, comps, alpha, eps, model):
+    """Per-row training objective and gates built from generic engine ops, one
+    op per node: the tape the fused objective nodes must reproduce bit for bit.
+
+    ``model`` is "vae", "rvae-cvi" or "rvae-avi"; the gates are None for the VAE.
+    """
+    x = encode_values(schema, reals, cats)
+    out = nets.encoder.net.apply(x, nets.embeddings.tables)
+    k = nets.encoder.latent_dim
+    mu = engine.slice_cols(out, 0, k)
+    log_sigma = engine.clip(engine.slice_cols(out, k, 2 * k), LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+    sigma = engine.exp(log_sigma)
+    z = engine.add(mu, engine.mul(sigma, eps))
+    dec = nets.decoder
+    head = engine.dense(dec.trunk.apply(z), dec.W, dec.b)
+    cols = []
+    if dec.n_real:
+        mean = engine.slice_cols(head, 0, dec.n_real)
+        dec_log_sigma = engine.clip(dec.log_sigma, LOG_SIGMA_MIN, LOG_SIGMA_MAX)
+        resid = engine.mul(engine.sub(engine._wrap(reals), mean),
+                           engine.exp(engine.neg(dec_log_sigma)))
+        cols.append(engine.sub(engine.sub(engine._wrap(-HALF_LOG_2PI), dec_log_sigma),
+                               engine.mul(engine.mul(resid, resid), 0.5)))
+    if dec.cat_sizes:
+        cols.append(engine.block_log_softmax_at(head, dec.n_real, dec.cat_sizes, cats))
+    ll_clean = engine.concat(cols, axis=1)
+    if dec.schema_order is not None:
+        ll_clean = engine.permute_cols(ll_clean, dec.schema_order)
+    kl_z = engine.mul(engine.tsum(
+        engine.sub(engine.sub(engine.add(engine.mul(mu, mu), engine.mul(sigma, sigma)), 1.0),
+                   engine.mul(log_sigma, 2.0)),
+        axis=1), 0.5)
+    if model == "vae":
+        return engine.sub(engine.tsum(ll_clean, axis=1), kl_z), None
+    ll_out = outlier_logliks(comps, schema, reals, cats)
+    if model == "rvae-avi":
+        logits = nets.pi_encoder.apply(x, nets.embeddings.tables)
+        pi_t = engine.sigmoid(logits)
+        mix = engine.tsum(engine.add(engine.mul(pi_t, ll_clean),
+                                     engine.mul(engine.sub(engine._wrap(1.0), pi_t), ll_out)),
+                          axis=1)
+        kl_w = engine.tsum(kl_bernoulli_from_logits(logits, alpha), axis=1)
+        return engine.sub(engine.sub(mix, kl_z), kl_w), pi_t.value
+    pi = pi_update(ll_clean.value - ll_out, alpha)
+    mix = engine.tsum(engine.add(engine.mul(ll_clean, pi), (1.0 - pi) * ll_out), axis=1)
+    kl_w = kl_bernoulli_reference(pi, alpha).sum(axis=1)
+    return engine.sub(engine.sub(mix, kl_z), engine._wrap(kl_w)), pi
 
 
 def wire_identity_autoencoder(nets):

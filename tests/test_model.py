@@ -16,10 +16,11 @@ from rvae.model import (OutlierComponents, build_networks,
                         rvae_step_objective)
 from rvae.nn import Rng
 from rvae.score_repair import score
-from rvae.train import RvaeModel, TrainConfig
+from rvae.train import RvaeModel, TrainConfig, batch_objective
 
 from conftest import (assert_grads_close, finite_difference, gated_elbo, kl_gaussian,
-                      random_batch, tiny_networks, wire_identity_autoencoder)
+                      random_batch, reference_objective, tiny_networks,
+                      wire_identity_autoencoder)
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
@@ -36,7 +37,7 @@ def clean_loglik(decoder, z, reals, cats):
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     reals = np.asarray(reals, dtype=np.float64).reshape(z.shape[0], -1)
     cats = np.asarray(cats, dtype=np.int64).reshape(z.shape[0], -1)
-    return clean_logliks_values(decoder, decode_values(decoder, z), reals, cats)
+    return clean_logliks_values(decoder, decoder.head(z).value, reals, cats)
 
 
 NO_CATS = np.zeros((1, 0), dtype=np.int64)
@@ -313,10 +314,11 @@ def test_value_paths_match_tape(mixed_schema):
     np.testing.assert_array_equal(x_t, encode_values(mixed_schema, reals, cats))
 
     # eps = 0 puts the training latent at the posterior mean
-    mu, _, _ = nets.encoder.latent(x_t, nets.embeddings)
+    mu, _ = nets.encoder.latent_values(x_t, nets.embeddings)
     dec = nets.decoder
-    decoded = decode_values(dec, mu.value)
-    np.testing.assert_array_equal(clean_logliks_values(dec, decoded, reals, cats), ll_tape.value)
+    decoded = decode_values(dec, mu)
+    np.testing.assert_array_equal(clean_logliks_values(dec, decoded.head, reals, cats),
+                                  ll_tape.value)
     head = engine.add(engine.matmul(dec.trunk.apply(mu), dec.W), dec.b)
     np.testing.assert_array_equal(decoded.head, head.value)
     np.testing.assert_array_equal(decoded.real_means, head.value[:, :dec.n_real])
@@ -353,7 +355,7 @@ def test_forward_passes_leave_no_reference_cycles(mixed_schema):
                                              np.zeros((4, 3)), amortized=amortized)
             neg(tmean(per_row)).backward()
         mu, _ = nets.encoder.latent_values(x, nets.embeddings)
-        clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu), reals, cats)
+        clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, reals, cats)
         del per_row
         assert gc.collect() == 0
     finally:
@@ -377,3 +379,67 @@ def test_fused_head_keeps_per_feature_initial_draws(mixed_schema):
     np.testing.assert_array_equal(dec.b.value, 0.0)
     np.testing.assert_array_equal(dec.log_sigma.value, 0.0)
     assert dec.W.value.shape == (hidden, 2 + 3 + 2)
+
+
+# -- the fused objective nodes against the generic tape -----------------------
+
+FUSED_LAYOUTS = {
+    # schema order interleaves kinds, so the cell likelihoods need permuting
+    "permuted": (("a", "real"), ("b", 3), ("c", "real"), ("d", 2)),
+    "reals-first": (("u", "real"), ("v", "real"), ("w", 4)),
+    "reals-only": (("u", "real"), ("v", "real")),
+    "cats-only": (("k", 3), ("m", 2)),
+}
+
+
+def layout_schema(layout):
+    return TableSchema(tuple(
+        FeatureSpec(name, "real") if kind == "real"
+        else FeatureSpec(name, "categorical", tuple(f"v{i}" for i in range(kind)))
+        for name, kind in FUSED_LAYOUTS[layout]))
+
+
+@pytest.mark.parametrize("layout", sorted(FUSED_LAYOUTS))
+@pytest.mark.parametrize("model", ["vae", "rvae-cvi", "rvae-avi"])
+def test_fused_objective_matches_generic_tape_bit_for_bit(model, layout):
+    schema = layout_schema(layout)
+    n, latent = 9, 3
+    reals, cats = random_batch(schema, n, seed=40)
+    reals[0] = 7.0  # an outlying row drives its gates towards 0
+    comps = OutlierComponents(2.0)
+    eps = Rng(41).normal((n, latent))
+    nets = tiny_networks(schema, seed=42, latent=latent, amortized=model == "rvae-avi")
+    # push one encoder log std above and one below the clip range, and one
+    # decoder log sigma above it, so that every clip mask blocks a gradient
+    enc_bias = nets.encoder.net.layers[-1].b
+    enc_bias.value[latent:latent + 2] = [40.0, -40.0]
+    if nets.decoder.n_real:
+        nets.decoder.log_sigma.value[0] = 5.0
+    config = TrainConfig(model=model, alpha=0.9, latent_dim=latent)
+    params = nets.params()
+
+    def run(objective):
+        per_row, pi = objective()
+        neg(tmean(per_row)).backward()
+        # a parameter no cell reads (log sigma with no reals) gets no gradient
+        return per_row.value, pi, {name: None if t.grad is None else t.grad.copy()
+                                   for name, t in params.items()}
+
+    fused = run(lambda: batch_objective(nets, schema, config, comps, reals, cats,
+                                        encode_values(schema, reals, cats),
+                                        outlier_logliks(comps, schema, reals, cats), eps))
+    tape = run(lambda: reference_objective(nets, schema, reals, cats, comps, config.alpha,
+                                           eps, model))
+    np.testing.assert_array_equal(fused[0], tape[0])
+    if model == "vae":
+        assert fused[1] is None and tape[1] is None
+    else:
+        np.testing.assert_array_equal(fused[1], tape[1])
+    assert set(fused[2]) == set(tape[2])
+    for name, grad in tape[2].items():
+        if grad is None:
+            assert fused[2][name] is None, name
+        else:
+            np.testing.assert_array_equal(fused[2][name], grad, err_msg=name)
+    # the clip masks did block: the clipped encoder log stds get no gradient
+    np.testing.assert_array_equal(fused[2][nets.encoder.net.name + ".b1"][latent:latent + 2], 0.0)

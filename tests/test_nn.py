@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,24 @@ def test_adam_rejects_a_parameter_rebound_after_init():
     params["w"].value = np.ones(2)
     with pytest.raises(ValueError, match="'w'"):
         adam_step(params, {"w": np.ones(2)}, state)
+
+
+def test_adam_step_allocates_nothing_as_long_as_the_parameters():
+    # about 70k parameters, the size of the default recipe on the demo table
+    rng = np.random.default_rng(5)
+    shapes = {"W0": (111, 400), "b0": (400,), "W1": (400, 64), "E": (4, 50)}
+    params = {k: Tensor(rng.normal(size=shape)) for k, shape in shapes.items()}
+    grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    state = init_adam(params, weight_decay=0.01)
+    adam_step(params, grads, state)
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.flat.size > 70_000
+    assert peak < state.flat.nbytes
 
 
 # -- rng ------------------------------------------------------------------

@@ -283,7 +283,7 @@ def test_one_stage_t1_is_sample_then_reconstruct(trained):
     for j, feat in enumerate(model.schema.cat_features):
         np.testing.assert_array_equal(result.table.cats[:, j],
                                       np.argmax(decoded.cat_probs[feat.name], axis=1))
-    ll = clean_logliks_values(model.networks.decoder, decoded, table.reals, table.cats)
+    ll = clean_logliks_values(model.networks.decoder, decoded.head, table.reals, table.cats)
     expected_pi = pi_update(ll - outlier_logliks(model.components, model.schema,
                                                  table.reals, table.cats),
                             model.config.alpha)
@@ -400,7 +400,7 @@ def reference_two_stage(model, table, iters, seed):
     st_r, st_c = obs_r.copy(), obs_c.copy()
     for _ in range(iters):
         st_r, st_c, decoded = reference_round(model, st_r, st_c, None, streams)
-    ll = clean_logliks_values(model.networks.decoder, decoded, obs_r, obs_c)
+    ll = clean_logliks_values(model.networks.decoder, decoded.head, obs_r, obs_c)
     pi_hat = pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
                        model.config.alpha)
     stage_one = (decoded, pi_hat)
@@ -470,7 +470,7 @@ def test_sampled_latents_replay_numpy_seeded_draws(trained):
         encode_values(model.schema, table.reals, table.cats), nets.embeddings)
     eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
     decoded = decode_values(nets.decoder, mu + sig * eps)
-    expected = -clean_logliks_values(nets.decoder, decoded, table.reals, table.cats)
+    expected = -clean_logliks_values(nets.decoder, decoded.head, table.reals, table.cats)
     np.testing.assert_array_equal(score(model, table, "nll", seed=13).cell_scores, expected)
     sampled = repair_map(model, table, sample_z=True, seed=13)
     np.testing.assert_array_equal(
