@@ -8,8 +8,6 @@ node.  Only the operations the models need are provided.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 import numpy as np
 
 __all__ = [
@@ -547,7 +545,7 @@ def log_softmax(a: Tensor) -> Tensor:
 
 def _block_starts(sizes: list[int]) -> np.ndarray:
     """First column of each of the consecutive blocks of widths ``sizes``."""
-    return np.array([0, *accumulate(sizes[:-1])])
+    return np.cumsum([0] + list(sizes[:-1]))
 
 
 def _block_exp(x: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

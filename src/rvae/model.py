@@ -315,22 +315,19 @@ def outlier_logliks(components: OutlierComponents, schema: TableSchema,
 # ---------------------------------------------------------------------------
 
 def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray,
-                       cats: np.ndarray, eps: np.ndarray,
-                       x_enc: np.ndarray | None = None) -> tuple[np.ndarray, Tensor, Tensor]:
+                       cats: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, Tensor, Tensor]:
     """Shared forward pass: encoded input (a plain array), clean log
-    likelihoods (B, D), KL(z). ``x_enc`` is the rows' :func:`encode_values`,
-    when the caller already has it."""
-    if x_enc is None:
-        x_enc = encode_values(schema, reals, cats)
+    likelihoods (B, D), KL(z)."""
+    x_enc = encode_values(schema, reals, cats)
     z, kl_z = nets.encoder.latent(x_enc, nets.embeddings, eps)
     dec = nets.decoder
     return x_enc, dec.clean_logliks(dec.head(z), reals, cats), kl_z
 
 
 def elbo_vae(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray, cats: np.ndarray,
-             eps: np.ndarray, x_enc: np.ndarray | None = None) -> Tensor:
+             eps: np.ndarray) -> Tensor:
     """Per-row ELBO (B,): sum_d E_q[log p(x_d | z)] - KL(q(z|x) || p(z))."""
-    _, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps, x_enc)
+    _, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
     return engine.sub(engine.tsum(ll_clean, axis=1), kl_z)
 
 
@@ -370,9 +367,7 @@ def _gated_rows(ll_clean: Tensor, kl_z: Tensor, pi: np.ndarray, ll_out: np.ndarr
 def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray,
                         cats: np.ndarray, components: OutlierComponents, alpha: float,
                         eps: np.ndarray, amortized: bool,
-                        pi_override: np.ndarray | None = None,
-                        x_enc: np.ndarray | None = None,
-                        ll_out: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+                        pi_override: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Per-row gated ELBO for one training step, plus the pi values used.
 
     sum_d [pi * E_q log p(x_d|z) + (1 - pi) * log p0(x_d)]
@@ -384,13 +379,10 @@ def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarr
     Coordinate mode infers pi in closed form from the same single z sample
     and treats it as constant for the gradient; amortized mode takes pi
     from the gate encoder, so gradients flow into it. ``pi_override``
-    substitutes fixed constants in either mode (test hook). ``x_enc`` and
-    ``ll_out`` are the rows' :func:`encode_values` and
-    :func:`outlier_logliks`, when the caller already has them.
+    substitutes fixed constants in either mode (test hook).
     """
-    x_enc, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps, x_enc)
-    if ll_out is None:
-        ll_out = outlier_logliks(components, schema, reals, cats)
+    x_enc, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
+    ll_out = outlier_logliks(components, schema, reals, cats)
     if amortized and pi_override is None:
         if nets.pi_encoder is None:
             raise ConfigError("amortized objective requires a pi encoder")

@@ -18,11 +18,11 @@ import numpy as np
 
 from . import __version__
 from .container import read_container, write_container
-from .data import ColumnStats, MixedTable, TableSchema, encode_values, require_same_schema
+from .data import ColumnStats, MixedTable, TableSchema, require_same_schema
 from .engine import neg, tmean
 from .errors import CheckpointError, ConfigError, TrainingError
 from .model import (OutlierComponents, RvaeNetworks, build_networks, elbo_vae,
-                    outlier_logliks, rvae_step_objective)
+                    rvae_step_objective)
 from .nn import Rng, adam_step, init_adam
 
 MODEL_KINDS = ("vae", "rvae-cvi", "rvae-avi")
@@ -112,16 +112,12 @@ class RvaeModel:
 
 def batch_objective(model_nets: RvaeNetworks, schema: TableSchema, config: TrainConfig,
                     components: OutlierComponents, reals: np.ndarray, cats: np.ndarray,
-                    x_enc: np.ndarray, ll_out: np.ndarray, eps: np.ndarray):
-    """Per-row objective tensor and the pi values used (None for the VAE).
-
-    ``x_enc`` and ``ll_out`` are the rows' encoded input and outlier log
-    likelihoods (``ll_out`` is unused by the VAE).
-    """
+                    eps: np.ndarray):
+    """Per-row objective tensor and the pi values used (None for the VAE)."""
     if config.model == "vae":
-        return elbo_vae(model_nets, schema, reals, cats, eps, x_enc=x_enc), None
+        return elbo_vae(model_nets, schema, reals, cats, eps=eps), None
     return rvae_step_objective(model_nets, schema, reals, cats, components, config.alpha, eps,
-                               amortized=config.is_amortized, x_enc=x_enc, ll_out=ll_out)
+                               amortized=config.is_amortized)
 
 
 def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
@@ -135,9 +131,6 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
     params = nets.params()
     opt = init_adam(params, lr=config.learning_rate, weight_decay=config.weight_decay)
     n = table.n_rows
-    # both depend on the table alone, so they are computed once and indexed per batch
-    x_all = encode_values(table.schema, table.reals, table.cats)
-    ll_out_all = outlier_logliks(components, table.schema, table.reals, table.cats)
     log = TrainLog()
     for epoch in range(config.epochs):
         tic = time.perf_counter()
@@ -149,8 +142,7 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
             idx = order[start: start + config.batch_size]
             eps = rng.normal((idx.size, config.latent_dim))
             per_row, pi = batch_objective(nets, table.schema, config, components,
-                                          table.reals[idx], table.cats[idx], x_all[idx],
-                                          ll_out_all[idx], eps)
+                                          table.reals[idx], table.cats[idx], eps)
             loss = neg(tmean(per_row))
             if not np.isfinite(loss.value):
                 raise TrainingError(

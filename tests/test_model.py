@@ -425,9 +425,7 @@ def test_fused_objective_matches_generic_tape_bit_for_bit(model, layout):
         return per_row.value, pi, {name: None if t.grad is None else t.grad.copy()
                                    for name, t in params.items()}
 
-    fused = run(lambda: batch_objective(nets, schema, config, comps, reals, cats,
-                                        encode_values(schema, reals, cats),
-                                        outlier_logliks(comps, schema, reals, cats), eps))
+    fused = run(lambda: batch_objective(nets, schema, config, comps, reals, cats, eps))
     tape = run(lambda: reference_objective(nets, schema, reals, cats, comps, config.alpha,
                                            eps, model))
     np.testing.assert_array_equal(fused[0], tape[0])
