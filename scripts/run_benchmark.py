@@ -32,23 +32,23 @@ def main():
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = mixture_table(args.rows, args.seed)
-    data_dir = Path(tempfile.mkdtemp(prefix="rvae-bench-"))
-    write_table(table, data_dir / "clean.csv")
-    table.schema.save(data_dir / "schema.json")
-
-    code = rvae_main([
-        "experiment",
-        "--input", str(data_dir / "clean.csv"),
-        "--schema", str(data_dir / "schema.json"),
-        "--noise", args.noise,
-        "--seed", str(args.seed),
-        "--epochs", str(args.epochs),
-        "--hidden", str(args.hidden),
-        "--latent", str(args.latent),
-        "--embedding", str(args.embedding),
-        "--max-gmm-components", str(args.max_gmm_components),
-        "--out-dir", str(out_dir),
-    ])
+    with tempfile.TemporaryDirectory(prefix="rvae-bench-") as tmp:
+        data_dir = Path(tmp)
+        write_table(table, data_dir / "clean.csv")
+        table.schema.save(data_dir / "schema.json")
+        code = rvae_main([
+            "experiment",
+            "--input", str(data_dir / "clean.csv"),
+            "--schema", str(data_dir / "schema.json"),
+            "--noise", args.noise,
+            "--seed", str(args.seed),
+            "--epochs", str(args.epochs),
+            "--hidden", str(args.hidden),
+            "--latent", str(args.latent),
+            "--embedding", str(args.embedding),
+            "--max-gmm-components", str(args.max_gmm_components),
+            "--out-dir", str(out_dir),
+        ])
     if code != 0:
         raise SystemExit(code)
     print((out_dir / "aggregate.csv").read_text())

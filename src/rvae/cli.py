@@ -151,9 +151,9 @@ def cmd_score(args) -> None:
     tic = time.perf_counter()
     model = load_model(args.checkpoint)
     table = _load_standardized_for(model, args)
-    report = score(model, table, args.rule, seed=args.seed, threads=args.threads)
+    report = score(model, table, args.rule, seed=args.seed)
     report.save(args.out, model.schema)
-    _write_manifest(args.out, "score", {"rule": args.rule, "threads": args.threads},
+    _write_manifest(args.out, "score", {"rule": args.rule},
                     args.seed, [args.input, args.checkpoint], [args.out],
                     time.perf_counter() - tic)
 
@@ -165,21 +165,18 @@ def cmd_repair(args) -> None:
     model = load_model(args.checkpoint)
     table = _load_standardized_for(model, args)
     if args.method == "map":
-        result = repair_map(model, table, sample_z=args.sample_z, seed=args.seed,
-                            threads=args.threads)
+        result = repair_map(model, table, sample_z=args.sample_z, seed=args.seed)
     elif args.method == "one-stage":
-        result, _ = repair_one_stage(model, table, gibbs_iters=args.gibbs_iters,
-                                     seed=args.seed, threads=args.threads)
+        result, _ = repair_one_stage(model, table, gibbs_iters=args.gibbs_iters, seed=args.seed)
     elif args.method == "two-stage":
-        result = repair_two_stage(model, table, gibbs_iters=args.gibbs_iters,
-                                  seed=args.seed, threads=args.threads)
+        result = repair_two_stage(model, table, gibbs_iters=args.gibbs_iters, seed=args.seed)
     else:
         raise ConfigError(f"unknown repair method '{args.method}'")
     simplex_path = args.out_simplexes or (str(args.out) + ".simplexes")
     result.save(args.out, simplex_path)
     _write_manifest(args.out, "repair",
                     {"method": args.method, "gibbs_iters": args.gibbs_iters,
-                     "sample_z": args.sample_z, "threads": args.threads},
+                     "sample_z": args.sample_z},
                     args.seed, [args.input, args.checkpoint], [args.out, simplex_path],
                     time.perf_counter() - tic)
 
@@ -331,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rule", choices=["nll", "pi"], required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_score)
 
@@ -342,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gibbs-iters", type=int, default=5)
     p.add_argument("--sample-z", action="store_true", help="sample the latent instead of its mean (map)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--out-simplexes", default=None)
     p.set_defaults(fn=cmd_repair)
@@ -387,8 +382,6 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
-        if getattr(args, "threads", 1) < 1:
-            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         args.fn(args)
     except ConfigError as exc:
         print(f"rvae: config error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ marginal distribution with the clean category excluded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,8 @@ def select_cells(n_rows: int, n_features: int, row_frac: float,
     round(feat_frac*D) features redrawn independently per row."""
     if not 0.0 < row_frac <= 1.0:
         raise ConfigError(f"row fraction must lie in (0, 1], got {row_frac}")
+    if not 0.0 < feat_frac <= 1.0:
+        raise ConfigError(f"feature fraction must lie in (0, 1], got {feat_frac}")
     if rng is None:
         raise ConfigError("select_cells needs an rng")
     n_sel_rows = _round_half_up(row_frac * n_rows)
@@ -142,8 +144,9 @@ class CorruptionRecord:
     """Ground truth for the evaluator: which cells were corrupted, and the
     clean values they held."""
 
-    mask: np.ndarray  # (N, D) bool, schema column order
-    originals: dict[tuple[int, int], float | int] = field(default_factory=dict)
+    mask: np.ndarray       # (N, D) bool, schema column order
+    originals: np.ndarray  # (M,) float64 clean values, in the row-major order of mask
+    categorical_columns: tuple[int, ...]  # columns whose originals are category indices
     row_fraction: float = 0.0
     feat_fraction: float = 0.2
     seed: int = 0
@@ -152,35 +155,37 @@ class CorruptionRecord:
     def n_cells(self) -> int:
         return int(self.mask.sum())
 
+    def column(self, column: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the marked cells in ``column``, ascending, and their
+        clean values."""
+        rows, cols = np.nonzero(self.mask)
+        here = cols == column
+        return rows[here], self.originals[here]
+
     def apply_originals(self, dirty: MixedTable) -> MixedTable:
         """Put the clean values back; exact inverse of the corruption."""
         reals = dirty.reals.copy()
         cats = dirty.cats.copy()
-        for (row, column), value in self.originals.items():
+        for column in range(dirty.schema.n_features):
+            rows, values = self.column(column)
             kind, slot = dirty.schema.kind_index(column)
-            if kind == REAL:
-                reals[row, slot] = value
-            else:
-                cats[row, slot] = value
+            (reals if kind == REAL else cats)[rows, slot] = values
         return dirty.with_values(reals=reals, cats=cats)
 
     def save(self, path) -> None:
         """An artifact container: the marked cells as a (M, 2) tensor of
         (row, column) in row-major order and their original values, with the
-        columns whose originals are integers (the categorical ones) named in
-        the header."""
-        cells = sorted(self.originals)
-        values = [self.originals[cell] for cell in cells]
+        categorical columns that hold marked cells named in the header."""
+        rows, cols = np.nonzero(self.mask)
         write_container(path, {
             "format": RECORD_FORMAT,
             "seed": self.seed,
             "row_fraction": self.row_fraction,
             "feat_fraction": self.feat_fraction,
             "shape": list(self.mask.shape),
-            "categorical_columns": sorted({c for (_, c), v in zip(cells, values)
-                                           if isinstance(v, int)}),
-        }, {"cells": np.array(cells, dtype=np.float64).reshape(-1, 2),
-            "originals": np.array(values, dtype=np.float64)})
+            "categorical_columns": np.intersect1d(cols, self.categorical_columns).tolist(),
+        }, {"cells": np.column_stack([rows, cols]).astype(np.float64),
+            "originals": self.originals})
 
     @classmethod
     def load(cls, path) -> "CorruptionRecord":
@@ -189,8 +194,8 @@ class CorruptionRecord:
         Every cell must lie inside the header's shape and appear once, and
         the cells must have the layout make_scenario selects for the header's
         fractions: round(row_fraction * N) rows with round(feat_fraction * D)
-        cells each. Originals of categorical columns must be integers and
-        load as ``int``. Anything else raises DataFormatError.
+        cells each. Originals of categorical columns must be integers.
+        Anything else raises DataFormatError.
         """
         header, tensors = read_container(path, RECORD_FORMAT)
         shape, seed = header.get("shape"), header.get("seed")
@@ -205,8 +210,7 @@ class CorruptionRecord:
         n, d = shape
         m = require_tensors(path, tensors, {"cells": (None, 2), "originals": (None,)})
         cells, values = tensors["cells"], tensors["originals"]
-        is_cat = np.isin(cells[:, 1], cat_columns)
-        if not (_integral(cells) and _integral(values[is_cat])):
+        if not (_integral(cells) and _integral(values[np.isin(cells[:, 1], cat_columns)])):
             raise DataFormatError(f"{path}: cells and categorical original values must be integers")
         rows, cols = cells.astype(np.int64).T
         outside = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= d)
@@ -231,13 +235,12 @@ class CorruptionRecord:
         except (MemoryError, ValueError):
             raise DataFormatError(f"{path}: no memory for a mask of shape {shape}") from None
         mask[rows, cols] = True
-        originals = {(r, c): int(v) if cat else v for r, c, v, cat
-                     in zip(rows.tolist(), cols.tolist(), values.tolist(), is_cat.tolist())}
-        return cls(mask=mask, originals=originals, seed=seed,
-                   row_fraction=fractions[0], feat_fraction=fractions[1])
+        return cls(mask=mask, originals=values[order], categorical_columns=tuple(cat_columns),
+                   seed=seed, row_fraction=fractions[0], feat_fraction=fractions[1])
 
     def export(self, path) -> None:
-        """Text form: a JSON header line, then a (row,column,original_value) CSV."""
+        """Text form: a JSON header line, then a (row,column,original_value)
+        CSV in row-major order, with categorical originals written as integers."""
         lines = [json.dumps({
             "format": RECORD_FORMAT,
             "seed": self.seed,
@@ -245,8 +248,10 @@ class CorruptionRecord:
             "feat_fraction": self.feat_fraction,
             "shape": list(self.mask.shape),
         }), RECORD_COLUMNS]
-        cells = sorted(self.originals)
-        lines += map("{0[0]},{0[1]},{1!r}".format, cells, map(self.originals.__getitem__, cells))
+        rows, cols = np.nonzero(self.mask)
+        is_cat = np.isin(cols, self.categorical_columns).tolist()
+        values = [int(v) if cat else v for v, cat in zip(self.originals.tolist(), is_cat)]
+        lines += map("{},{},{!r}".format, rows.tolist(), cols.tolist(), values)
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -273,11 +278,16 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
     if table.is_standardized:
         raise ConfigError("corruption operates on raw (pre-standardization) tables")
     n, d = table.n_rows, table.schema.n_features
+    is_real = np.array([f.kind == REAL for f in table.schema.features])
+    cat_columns = tuple(np.flatnonzero(~is_real).tolist())
     if row_frac == 0.0:
-        return table, CorruptionRecord(mask=np.zeros((n, d), dtype=bool), seed=seed,
+        return table, CorruptionRecord(mask=np.zeros((n, d), dtype=bool), originals=np.zeros(0),
+                                       categorical_columns=cat_columns, seed=seed,
                                        row_fraction=0.0, feat_fraction=feat_frac)
     rng = Rng(seed)
     mask = select_cells(n, d, row_frac, feat_frac, rng)
+    clean = np.empty((n, d))
+    clean[:, is_real], clean[:, ~is_real] = table.reals, table.cats
     sigma_hat = table.reals.std(axis=0) if table.reals.size else np.zeros(0)
     marginals = []
     for j, feat in enumerate(table.schema.cat_features):
@@ -285,24 +295,21 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
         marginals.append(counts / counts.sum())
     reals = table.reals.copy()
     cats = table.cats.copy()
-    originals: dict[tuple[int, int], float | int] = {}
+    # one draw per cell in row-major order: that order fixes the dirty values
     for row, column in zip(*np.nonzero(mask)):
-        row, column = int(row), int(column)
         kind, slot = table.schema.kind_index(column)
         if kind == REAL:
             if noise.real is None:
                 raise ConfigError(f"mask hit real feature '{table.schema.features[column].name}' "
                                   "but no real noise process was configured")
-            originals[(row, column)] = float(reals[row, slot])
             reals[row, slot] = corrupt_real(reals[row, slot], noise.real, float(sigma_hat[slot]), rng)
         else:
             if noise.cat is None:
                 raise ConfigError(f"mask hit categorical feature '{table.schema.features[column].name}' "
                                   "but no categorical noise process was configured")
-            originals[(row, column)] = int(cats[row, slot])
             cats[row, slot] = corrupt_categorical(int(cats[row, slot]), noise.cat.beta,
                                                   marginals[slot], rng)
     dirty = table.with_values(reals=reals, cats=cats)
-    record = CorruptionRecord(mask=mask, originals=originals, seed=seed,
-                              row_fraction=row_frac, feat_fraction=feat_frac)
+    record = CorruptionRecord(mask=mask, originals=clean[mask], categorical_columns=cat_columns,
+                              seed=seed, row_fraction=row_frac, feat_fraction=feat_frac)
     return dirty, record

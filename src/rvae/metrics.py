@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corrupt import CorruptionRecord
-from .data import REAL, MixedTable, one_hot, standardize
+from .data import REAL, MixedTable, standardize
 from .errors import DataFormatError, SchemaMismatchError
 
 
@@ -177,19 +177,20 @@ def _evaluate_repair(record: CorruptionRecord, dirty: MixedTable, repair, report
         raise DataFormatError("repaired tables are expected in raw units")
     smse_values = {}
     for column, feat in enumerate(schema.features):
-        rows = np.nonzero(record.mask[:, column])[0]
+        rows, truth = record.column(column)
         if rows.size == 0:
             continue
         kind, slot = schema.kind_index(column)
         if kind == REAL:
             st = stats[feat.name]
-            truth = np.array([record.originals[(int(r), column)] for r in rows], dtype=np.float64)
             truth_std = (truth - st.mean) / st.std
             fixed_std = (repaired_table.reals[rows, slot] - st.mean) / st.std
             smse_values[feat.name] = smse(truth_std, fixed_std)
         else:
-            onehots = np.stack([one_hot(int(record.originals[(int(r), column)]), feat.cardinality)
-                                for r in rows])
+            if not np.all((truth >= 0) & (truth < feat.cardinality)):
+                raise DataFormatError(f"the record holds a clean value of '{feat.name}' outside "
+                                      f"its {feat.cardinality} categories")
+            onehots = np.eye(feat.cardinality)[truth.astype(np.int64)]
             simplexes = repair.simplexes[feat.name][rows]
             report.brier_per_feature[feat.name] = brier(onehots, simplexes)
     report.smse_per_feature = smse_values

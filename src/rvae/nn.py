@@ -115,11 +115,8 @@ class Rng:
     children, ``PCG64(SeedSequence(entropy=seed, spawn_key=keys))``.
     """
 
-    def __init__(self, seed: int, algorithm: str = "pcg64", _state: np.ndarray | None = None):
-        if algorithm != "pcg64":
-            raise ValueError(f"unknown rng algorithm: {algorithm}")
+    def __init__(self, seed: int, _state: np.ndarray | None = None):
         self.seed = int(seed)
-        self.algorithm = algorithm
         if _state is None:
             _state = _pcg64_states(_spawn_entropy(self.seed, []))[0]
         self.gen = np.random.Generator(np.random.PCG64(_PrecomputedSeed(_state)))
@@ -128,7 +125,7 @@ class Rng:
         """Independent child stream keyed by (seed, *keys)."""
         words = [w for k in keys for w in _uint32_words(k)]
         state = _pcg64_states(_spawn_entropy(self.seed, words))[0]
-        return Rng(self.seed, self.algorithm, _state=state)
+        return Rng(self.seed, _state=state)
 
     def derive_rows(self, rows: np.ndarray) -> list["Rng"]:
         """One child stream per row id, equal stream for stream to
@@ -139,7 +136,7 @@ class Rng:
         if rows.min() < 0 or rows.max() > _MASK32:
             raise ValueError("row ids must lie in [0, 2**32)")
         states = _pcg64_states(_spawn_entropy(self.seed, [rows.astype(np.uint32)]))
-        return [Rng(self.seed, self.algorithm, _state=s) for s in states]
+        return [Rng(self.seed, _state=s) for s in states]
 
     def normal(self, size=None, out: np.ndarray | None = None) -> np.ndarray:
         return self.gen.standard_normal(size, out=out)

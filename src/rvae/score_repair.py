@@ -1,13 +1,12 @@
 """Outlier scores, MAP repair, and the two pseudo-Gibbs repair chains.
 
-All operations are read-only on the model and parallelizable across rows:
-every row owns an independent RNG stream derived from (seed, row index),
-so results are identical for any thread count or chunking.
+All operations are read-only on the model and run over fixed-size row
+chunks. Every row owns an independent RNG stream derived from (seed, row
+index), so a row's draws do not depend on the chunk it falls in.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,21 +168,16 @@ def export_simplexes(path, schema: TableSchema, simplexes: dict[str, np.ndarray]
 CHUNK_ROWS = 512
 
 
-def _map_chunks(n: int, threads: int, fn) -> tuple:
+def _map_chunks(n: int, fn) -> tuple:
     """Run ``fn(rows)`` on fixed-size row blocks and join its outputs.
 
     ``fn`` returns a tuple of (rows, ...) arrays or dicts of them; each
     element comes back concatenated along the rows (per key for dicts).
-    Fixed blocks keep results bit-identical for every thread count, because
-    each block's BLAS calls see the same operand shapes.
+    Fixed blocks bound the memory that a block's encoded input and
+    activations take, whatever the table's length.
     """
-    chunks = [np.arange(start, min(start + CHUNK_ROWS, n))
-              for start in range(0, max(n, 1), CHUNK_ROWS)]
-    if threads <= 1 or len(chunks) == 1:
-        parts = [fn(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-            parts = list(pool.map(fn, chunks))
+    parts = [fn(np.arange(start, min(start + CHUNK_ROWS, n)))
+             for start in range(0, max(n, 1), CHUNK_ROWS)]
 
     def join(pieces):
         if isinstance(pieces[0], dict):
@@ -213,7 +207,7 @@ def _sampled_latents(model: RvaeModel, x: np.ndarray, streams: list[Rng]) -> np.
     return mu + sig * _row_draws(streams, Rng.normal, model.config.latent_dim)
 
 
-def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads: int = 1) -> ScoreReport:
+def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0) -> ScoreReport:
     """Per-cell outlier scores: 'nll' is the negative expected clean log
     likelihood (one posterior sample); 'pi' is -log of the inferred clean
     probability. Row scores sum the cells."""
@@ -238,7 +232,7 @@ def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0, threads
         r = ll_clean - outlier_logliks(model.components, schema, reals, cats)
         return (_pi_cell_scores(pi_update(r, model.config.alpha)),)
 
-    cells, = _map_chunks(table.n_rows, threads, chunk_scores)
+    cells, = _map_chunks(table.n_rows, chunk_scores)
     return ScoreReport(rule=rule, cell_scores=cells, row_scores=cells.sum(axis=1))
 
 
@@ -260,7 +254,7 @@ def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, cat_idx: np.ndarra
 
 
 def repair_map(model: RvaeModel, table: MixedTable, sample_z: bool = False,
-               seed: int = 0, threads: int = 1) -> RepairResult:
+               seed: int = 0) -> RepairResult:
     """Mode of the clean component given a posterior latent: reals become
     the decoded mean (then de-standardized), categoricals the highest
     probability category, ties to the lowest index. z is the posterior
@@ -278,7 +272,7 @@ def repair_map(model: RvaeModel, table: MixedTable, sample_z: bool = False,
         cats, simplexes = _modes(schema, decoded)
         return decoded.real_means, cats, simplexes
 
-    reals, cats, simplexes = _map_chunks(table.n_rows, threads, chunk_repair)
+    reals, cats, simplexes = _map_chunks(table.n_rows, chunk_repair)
     return _assemble_repair(model, reals, cats, simplexes, "map")
 
 
@@ -346,7 +340,7 @@ def _stage_one(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
 
 
 def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
-                     seed: int = 0, threads: int = 1) -> tuple[RepairResult, np.ndarray]:
+                     seed: int = 0) -> tuple[RepairResult, np.ndarray]:
     """Pseudo-Gibbs chain treating every cell as suspect.
 
     Starts from the observed row and alternates encode / latent sample /
@@ -364,13 +358,12 @@ def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
         cats, simplexes = _modes(model.schema, decoded)
         return decoded.real_means, cats, simplexes, pi_hat
 
-    reals, cats, simplexes, pi_hat = _map_chunks(table.n_rows, threads, chunk_chain)
+    reals, cats, simplexes, pi_hat = _map_chunks(table.n_rows, chunk_chain)
     return _assemble_repair(model, reals, cats, simplexes, "one-stage"), pi_hat
 
 
 def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
-                     seed: int = 0, threads: int = 1,
-                     pi_override: np.ndarray | float | None = None) -> RepairResult:
+                     seed: int = 0, pi_override: np.ndarray | float | None = None) -> RepairResult:
     """Pseudo-Gibbs with an inferred clean mask.
 
     Runs the one-stage chain to stabilize the gate probabilities, samples a
@@ -400,5 +393,5 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
         return (np.where(keep_reals, obs_reals, decoded.real_means),
                 np.where(keep_cats, obs_cats, cats), simplexes)
 
-    reals, cats, simplexes = _map_chunks(table.n_rows, threads, chunk_chain)
+    reals, cats, simplexes = _map_chunks(table.n_rows, chunk_chain)
     return _assemble_repair(model, reals, cats, simplexes, "two-stage")

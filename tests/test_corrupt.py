@@ -49,6 +49,13 @@ def test_select_cells_rejects_bad_row_fraction():
         select_cells(100, 10, row_frac=0.0, feat_frac=0.2, rng=Rng(0))
 
 
+@pytest.mark.parametrize("feat_frac", [1.5, -0.2])
+def test_select_cells_rejects_bad_feature_fraction(feat_frac):
+    with pytest.raises(ConfigError, match=re.escape(f"feature fraction must lie in (0, 1], "
+                                                    f"got {feat_frac}")):
+        select_cells(100, 10, row_frac=0.5, feat_frac=feat_frac, rng=Rng(0))
+
+
 def test_select_cells_rounding_half_up():
     # 0.25 * 6 = 1.5 rounds half-up to 2 features per row
     mask = select_cells(10, 6, row_frac=0.25, feat_frac=0.25, rng=Rng(3))
@@ -186,9 +193,17 @@ def test_record_file_round_trip(tmp_path, mixed_schema):
     record.save(path)
     loaded = CorruptionRecord.load(path)
     np.testing.assert_array_equal(loaded.mask, record.mask)
-    assert loaded.originals == record.originals
-    assert {type(v) for v in loaded.originals.values()} == {int, float}
-    assert all(type(v) is type(record.originals[cell]) for cell, v in loaded.originals.items())
+    assert loaded.originals.dtype == np.float64
+    np.testing.assert_array_equal(loaded.originals, record.originals)
+    # every categorical column holds marked cells here, so the loaded record
+    # knows all of them; their originals are the clean category indices
+    assert loaded.categorical_columns == record.categorical_columns == (1, 3)
+    for column in range(mixed_schema.n_features):
+        rows, values = loaded.column(column)
+        np.testing.assert_array_equal(rows, np.flatnonzero(record.mask[:, column]))
+        kind, slot = mixed_schema.kind_index(column)
+        clean = table.reals[:, slot] if kind == "real" else table.cats[:, slot]
+        np.testing.assert_array_equal(values, clean[rows])
     assert loaded.seed == record.seed
     assert loaded.row_fraction == record.row_fraction
     assert loaded.feat_fraction == record.feat_fraction
@@ -198,14 +213,29 @@ def test_record_file_round_trip(tmp_path, mixed_schema):
 
 
 def test_record_export_writes_the_text_form(tmp_path, mixed_schema):
-    _, record = make_scenario(random_table(mixed_schema, 40, seed=7), 0.25, NOISE, seed=9)
-    record.export(tmp_path / "record.csv")
+    table = random_table(mixed_schema, 40, seed=7)
+    _, record = make_scenario(table, 0.25, NOISE, seed=9)
+    record.save(tmp_path / "record")
+    CorruptionRecord.load(tmp_path / "record").export(tmp_path / "record.csv")
     lines = (tmp_path / "record.csv").read_text(encoding="utf-8").splitlines()
     assert json.loads(lines[0]) == {"format": "rvae-corruption-record", "seed": 9,
                                     "row_fraction": 0.25, "feat_fraction": 0.2,
                                     "shape": [40, 4]}
     assert lines[1] == "row,column,original_value"
-    assert lines[2:] == [f"{r},{c},{record.originals[r, c]!r}" for r, c in sorted(record.originals)]
+    # row-major cells; categorical originals are written as integers
+    expected = []
+    for r, c in zip(*np.nonzero(record.mask)):
+        kind, slot = mixed_schema.kind_index(c)
+        value = float(table.reals[r, slot]) if kind == "real" else int(table.cats[r, slot])
+        expected.append(f"{r},{c},{value!r}")
+    assert lines[2:] == expected
+
+
+def test_record_save_load_save_is_byte_identical(tmp_path, mixed_schema):
+    _, record = make_scenario(random_table(mixed_schema, 120, seed=7), 0.25, NOISE, seed=9)
+    record.save(tmp_path / "first")
+    CorruptionRecord.load(tmp_path / "first").save(tmp_path / "second")
+    assert (tmp_path / "second").read_bytes() == (tmp_path / "first").read_bytes()
 
 
 def saved_record(tmp_path, mixed_schema):
@@ -248,7 +278,7 @@ def test_record_load_rejects_malformed_files(tmp_path, mixed_schema, edit, messa
 def test_record_load_rejects_a_cell_moved_to_another_row(tmp_path, mixed_schema):
     # the count still matches, but one row now has too few cells
     path, record = saved_record(tmp_path, mixed_schema)
-    free = min(set(range(40)) - {r for r, _ in record.originals})
+    free = int(np.argmin(record.mask.any(axis=1)))
     rewrite_tensors(path, path, set_cell((0, 0), free))
     with pytest.raises(DataFormatError, match="do not match"):
         CorruptionRecord.load(path)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rvae.corrupt import CorruptionRecord
 from rvae.data import FeatureSpec, MixedTable, TableSchema
+from rvae.errors import DataFormatError
 from rvae.metrics import average_precision, brier, evaluate, smse
 from rvae.score_repair import RepairResult, ScoreReport
 
@@ -114,13 +115,13 @@ def build_case(seed=0, n=400):
     mask = np.zeros((n, 3), dtype=bool)
     hit = rng.choice(n, size=n // 20, replace=False)
     mask[hit, rng.integers(0, 3, size=hit.size)] = True
-    originals = {}
-    for r, c in zip(*np.nonzero(mask)):
-        if c < 2:
-            originals[(int(r), int(c))] = float(reals[r, c] - 1.0)
-        else:
-            originals[(int(r), int(c))] = int((cats[r, 0] + 1) % 3)
-    record = CorruptionRecord(mask=mask, originals=originals, row_fraction=0.05, seed=seed)
+    rows, cols = np.nonzero(mask)
+    real = cols < 2
+    originals = np.empty(rows.size)
+    originals[real] = reals[rows[real], cols[real]] - 1.0
+    originals[~real] = (cats[rows[~real], 0] + 1) % 3
+    record = CorruptionRecord(mask=mask, originals=originals, categorical_columns=(2,),
+                              row_fraction=0.05, seed=seed)
     return schema, dirty, record
 
 
@@ -160,10 +161,23 @@ def test_evaluate_identity_repair_gives_noise_energy_ratio():
         if rows.size == 0:
             continue
         st = stats[name]
-        truth = np.array([record.originals[(int(r), col)] for r in rows])
+        truth = dirty.reals[rows, col] - 1.0
         t_std = (truth - st.mean) / st.std
         noise_ratio = np.sum((1.0 / st.std) ** 2 * np.ones_like(t_std)) / np.sum(t_std ** 2)
         assert report.smse_per_feature[name] == pytest.approx(noise_ratio, rel=1e-9)
+    # every clean category differs from the kept dirty one: the farthest one-hot
+    assert report.brier_per_feature["c0"] == 1.0
+
+
+@pytest.mark.parametrize("category", [-1.0, 3.0])
+def test_evaluate_rejects_a_clean_category_outside_the_feature(category):
+    schema, dirty, record = build_case(seed=5)
+    rows, cols = np.nonzero(record.mask)
+    record.originals[np.flatnonzero(cols == 2)[0]] = category
+    repair = RepairResult(table=dirty, simplexes={"c0": np.eye(3)[dirty.cats[:, 0]]},
+                          method="map")
+    with pytest.raises(DataFormatError, match="outside its 3 categories"):
+        evaluate(record, dirty, repair=repair)
 
 
 def test_evaluate_macro_is_unweighted_mean():

@@ -184,13 +184,6 @@ def test_score_report_for_another_schema_is_a_schema_mismatch(tmp_path, real_sch
         ScoreReport.load(path, other)
 
 
-def test_score_threads_do_not_change_results(trained):
-    model, table, _ = trained
-    a = score(model, table, "pi", seed=7, threads=1)
-    b = score(model, table, "pi", seed=7, threads=4)
-    np.testing.assert_array_equal(a.cell_scores, b.cell_scores)
-
-
 # -- MAP repair ---------------------------------------------------------------
 
 def test_repair_map_identity_decoder_recovers_input():
@@ -298,16 +291,6 @@ def test_one_stage_reproducible(trained):
     np.testing.assert_array_equal(pi_a, pi_b)
 
 
-def test_chain_threads_do_not_change_results(trained):
-    model, table, _ = trained
-    a, _ = repair_one_stage(model, table, gibbs_iters=3, seed=8, threads=1)
-    b, _ = repair_one_stage(model, table, gibbs_iters=3, seed=8, threads=3)
-    np.testing.assert_array_equal(a.table.reals, b.table.reals)
-    np.testing.assert_array_equal(a.table.cats, b.table.cats)
-    c = repair_two_stage(model, table, gibbs_iters=3, seed=8, threads=1)
-    d = repair_two_stage(model, table, gibbs_iters=3, seed=8, threads=3)
-    np.testing.assert_array_equal(c.table.reals, d.table.reals)
-    np.testing.assert_array_equal(c.table.cats, d.table.cats)
 
 
 def test_two_stage_forced_clean_returns_observed(trained):
