@@ -291,8 +291,6 @@ def test_one_stage_reproducible(trained):
     np.testing.assert_array_equal(pi_a, pi_b)
 
 
-
-
 def test_two_stage_forced_clean_returns_observed(trained):
     model, table, _ = trained
     result = repair_two_stage(model, table, gibbs_iters=5, seed=11, pi_override=1.0)
