@@ -183,7 +183,8 @@ class CorruptionRecord:
             "row_fraction": self.row_fraction,
             "feat_fraction": self.feat_fraction,
             "shape": list(self.mask.shape),
-            "categorical_columns": np.intersect1d(cols, self.categorical_columns).tolist(),
+            "categorical_columns": sorted({c for c in self.categorical_columns
+                                           if self.mask[:, c].any()}),
         }, {"cells": np.column_stack([rows, cols]).astype(np.float64),
             "originals": self.originals})
 
