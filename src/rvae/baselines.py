@@ -26,10 +26,6 @@ class Gmm1D:
     means: np.ndarray
     stds: np.ndarray
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.size
-
     def component_log_pdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)[:, None]
         with np.errstate(divide="ignore"):  # a dead component (weight 0) is just -inf
@@ -105,6 +101,8 @@ def fit_gmm_bic(x: np.ndarray, seed: int = 0, max_components: int = 40,
     Restarts: 10 for k <= 5, 3 above; each restart gets its own derived
     stream so the sweep is reproducible.
     """
+    if max_components < 1:
+        raise ConfigError(f"the BIC sweep needs at least 1 component, got {max_components}")
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     base = Rng(seed)

@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .container import header_schema, read_container
 from .corrupt import (RECORD_FORMAT, CorruptionRecord, GaussianMixtureNoise, GaussianNoise,
                       LaplaceNoise, LogNormalNoise, NoiseSpec,
                       TemperedCategorical, make_scenario)
-from .data import MixedTable, TableSchema, apply_stats, read_table, standardize, write_table
+from .data import TableSchema, apply_stats, read_table, standardize, write_table
 from .errors import (CheckpointError, ConfigError, DataFormatError, RvaeError,
                      SchemaMismatchError, ScoreRuleError, TrainingError)
 from .metrics import evaluate
@@ -104,9 +105,11 @@ def _write_manifest(primary_out, command: str, config: dict, seed, inputs, outpu
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_standardized_for(model, args) -> MixedTable:
-    table = read_table(args.input, model.schema)
-    return apply_stats(table, model.stats)
+def _recipe_config(args, **extra) -> TrainConfig:
+    """The training recipe from the options every training command shares."""
+    return TrainConfig(epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch,
+                       alpha=args.alpha, latent_dim=args.latent, hidden_dim=args.hidden,
+                       embedding_dim=args.embedding, seed=args.seed, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +134,7 @@ def cmd_corrupt(args) -> None:
 
 def cmd_train(args) -> None:
     tic = time.perf_counter()
-    config = TrainConfig(model=args.model, epochs=args.epochs, learning_rate=args.lr,
-                         batch_size=args.batch, alpha=args.alpha, outlier_scale=args.s,
-                         latent_dim=args.latent, hidden_dim=args.hidden,
-                         embedding_dim=args.embedding, weight_decay=args.l2, seed=args.seed)
+    config = _recipe_config(args, model=args.model, outlier_scale=args.s, weight_decay=args.l2)
     config.validate()
     schema = TableSchema.load(args.schema)
     table = standardize(read_table(args.input, schema))
@@ -150,7 +150,7 @@ def cmd_train(args) -> None:
 def cmd_score(args) -> None:
     tic = time.perf_counter()
     model = load_model(args.checkpoint)
-    table = _load_standardized_for(model, args)
+    table = apply_stats(read_table(args.input, model.schema), model.stats)
     report = score(model, table, args.rule, seed=args.seed)
     report.save(args.out, model.schema)
     _write_manifest(args.out, "score", {"rule": args.rule},
@@ -163,15 +163,13 @@ def cmd_repair(args) -> None:
     if args.sample_z and args.method != "map":
         raise ConfigError(f"--sample-z applies to the map method, not to {args.method}")
     model = load_model(args.checkpoint)
-    table = _load_standardized_for(model, args)
+    table = apply_stats(read_table(args.input, model.schema), model.stats)
     if args.method == "map":
         result = repair_map(model, table, sample_z=args.sample_z, seed=args.seed)
     elif args.method == "one-stage":
-        result, _ = repair_one_stage(model, table, gibbs_iters=args.gibbs_iters, seed=args.seed)
-    elif args.method == "two-stage":
-        result = repair_two_stage(model, table, gibbs_iters=args.gibbs_iters, seed=args.seed)
+        result = repair_one_stage(model, table, gibbs_iters=args.gibbs_iters, seed=args.seed)
     else:
-        raise ConfigError(f"unknown repair method '{args.method}'")
+        result = repair_two_stage(model, table, gibbs_iters=args.gibbs_iters, seed=args.seed)
     simplex_path = args.out_simplexes or (str(args.out) + ".simplexes")
     result.save(args.out, simplex_path)
     _write_manifest(args.out, "repair",
@@ -243,6 +241,10 @@ def cmd_experiment(args) -> None:
     """Sweep the row-corruption fractions and tabulate detection/repair
     metrics for the gated model, the plain VAE, and the marginal baseline."""
     tic = time.perf_counter()
+    config = _recipe_config(args)
+    config.validate()
+    if args.max_gmm_components < 1:
+        raise ConfigError(f"--max-gmm-components must be >= 1, got {args.max_gmm_components}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     schema = TableSchema.load(args.schema)
@@ -255,11 +257,7 @@ def cmd_experiment(args) -> None:
         cell_frac = record.n_cells / (dirty.n_rows * schema.n_features)
         runs = {}
         for kind, rule in (("rvae-cvi", "pi"), ("vae", "nll")):
-            config = TrainConfig(model=kind, epochs=args.epochs, learning_rate=args.lr,
-                                 batch_size=args.batch, alpha=args.alpha,
-                                 latent_dim=args.latent, hidden_dim=args.hidden,
-                                 embedding_dim=args.embedding, seed=args.seed)
-            model, _ = train(std, config)
+            model, _ = train(std, replace(config, model=kind))
             runs[kind] = evaluate(record, dirty,
                                   scores=score(model, std, rule, seed=args.seed),
                                   repair=repair_map(model, std))
@@ -269,13 +267,9 @@ def cmd_experiment(args) -> None:
                                     repair=marginal_repair(marginal, std, record.mask))
         for method, rep in runs.items():
             rep.save(out_dir / f"frac{frac}_{method}.eval.json")
-            rows.append(",".join([
-                repr(frac), repr(cell_frac), method,
-                "" if rep.row_avpr is None else repr(rep.row_avpr),
-                "" if rep.cell_avpr_macro is None else repr(rep.cell_avpr_macro),
-                "" if rep.smse_real_avg is None else repr(rep.smse_real_avg),
-                "" if rep.brier_cat_avg is None else repr(rep.brier_cat_avg),
-            ]))
+            metrics = (rep.row_avpr, rep.cell_avpr_macro, rep.smse_real_avg, rep.brier_cat_avg)
+            rows.append(",".join([repr(frac), repr(cell_frac), method]
+                                 + ["" if v is None else repr(v) for v in metrics]))
     aggregate = out_dir / "aggregate.csv"
     aggregate.write_text("\n".join(rows) + "\n", encoding="utf-8")
     _write_manifest(aggregate, "experiment",
@@ -295,6 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rvae {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the training recipe, shared by train and experiment
+    recipe = argparse.ArgumentParser(add_help=False)
+    recipe.add_argument("--alpha", type=float, default=TrainConfig.alpha)
+    recipe.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    recipe.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    recipe.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    recipe.add_argument("--latent", type=int, default=TrainConfig.latent_dim)
+    recipe.add_argument("--hidden", type=int, default=TrainConfig.hidden_dim)
+    recipe.add_argument("--embedding", type=int, default=TrainConfig.embedding_dim)
+
     p = sub.add_parser("corrupt", help="inject seeded noise and keep the ground truth")
     p.add_argument("--input", required=True)
     p.add_argument("--schema", required=True)
@@ -306,19 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-record", required=True)
     p.set_defaults(fn=cmd_corrupt)
 
-    p = sub.add_parser("train", help="train a model on a (possibly dirty) table")
+    p = sub.add_parser("train", parents=[recipe], help="train a model on a (possibly dirty) table")
     p.add_argument("--input", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--model", choices=["vae", "rvae-cvi", "rvae-avi"], default="rvae-cvi")
-    p.add_argument("--alpha", type=float, default=0.95)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=150)
-    p.add_argument("--latent", type=int, default=20)
-    p.add_argument("--hidden", type=int, default=400)
-    p.add_argument("--embedding", type=int, default=50)
-    p.add_argument("--s", type=float, default=2.0, help="outlier component scale")
-    p.add_argument("--l2", type=float, default=0.0, help="optimizer-level weight decay")
+    p.add_argument("--s", type=float, default=TrainConfig.outlier_scale, help="outlier component scale")
+    p.add_argument("--l2", type=float, default=TrainConfig.weight_decay, help="optimizer-level weight decay")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
@@ -358,18 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_export)
 
-    p = sub.add_parser("experiment", help="sweep corruption levels, tabulate metrics")
+    p = sub.add_parser("experiment", parents=[recipe], help="sweep corruption levels, tabulate metrics")
     p.add_argument("--input", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--noise", default="gauss:5,cat:0")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=150)
-    p.add_argument("--alpha", type=float, default=0.95)
-    p.add_argument("--latent", type=int, default=20)
-    p.add_argument("--hidden", type=int, default=400)
-    p.add_argument("--embedding", type=int, default=50)
     p.add_argument("--max-gmm-components", type=int, default=40)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_experiment)

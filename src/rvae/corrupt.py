@@ -10,13 +10,13 @@ marginal distribution with the clean category excluded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .container import read_container, require_tensors, write_container
-from .data import REAL, MixedTable
+from .data import REAL, MixedTable, _freeze
 from .errors import ConfigError, DataFormatError
 from .nn import Rng
 
@@ -24,8 +24,16 @@ RECORD_FORMAT = "rvae-corruption-record"
 RECORD_COLUMNS = "row,column,original_value"
 
 
+class _FiniteParams:
+    """A noise process whose parameters must all be finite."""
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ConfigError(f"noise parameters must be finite, got {self}")
+
+
 @dataclass(frozen=True)
-class GaussianNoise:
+class GaussianNoise(_FiniteParams):
     mu: float = 0.0
     k: float = 5.0  # scale multiplier on the clean column std
 
@@ -34,16 +42,21 @@ class GaussianNoise:
 
 
 @dataclass(frozen=True)
-class LaplaceNoise:
+class LaplaceNoise(_FiniteParams):
     mu: float = 0.0
     k: float = 4.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.k < 0:
+            raise ConfigError(f"the laplace scale must be >= 0, got {self.k}")
 
     def draw(self, sigma_hat: float, rng: Rng, size: int) -> np.ndarray:
         return rng.gen.laplace(self.mu, self.k * sigma_hat, size)
 
 
 @dataclass(frozen=True)
-class LogNormalNoise:
+class LogNormalNoise(_FiniteParams):
     mu: float = 0.0
     k: float = 0.75
 
@@ -53,11 +66,14 @@ class LogNormalNoise:
 
 
 @dataclass(frozen=True)
-class GaussianMixtureNoise:
+class GaussianMixtureNoise(_FiniteParams):
     components: tuple[tuple[float, float, float], ...] = ((-0.5, 3.0, 0.6), (0.5, 3.0, 0.4))
 
     def __post_init__(self):
+        super().__post_init__()
         weights = [w for _, _, w in self.components]
+        if min(weights) < 0:
+            raise ConfigError(f"mixture weights must be >= 0, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ConfigError("mixture weights must sum to 1")
 
@@ -92,16 +108,14 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def select_cells(n_rows: int, n_features: int, row_frac: float,
-                 feat_frac: float = 0.2, rng: Rng | None = None) -> np.ndarray:
+def select_cells(n_rows: int, n_features: int, row_frac: float, feat_frac: float,
+                 rng: Rng) -> np.ndarray:
     """Boolean (N, D) mask: round(row_frac*N) rows, each with
     round(feat_frac*D) features redrawn independently per row."""
     if not 0.0 < row_frac <= 1.0:
         raise ConfigError(f"row fraction must lie in (0, 1], got {row_frac}")
     if not 0.0 < feat_frac <= 1.0:
         raise ConfigError(f"feature fraction must lie in (0, 1], got {feat_frac}")
-    if rng is None:
-        raise ConfigError("select_cells needs an rng")
     n_sel_rows = _round_half_up(row_frac * n_rows)
     n_sel_feats = _round_half_up(feat_frac * n_features)
     if n_sel_feats == 0:
@@ -139,10 +153,10 @@ def corrupt_categorical(value: int, beta: float, marginal: np.ndarray, rng: Rng)
     return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorruptionRecord:
     """Ground truth for the evaluator: which cells were corrupted, and the
-    clean values they held."""
+    clean values they held; immutable after construction."""
 
     mask: np.ndarray       # (N, D) bool, schema column order
     originals: np.ndarray  # (M,) float64 clean values, in the row-major order of mask
@@ -150,6 +164,13 @@ class CorruptionRecord:
     row_fraction: float = 0.0
     feat_fraction: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", _freeze(np.asarray(self.mask, dtype=bool)))
+        object.__setattr__(self, "originals", _freeze(np.asarray(self.originals, dtype=float)))
+        if self.mask.ndim != 2 or self.originals.shape != (self.n_cells,):
+            raise DataFormatError(f"a {self.mask.shape} mask marking {self.n_cells} cells needs "
+                                  f"one original per marked cell, not {self.originals.shape}")
 
     @property
     def n_cells(self) -> int:
@@ -172,21 +193,19 @@ class CorruptionRecord:
             (reals if kind == REAL else cats)[rows, slot] = values
         return dirty.with_values(reals=reals, cats=cats)
 
+    def _header(self) -> dict:
+        return {"format": RECORD_FORMAT, "seed": self.seed, "row_fraction": self.row_fraction,
+                "feat_fraction": self.feat_fraction, "shape": list(self.mask.shape)}
+
     def save(self, path) -> None:
         """An artifact container: the marked cells as a (M, 2) tensor of
         (row, column) in row-major order and their original values, with the
         categorical columns that hold marked cells named in the header."""
         rows, cols = np.nonzero(self.mask)
-        write_container(path, {
-            "format": RECORD_FORMAT,
-            "seed": self.seed,
-            "row_fraction": self.row_fraction,
-            "feat_fraction": self.feat_fraction,
-            "shape": list(self.mask.shape),
-            "categorical_columns": sorted({c for c in self.categorical_columns
-                                           if self.mask[:, c].any()}),
-        }, {"cells": np.column_stack([rows, cols]).astype(np.float64),
-            "originals": self.originals})
+        write_container(path, {**self._header(), "categorical_columns": sorted(
+            {c for c in self.categorical_columns if self.mask[:, c].any()})},
+            {"cells": np.column_stack([rows, cols]).astype(np.float64),
+             "originals": self.originals})
 
     @classmethod
     def load(cls, path) -> "CorruptionRecord":
@@ -242,13 +261,7 @@ class CorruptionRecord:
     def export(self, path) -> None:
         """Text form: a JSON header line, then a (row,column,original_value)
         CSV in row-major order, with categorical originals written as integers."""
-        lines = [json.dumps({
-            "format": RECORD_FORMAT,
-            "seed": self.seed,
-            "row_fraction": self.row_fraction,
-            "feat_fraction": self.feat_fraction,
-            "shape": list(self.mask.shape),
-        }), RECORD_COLUMNS]
+        lines = [json.dumps(self._header()), RECORD_COLUMNS]
         rows, cols = np.nonzero(self.mask)
         is_cat = np.isin(cols, self.categorical_columns).tolist()
         values = [int(v) if cat else v for v, cat in zip(self.originals.tolist(), is_cat)]

@@ -357,14 +357,6 @@ def destandardize(table: MixedTable) -> MixedTable:
     return table.with_values(reals=values, stats=None)
 
 
-def one_hot(index: int, cardinality: int) -> np.ndarray:
-    if not 0 <= index < cardinality:
-        raise ValueError(f"index {index} out of range for {cardinality} categories")
-    out = np.zeros(cardinality)
-    out[index] = 1.0
-    return out
-
-
 class EmbeddingBank:
     """Learnable unit-norm embedding rows, one matrix per categorical feature."""
 

@@ -69,10 +69,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.value.ndim
-
     def _acc(self, g: np.ndarray) -> None:
         """Add one gradient contribution.
 
@@ -127,38 +123,6 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         return order
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None):
-        return tmean(self, axis=axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"

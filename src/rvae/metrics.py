@@ -11,7 +11,7 @@ truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -93,17 +93,7 @@ class EvalReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
-            "row_avpr": self.row_avpr,
-            "cell_avpr": self.cell_avpr,
-            "cell_avpr_macro": self.cell_avpr_macro,
-            "features_without_positives": self.features_without_positives,
-            "smse_per_feature": self.smse_per_feature,
-            "smse_real_avg": self.smse_real_avg,
-            "brier_per_feature": self.brier_per_feature,
-            "brier_cat_avg": self.brier_cat_avg,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n",
@@ -111,20 +101,13 @@ class EvalReport:
 
     def flatten_csv(self, path) -> None:
         lines = ["metric,feature,value"]
-        if self.row_avpr is not None:
-            lines.append(f"row_avpr,,{self.row_avpr!r}")
-        for name, v in self.cell_avpr.items():
-            lines.append(f"cell_avpr,{name},{v!r}")
-        if self.cell_avpr_macro is not None:
-            lines.append(f"cell_avpr_macro,,{self.cell_avpr_macro!r}")
-        for name, v in self.smse_per_feature.items():
-            lines.append(f"smse,{name},{v!r}")
-        if self.smse_real_avg is not None:
-            lines.append(f"smse_real_avg,,{self.smse_real_avg!r}")
-        for name, v in self.brier_per_feature.items():
-            lines.append(f"brier,{name},{v!r}")
-        if self.brier_cat_avg is not None:
-            lines.append(f"brier_cat_avg,,{self.brier_cat_avg!r}")
+        for metric, per_feature, summary in (("", {}, "row_avpr"),
+                                             ("cell_avpr", self.cell_avpr, "cell_avpr_macro"),
+                                             ("smse", self.smse_per_feature, "smse_real_avg"),
+                                             ("brier", self.brier_per_feature, "brier_cat_avg")):
+            lines += [f"{metric},{name},{v!r}" for name, v in per_feature.items()]
+            if getattr(self, summary) is not None:
+                lines.append(f"{summary},,{getattr(self, summary)!r}")
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -329,46 +329,36 @@ def _check_chain(model: RvaeModel, table: MixedTable, gibbs_iters: int) -> None:
     model.require_table(table)
 
 
-def _stage_one(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
-               streams: list[Rng], gibbs_iters: int):
-    """The all-suspect chain and the observed cells' gate probabilities at
-    its final latent."""
-    decoded = _run_chain(model, obs_reals, obs_cats, streams, gibbs_iters)
-    ll_clean = clean_logliks_values(model.networks.decoder, decoded.head, obs_reals, obs_cats)
-    r = ll_clean - outlier_logliks(model.components, model.schema, obs_reals, obs_cats)
-    return decoded, pi_update(r, model.config.alpha)
-
-
 def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
-                     seed: int = 0) -> tuple[RepairResult, np.ndarray]:
+                     seed: int = 0) -> RepairResult:
     """Pseudo-Gibbs chain treating every cell as suspect.
 
     Starts from the observed row and alternates encode / latent sample /
     cell resample for the requested rounds; the reported repair is the
     mode of the clean component at the final latent (decoded mean for
     reals, highest-probability category for categoricals), so at T=1 this
-    collapses to sample-then-reconstruct. The gate probabilities of the
-    observed cells, evaluated at the final latent, come back alongside.
+    collapses to sample-then-reconstruct.
     """
     _check_chain(model, table, gibbs_iters)
 
     def chunk_chain(rows: np.ndarray):
-        decoded, pi_hat = _stage_one(model, table.reals[rows], table.cats[rows],
-                                     Rng(seed).derive_rows(rows), gibbs_iters)
+        decoded = _run_chain(model, table.reals[rows], table.cats[rows],
+                             Rng(seed).derive_rows(rows), gibbs_iters)
         cats, simplexes = _modes(model.schema, decoded)
-        return decoded.real_means, cats, simplexes, pi_hat
+        return decoded.real_means, cats, simplexes
 
-    reals, cats, simplexes, pi_hat = _map_chunks(table.n_rows, chunk_chain)
-    return _assemble_repair(model, reals, cats, simplexes, "one-stage"), pi_hat
+    reals, cats, simplexes = _map_chunks(table.n_rows, chunk_chain)
+    return _assemble_repair(model, reals, cats, simplexes, "one-stage")
 
 
 def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
                      seed: int = 0, pi_override: np.ndarray | float | None = None) -> RepairResult:
     """Pseudo-Gibbs with an inferred clean mask.
 
-    Runs the one-stage chain to stabilize the gate probabilities, samples a
-    clean/dirty mask from them, clamps clean cells to their observed values
-    for the whole second chain, and starts dirty cells at mean behaviour
+    Runs the one-stage chain to stabilize the gate probabilities, takes
+    those of the observed cells at its final latent, samples a clean/dirty
+    mask from them, clamps clean cells to their observed values for the
+    whole second chain, and starts dirty cells at mean behaviour
     (zero for standardized reals, a zero embedding for categoricals). The
     final repair mixes observed values with the final-latent mode of the
     clean component. ``pi_override`` substitutes forced gate probabilities
@@ -380,7 +370,10 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     def chunk_chain(rows: np.ndarray):
         streams = Rng(seed).derive_rows(rows)
         obs_reals, obs_cats = table.reals[rows], table.cats[rows]
-        _, pi_hat = _stage_one(model, obs_reals, obs_cats, streams, gibbs_iters)
+        head = _run_chain(model, obs_reals, obs_cats, streams, gibbs_iters).head
+        ll_clean = clean_logliks_values(model.networks.decoder, head, obs_reals, obs_cats)
+        r = ll_clean - outlier_logliks(model.components, schema, obs_reals, obs_cats)
+        pi_hat = pi_update(r, model.config.alpha)
         if pi_override is not None:
             pi_hat = np.broadcast_to(np.asarray(pi_override, dtype=np.float64), pi_hat.shape)
         clean = _row_draws(streams, Rng.uniform, schema.n_features) < pi_hat

@@ -323,7 +323,7 @@ def test_one_stage_stays_within_map_band(chain_runs):
     # sanity band from the chain-repair examples: OneStage within 2x of MAP
     one_smse, map_smse = [], []
     for run in chain_runs:
-        one, _ = repair_one_stage(run["model"], run["std"], gibbs_iters=5, seed=run["seed"])
+        one = repair_one_stage(run["model"], run["std"], gibbs_iters=5, seed=run["seed"])
         one_smse.append(evaluate(run["record"], run["dirty"], repair=one).smse_real_avg)
         map_smse.append(evaluate(run["record"], run["dirty"],
                                  repair=repair_map(run["model"], run["std"])).smse_real_avg)

@@ -6,6 +6,7 @@ import pytest
 from rvae.baselines import (Gmm1D, MarginalModel, fit_gmm_1d, fit_gmm_bic,
                             fit_marginals, marginal_repair, marginal_score)
 from rvae.data import FeatureSpec, MixedTable, TableSchema
+from rvae.errors import ConfigError
 from rvae.nn import Rng
 
 from conftest import random_table
@@ -51,7 +52,13 @@ def test_full_forty_component_sweep_runs():
     gmm, bics = fit_gmm_bic(x, seed=0, max_components=40)
     assert set(bics) == set(range(1, 41))
     assert min(bics.values()) == min(bics[k] for k in bics)
-    assert gmm.n_components == min(bics, key=bics.get)
+    assert gmm.weights.size == min(bics, key=bics.get)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_bic_sweep_rejects_fewer_than_one_component(count):
+    with pytest.raises(ConfigError, match="at least 1 component"):
+        fit_gmm_bic(Rng(0).normal(50), max_components=count)
 
 
 def test_em_loglik_non_decreasing():

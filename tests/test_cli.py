@@ -53,24 +53,31 @@ def test_parse_noise_spec_grammar():
 
 
 def test_parse_noise_spec_rejects_garbage():
-    for bad in ("", "gauss", "gauss:1,2", "gmix:1,2", "triangles:3", "gauss:x,cat:0"):
+    for bad in ("", "gauss", "gauss:1,2", "gmix:1,2", "triangles:3", "gauss:x,cat:0",
+                "gmix:0,1,nan,0,1,0.6,cat:0", "gmix:0,1,1.5,0,1,-0.5,cat:0",
+                "gauss:inf,cat:0", "gauss:nan,cat:0", "laplace:-1,cat:0"):
         with pytest.raises(ConfigError):
             parse_noise_spec(bad)
 
 
 def test_train_parser_defaults_follow_the_recipe():
-    args = build_parser().parse_args(
-        ["train", "--input", "a.csv", "--schema", "s.json", "--out", "m.ckpt"])
-    assert args.alpha == 0.95
-    assert args.epochs == 100
-    assert args.lr == 0.001
-    assert args.latent == 20
-    assert args.hidden == 400
-    assert args.embedding == 50
-    assert args.s == 2.0
-    assert args.l2 == 0.0
-    assert args.batch == 150
-    assert args.model == "rvae-cvi"
+    # train and experiment share the recipe options, and every default is
+    # the config's own, which is the paper's recipe
+    recipe = {"alpha": "alpha", "epochs": "epochs", "lr": "learning_rate", "batch": "batch_size",
+              "latent": "latent_dim", "hidden": "hidden_dim", "embedding": "embedding_dim"}
+    train_only = {"s": "outlier_scale", "l2": "weight_decay", "model": "model"}
+    defaults = TrainConfig()
+    for argv, options in (
+            (["train", "--input", "a.csv", "--schema", "s.json", "--out", "m.ckpt"],
+             {**recipe, **train_only}),
+            (["experiment", "--input", "a.csv", "--schema", "s.json", "--out-dir", "out"], recipe)):
+        args = build_parser().parse_args(argv)
+        for option, field in options.items():
+            assert getattr(args, option) == getattr(defaults, field), (argv[0], option)
+    assert (defaults.alpha, defaults.epochs, defaults.learning_rate, defaults.batch_size,
+            defaults.latent_dim, defaults.hidden_dim, defaults.embedding_dim,
+            defaults.outlier_scale, defaults.weight_decay, defaults.model) == (
+        0.95, 100, 0.001, 150, 20, 400, 50, 2.0, 0.0, "rvae-cvi")
 
 
 def test_repair_parser_accepts_gibbs_settings():
@@ -104,6 +111,18 @@ def test_corrupt_rejects_feature_fraction_outside_unit_interval(workspace, tmp_p
     argv[argv.index("--out-record") + 1] = tmp_path / "r.rvae"
     assert run([*argv, "--features", features]) == 2
     assert f"feature fraction must lie in (0, 1], got {features}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("noise", ["gmix:0,1,nan,0,1,0.6,cat:0", "gmix:0,1,1.5,0,1,-0.5,cat:0",
+                                   "gauss:inf,cat:0", "gauss:nan,cat:0"])
+def test_corrupt_rejects_bad_noise_parameters(workspace, tmp_path, capsys, noise):
+    argv = corrupt_args(workspace)
+    argv[argv.index("--noise") + 1] = noise
+    argv[argv.index("--out-dirty") + 1] = tmp_path / "d.csv"
+    argv[argv.index("--out-record") + 1] = tmp_path / "r.rvae"
+    assert run(argv) == 2
+    assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -265,6 +284,19 @@ def test_experiment_sweep(workspace, tmp_path):
     assert methods == {"rvae-cvi", "vae", "marginal"}
     manifest = json.loads((out_dir / "aggregate.csv.manifest.json").read_text())
     assert manifest["config"]["s"] == TrainConfig().outlier_scale
+
+
+def test_experiment_rejects_zero_gmm_components_before_training(workspace, tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the component count")
+
+    monkeypatch.setattr("rvae.cli.train", no_training)
+    assert run(["experiment", "--input", workspace / "clean.csv", "--schema",
+                workspace / "schema.json", "--max-gmm-components", "0",
+                "--out-dir", tmp_path / "sweep"]) == 2
+    assert "--max-gmm-components must be >= 1, got 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # -- negative seeds --------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rvae.data import (EmbeddingBank, FeatureSpec, MixedTable,
                        TableSchema, apply_stats, destandardize, encode_values,
-                       encoded_dim, load_csv, one_hot, read_table,
+                       encoded_dim, load_csv, read_table,
                        standardize, write_table)
 from rvae.engine import Tensor, onehot_dense, tsum
 from rvae.errors import DataFormatError
@@ -175,7 +175,7 @@ def test_encode_single_categorical_is_embedding_row():
     bank = EmbeddingBank(schema, dim=6, rng=Rng(4))
     for c in range(3):
         x = encode_values(schema, np.zeros((1, 0)), np.array([[c]]))
-        np.testing.assert_array_equal(x[0], one_hot(c, 3))
+        np.testing.assert_array_equal(x[0], np.eye(3)[c])
         out = embedded_input(schema, bank, np.zeros((1, 0)), np.array([[c]]))
         np.testing.assert_array_equal(out.value[0], bank.tensors["c"].value[c])
 
@@ -210,17 +210,10 @@ def test_encode_zero_mask_blanks_embeddings(mixed_schema):
     mask = np.array([[True, False]])
     x = encode_values(mixed_schema, reals, cats, zero_mask=mask)
     np.testing.assert_array_equal(x[0, 2:5], 0.0)
-    np.testing.assert_array_equal(x[0, 5:], one_hot(1, 2))
+    np.testing.assert_array_equal(x[0, 5:], np.eye(2)[1])
     out = embedded_input(mixed_schema, bank, reals, cats, zero_mask=mask).value
     np.testing.assert_array_equal(out[0, 2:6], 0.0)
     np.testing.assert_array_equal(out[0, 6:], bank.tensors["d"].value[1])
-
-
-def test_one_hot():
-    np.testing.assert_array_equal(one_hot(1, 3), [0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(one_hot(0, 2), [1.0, 0.0])
-    with pytest.raises(ValueError):
-        one_hot(3, 3)
 
 
 def test_embedding_rows_unit_norm_after_renormalize(mixed_schema):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,11 +174,24 @@ def test_evaluate_identity_repair_gives_noise_energy_ratio():
 def test_evaluate_rejects_a_clean_category_outside_the_feature(category):
     schema, dirty, record = build_case(seed=5)
     rows, cols = np.nonzero(record.mask)
-    record.originals[np.flatnonzero(cols == 2)[0]] = category
+    originals = record.originals.copy()
+    originals[np.flatnonzero(cols == 2)[0]] = category
+    record = replace(record, originals=originals)
     repair = RepairResult(table=dirty, simplexes={"c0": np.eye(3)[dirty.cats[:, 0]]},
                           method="map")
     with pytest.raises(DataFormatError, match="outside its 3 categories"):
         evaluate(record, dirty, repair=repair)
+
+
+def test_record_ties_its_originals_to_its_mask():
+    schema, dirty, record = build_case(seed=5)
+    for originals in (record.originals[:-1], record.originals[:, None]):
+        with pytest.raises(DataFormatError, match="one original per marked cell"):
+            replace(record, originals=originals)
+    with pytest.raises(ValueError, match="read-only"):
+        record.mask[0, 0] = not record.mask[0, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        record.originals[0] = 0.0
 
 
 def test_evaluate_macro_is_unweighted_mean():
@@ -190,7 +204,10 @@ def test_evaluate_macro_is_unweighted_mean():
 
 def test_evaluate_skips_features_without_positives():
     schema, dirty, record = build_case(seed=9)
-    record.mask[:, 1] = False  # wipe feature r1's positives
+    rows, cols = np.nonzero(record.mask)
+    mask = record.mask.copy()
+    mask[:, 1] = False  # wipe feature r1's positives, and their originals with them
+    record = replace(record, mask=mask, originals=record.originals[cols != 1])
     cells = np.random.default_rng(2).random(record.mask.shape)
     report = evaluate(record, dirty, scores=ScoreReport("nll", cells, cells.sum(axis=1)))
     assert "r1" not in report.cell_avpr
