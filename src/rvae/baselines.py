@@ -27,21 +27,31 @@ class Gmm1D:
     stds: np.ndarray
 
     def component_log_pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)[:, None]
+        """(k, n): log w_j + log N(x_i; m_j, s_j), one contiguous row per
+        component, so reductions over components are elementwise."""
+        x = np.asarray(x, dtype=np.float64)
         with np.errstate(divide="ignore"):  # a dead component (weight 0) is just -inf
             log_w = np.log(self.weights)
-        return log_w[None, :] + gaussian_log_pdf(x, self.means[None, :], self.stds[None, :])
+        return log_w[:, None] + gaussian_log_pdf(x[None, :], self.means[:, None],
+                                                 self.stds[:, None])
+
+    def posterior(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The mixture log density of each value, (n,), and the (k, n)
+        responsibilities; one exp, shifted by each value's largest term."""
+        resp = self.component_log_pdf(x)
+        top = resp.max(axis=0)
+        resp -= top
+        np.exp(resp, out=resp)
+        total = resp.sum(axis=0)
+        resp /= total
+        return top + np.log(total), resp
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        comp = self.component_log_pdf(x)
-        m = comp.max(axis=1, keepdims=True)
-        return (m + np.log(np.exp(comp - m).sum(axis=1, keepdims=True)))[:, 0]
+        return self.posterior(x)[0]
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
-        comp = self.component_log_pdf(x)
-        comp -= comp.max(axis=1, keepdims=True)
-        p = np.exp(comp)
-        return p / p.sum(axis=1, keepdims=True)
+        """(n, k): each row sums to 1."""
+        return self.posterior(x)[1].T
 
 
 def _kmeanspp_centers(x: np.ndarray, k: int, rng: Rng) -> np.ndarray:
@@ -72,17 +82,14 @@ def fit_gmm_1d(x: np.ndarray, k: int, rng: Rng, max_iter: int = 150,
     trajectory: list[float] = []
     prev = -np.inf
     for _ in range(max_iter):
-        comp = gmm.component_log_pdf(x)
-        m = comp.max(axis=1, keepdims=True)
-        log_norm = m[:, 0] + np.log(np.exp(comp - m).sum(axis=1))
+        log_norm, resp = gmm.posterior(x)
         total_ll = float(log_norm.sum())
         trajectory.append(total_ll)
-        resp = np.exp(comp - log_norm[:, None])
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         safe = np.maximum(nk, 1e-12)
         gmm.weights = nk / n
-        gmm.means = (resp * x[:, None]).sum(axis=0) / safe
-        var = (resp * (x[:, None] - gmm.means[None, :]) ** 2).sum(axis=0) / safe
+        gmm.means = (resp * x).sum(axis=1) / safe
+        var = (resp * (x - gmm.means[:, None]) ** 2).sum(axis=1) / safe
         gmm.stds = np.maximum(np.sqrt(var), STD_FLOOR)
         if total_ll - prev < tol * (1.0 + abs(total_ll)) and np.isfinite(prev):
             break
@@ -98,8 +105,10 @@ def fit_gmm_bic(x: np.ndarray, seed: int = 0, max_components: int = 40,
                 feature_key: int = 0) -> tuple[Gmm1D, dict[int, float]]:
     """Sweep component counts, keep the lowest BIC.
 
-    Restarts: 10 for k <= 5, 3 above; each restart gets its own derived
-    stream so the sweep is reproducible.
+    Restarts: 1 for k = 1, where every start reaches the same fit (the
+    mean and std of x) and so the same log likelihood; 10 for 2 <= k <= 5;
+    3 above. Each restart gets its own derived stream so the sweep is
+    reproducible.
     """
     if max_components < 1:
         raise ConfigError(f"the BIC sweep needs at least 1 component, got {max_components}")
@@ -109,7 +118,7 @@ def fit_gmm_bic(x: np.ndarray, seed: int = 0, max_components: int = 40,
     bics: dict[int, float] = {}
     best: tuple[float, Gmm1D] | None = None
     for k in range(1, max_components + 1):
-        restarts = 10 if k <= 5 else 3
+        restarts = 1 if k == 1 else 10 if k <= 5 else 3
         best_ll, best_fit = -np.inf, None
         for attempt in range(restarts):
             gmm, traj = fit_gmm_1d(x, k, base.derive(feature_key, k, attempt))

@@ -183,16 +183,6 @@ class CorruptionRecord:
         here = cols == column
         return rows[here], self.originals[here]
 
-    def apply_originals(self, dirty: MixedTable) -> MixedTable:
-        """Put the clean values back; exact inverse of the corruption."""
-        reals = dirty.reals.copy()
-        cats = dirty.cats.copy()
-        for column in range(dirty.schema.n_features):
-            rows, values = self.column(column)
-            kind, slot = dirty.schema.kind_index(column)
-            (reals if kind == REAL else cats)[rows, slot] = values
-        return dirty.with_values(reals=reals, cats=cats)
-
     def _header(self) -> dict:
         return {"format": RECORD_FORMAT, "seed": self.seed, "row_fraction": self.row_fraction,
                 "feat_fraction": self.feat_fraction, "shape": list(self.mask.shape)}
@@ -323,6 +313,9 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
                                   "but no categorical noise process was configured")
             cats[row, slot] = corrupt_categorical(int(cats[row, slot]), noise.cat.beta,
                                                   marginals[slot], rng)
+    # finite parameters can still draw values that overflow to inf
+    if not np.all(np.isfinite(reals[mask[:, is_real]])):
+        raise ConfigError(f"real noise {noise.real} drew values too large for float64")
     dirty = table.with_values(reals=reals, cats=cats)
     record = CorruptionRecord(mask=mask, originals=clean[mask], categorical_columns=cat_columns,
                               seed=seed, row_fraction=row_frac, feat_fraction=feat_frac)

@@ -42,6 +42,17 @@ def random_table(schema, n, seed):
     return MixedTable(schema=schema, reals=reals * 2.0 + 1.0, cats=cats, stats=None)
 
 
+def restore_clean(record, dirty):
+    """The reals and category indices of ``dirty`` with every marked cell set
+    back to the clean value ``record.column`` holds for it."""
+    reals, cats = dirty.reals.copy(), dirty.cats.copy()
+    for column in range(dirty.schema.n_features):
+        rows, values = record.column(column)
+        kind, slot = dirty.schema.kind_index(column)
+        (reals if kind == "real" else cats)[rows, slot] = values
+    return reals, cats
+
+
 def tiny_networks(schema, seed, latent=3, hidden=8, emb=4, amortized=False):
     return build_networks(schema, latent_dim=latent, hidden_dim=hidden,
                           embedding_dim=emb, rng=Rng(seed), amortized=amortized)

@@ -69,10 +69,51 @@ def test_em_loglik_non_decreasing():
     assert np.all(diffs >= -1e-9)
 
 
+def test_one_component_fit_does_not_depend_on_the_start():
+    # why the BIC sweep runs a single restart at k = 1
+    x = Rng(6).normal(500) * 2.0 + 1.0
+    fits = [fit_gmm_1d(x, k=1, rng=Rng(seed)) for seed in range(5)]
+    for gmm, trajectory in fits:
+        assert trajectory[-1] == fits[0][1][-1]
+        for got, want in zip((gmm.weights, gmm.means, gmm.stds),
+                             (fits[0][0].weights, fits[0][0].means, fits[0][0].stds)):
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(fits[0][0].means, x.mean(), rtol=1e-12)
+    np.testing.assert_allclose(fits[0][0].stds, x.std(), rtol=1e-12)
+
+
 def test_gmm_std_floor_on_degenerate_data():
     x = np.concatenate([np.zeros(50), np.ones(50)])  # point masses
     gmm, _ = fit_gmm_1d(x, k=2, rng=Rng(5))
     assert np.all(gmm.stds >= 1e-4)
+
+
+def test_mixture_matches_scalar_reference():
+    # a dead component (weight 0), and two points at least 40 sigma from every
+    # live mean, whose densities underflow unless the sum is shifted by its
+    # largest term
+    gmm = Gmm1D(weights=np.array([0.3, 0.0, 0.7]), means=np.array([-1.0, 2.0, 1.5]),
+                stds=np.array([0.5, 1.0, 0.25]))
+    x = np.array([-1.2, 0.0, 0.4, 1.5, 2.0, 3.1, 24.0, -1.0 - 40 * 0.5])
+
+    def terms(v):
+        return [math.log(w) - math.log(s * math.sqrt(2 * math.pi)) - 0.5 * ((v - m) / s) ** 2
+                if w > 0 else -math.inf for w, m, s in zip(gmm.weights, gmm.means, gmm.stds)]
+
+    want_log_pdf, want_resp = [], []
+    for v in x:
+        t = terms(float(v))
+        top = max(t)
+        total = math.fsum(math.exp(a - top) for a in t)
+        want_log_pdf.append(top + math.log(total))
+        want_resp.append([math.exp(a - top) / total for a in t])
+    np.testing.assert_allclose(gmm.log_pdf(x), want_log_pdf, rtol=1e-12, atol=1e-12)
+    resp = gmm.responsibilities(x)
+    assert resp.shape == (x.size, 3)
+    np.testing.assert_allclose(resp, want_resp, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(resp[:, 1] == 0.0)
+    assert want_log_pdf[-1] < -700 and np.isfinite(gmm.log_pdf(x)).all()
 
 
 def test_category_frequencies_reproduce_counts():

@@ -126,6 +126,19 @@ def test_corrupt_rejects_bad_noise_parameters(workspace, tmp_path, capsys, noise
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("noise, process", [("lognorm:1000,cat:0", "LogNormalNoise"),
+                                            ("gauss:1e308,cat:0", "GaussianNoise")])
+def test_corrupt_rejects_noise_that_overflows(workspace, tmp_path, capsys, noise, process):
+    argv = corrupt_args(workspace)
+    argv[argv.index("--noise") + 1] = noise
+    argv[argv.index("--out-dirty") + 1] = tmp_path / "d.csv"
+    argv[argv.index("--out-record") + 1] = tmp_path / "r.rvae"
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and process in err and "too large" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_rejects_bad_alpha(workspace, capsys):
     assert run(["train", "--input", workspace / "clean.csv", "--schema",
                 workspace / "schema.json", "--alpha", "1.5", "--out",
