@@ -38,10 +38,10 @@ class Gmm1D:
     def posterior(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The mixture log density of each value, (n,), and the (k, n)
         responsibilities; one exp, shifted by each value's largest term."""
-        resp = self.component_log_pdf(x)
-        top = resp.max(axis=0)
-        resp -= top
-        np.exp(resp, out=resp)
+        comp = self.component_log_pdf(x)
+        top = comp.max(axis=0)
+        comp -= top
+        resp = np.exp(comp, out=comp)
         total = resp.sum(axis=0)
         resp /= total
         return top + np.log(total), resp
