@@ -299,20 +299,22 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
         marginals.append(counts / counts.sum())
     reals = table.reals.copy()
     cats = table.cats.copy()
-    # one draw per cell in row-major order: that order fixes the dirty values
-    for row, column in zip(*np.nonzero(mask)):
-        kind, slot = table.schema.kind_index(column)
-        if kind == REAL:
-            if noise.real is None:
-                raise ConfigError(f"mask hit real feature '{table.schema.features[column].name}' "
-                                  "but no real noise process was configured")
-            reals[row, slot] = corrupt_real(reals[row, slot], noise.real, float(sigma_hat[slot]), rng)
-        else:
-            if noise.cat is None:
-                raise ConfigError(f"mask hit categorical feature '{table.schema.features[column].name}' "
-                                  "but no categorical noise process was configured")
-            cats[row, slot] = corrupt_categorical(int(cats[row, slot]), noise.cat.beta,
-                                                  marginals[slot], rng)
+    # one draw per cell in row-major order: that order fixes the dirty values;
+    # a draw that overflows is reported below as a config error, not a warning
+    with np.errstate(over="ignore"):
+        for row, column in zip(*np.nonzero(mask)):
+            kind, slot = table.schema.kind_index(column)
+            if kind == REAL:
+                if noise.real is None:
+                    raise ConfigError(f"mask hit real feature '{table.schema.features[column].name}' "
+                                      "but no real noise process was configured")
+                reals[row, slot] = corrupt_real(reals[row, slot], noise.real, float(sigma_hat[slot]), rng)
+            else:
+                if noise.cat is None:
+                    raise ConfigError(f"mask hit categorical feature '{table.schema.features[column].name}' "
+                                      "but no categorical noise process was configured")
+                cats[row, slot] = corrupt_categorical(int(cats[row, slot]), noise.cat.beta,
+                                                      marginals[slot], rng)
     # finite parameters can still draw values that overflow to inf
     if not np.all(np.isfinite(reals[mask[:, is_real]])):
         raise ConfigError(f"real noise {noise.real} drew values too large for float64")

@@ -1,8 +1,12 @@
 """Outlier scores, MAP repair, and the two pseudo-Gibbs repair chains.
 
-All operations are read-only on the model and run over fixed-size row
-chunks. Every row owns an independent RNG stream derived from (seed, row
-index), so a row's draws do not depend on the chunk it falls in.
+All operations are read-only on the model and run over chunks of
+``CHUNK_ROWS`` rows. Each draw call of a chunk fills a (rows, width) block
+from its own stream, ``Rng(seed).derive(tag, chunk, round)``, so row r's
+draws are row r % CHUNK_ROWS of that block and depend only on (seed, tag,
+row, round). ``CHUNK_ROWS`` is therefore part of the seeded contract: a
+table's first rows get the same draws, and the same results, whatever
+rows follow them.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from .data import (CATEGORICAL, REAL, WRITE_BLOCK_ROWS, MixedTable, TableSchema,
                    destandardize, require_same_schema, write_csv, write_table)
 from .engine import stable_sigmoid
 from .errors import ConfigError, DataFormatError, ScoreRuleError
-from .model import (DecodedValues, clean_logliks_values, decode_values,
-                    encode_values, outlier_logliks, pi_update)
+from .model import (clean_logliks_values, decode_values, encode_values, outlier_logliks,
+                    pi_update)
 from .nn import Rng
 from .train import RvaeModel
 
@@ -167,16 +171,21 @@ def export_simplexes(path, schema: TableSchema, simplexes: dict[str, np.ndarray]
 
 CHUNK_ROWS = 512
 
+# stream tags: the chain's normals (latent, then real-cell noise), its
+# category uniforms, and the uniforms of two-stage's clean mask
+_NORMAL, _UNIFORM, _MASK = range(3)
+
 
 def _map_chunks(n: int, fn) -> tuple:
-    """Run ``fn(rows)`` on fixed-size row blocks and join its outputs.
+    """Run ``fn(chunk, rows)`` on consecutive blocks of ``CHUNK_ROWS`` rows,
+    chunk = 0, 1, ..., and join its outputs.
 
     ``fn`` returns a tuple of (rows, ...) arrays or dicts of them; each
     element comes back concatenated along the rows (per key for dicts).
     Fixed blocks bound the memory that a block's encoded input and
     activations take, whatever the table's length.
     """
-    parts = [fn(np.arange(start, min(start + CHUNK_ROWS, n)))
+    parts = [fn(start // CHUNK_ROWS, np.arange(start, min(start + CHUNK_ROWS, n)))
              for start in range(0, max(n, 1), CHUNK_ROWS)]
 
     def join(pieces):
@@ -192,19 +201,18 @@ def _pi_cell_scores(pi: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(pi, 1e-300))
 
 
-def _row_draws(streams: list[Rng], draw, width: int) -> np.ndarray:
-    """A (B, width) array whose row i is one ``draw`` (``Rng.normal`` or
-    ``Rng.uniform``) call on row stream i, written in place."""
-    out = np.empty((len(streams), width))
-    for stream, row in zip(streams, out):
-        draw(stream, out=row)
-    return out
+def _round_normals(model: RvaeModel, base: Rng, chunk: int, rnd: int, n: int) -> np.ndarray:
+    """Chain round ``rnd``'s (n, latent + n_real) standard normals for a
+    chunk: latent noise, then cell noise for the reals."""
+    width = model.config.latent_dim + len(model.schema.real_features)
+    return base.derive(_NORMAL, chunk, rnd).normal((n, width))
 
 
-def _sampled_latents(model: RvaeModel, x: np.ndarray, streams: list[Rng]) -> np.ndarray:
-    """z = mu + sigma * eps with one standard-normal draw per row stream."""
+def _sampled_latents(model: RvaeModel, x: np.ndarray, base: Rng, chunk: int) -> np.ndarray:
+    """z = mu + sigma * eps, eps the latent noise of a chain's first round,
+    so a sampled latent is the one the one-stage chain starts from."""
     mu, sig = model.networks.encoder.latent_values(x, model.networks.embeddings)
-    return mu + sig * _row_draws(streams, Rng.normal, model.config.latent_dim)
+    return mu + sig * _round_normals(model, base, chunk, 0, x.shape[0])[:, :mu.shape[1]]
 
 
 def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0) -> ScoreReport:
@@ -218,14 +226,15 @@ def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0) -> Scor
     model.require_table(table)
     schema = model.schema
     nets = model.networks
+    base = Rng(seed)
 
-    def chunk_scores(rows: np.ndarray):
+    def chunk_scores(chunk: int, rows: np.ndarray):
         reals, cats = table.reals[rows], table.cats[rows]
         x = encode_values(schema, reals, cats)
         if rule == "pi" and model.config.is_amortized:
             pi = stable_sigmoid(nets.pi_encoder.apply(x, nets.embeddings.tables).value)
             return (_pi_cell_scores(pi),)
-        z = _sampled_latents(model, x, Rng(seed).derive_rows(rows))
+        z = _sampled_latents(model, x, base, chunk)
         ll_clean = clean_logliks_values(nets.decoder, nets.decoder.head(z).value, reals, cats)
         if rule == "nll":
             return (-ll_clean,)
@@ -236,14 +245,13 @@ def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0) -> Scor
     return ScoreReport(rule=rule, cell_scores=cells, row_scores=cells.sum(axis=1))
 
 
-def _modes(schema: TableSchema, decoded: DecodedValues):
-    """Highest-probability category per categorical (ties to the lowest
-    index) and a copy of every simplex."""
-    n = decoded.real_means.shape[0]
+def _modes(schema: TableSchema, probs: dict[str, np.ndarray], n: int) -> np.ndarray:
+    """Highest-probability category per categorical of n rows, ties to the
+    lowest index."""
     cats = np.empty((n, len(schema.cat_features)), dtype=np.int64)
     for j, feat in enumerate(schema.cat_features):
-        cats[:, j] = np.argmax(decoded.cat_probs[feat.name], axis=1)
-    return cats, {f.name: decoded.cat_probs[f.name].copy() for f in schema.cat_features}
+        cats[:, j] = np.argmax(probs[feat.name], axis=1)
+    return cats
 
 
 def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, cat_idx: np.ndarray,
@@ -261,16 +269,16 @@ def repair_map(model: RvaeModel, table: MixedTable, sample_z: bool = False,
     mean unless ``sample_z`` asks for a draw."""
     model.require_table(table)
     schema, nets = model.schema, model.networks
+    base = Rng(seed)
 
-    def chunk_repair(rows: np.ndarray):
+    def chunk_repair(chunk: int, rows: np.ndarray):
         x = encode_values(schema, table.reals[rows], table.cats[rows])
         if sample_z:
-            z = _sampled_latents(model, x, Rng(seed).derive_rows(rows))
+            z = _sampled_latents(model, x, base, chunk)
         else:
             z, _ = nets.encoder.latent_values(x, nets.embeddings)
         decoded = decode_values(nets.decoder, z)
-        cats, simplexes = _modes(schema, decoded)
-        return decoded.real_means, cats, simplexes
+        return decoded.real_means, _modes(schema, decoded.cat_probs, rows.size), decoded.cat_probs
 
     reals, cats, simplexes = _map_chunks(table.n_rows, chunk_repair)
     return _assemble_repair(model, reals, cats, simplexes, "map")
@@ -287,30 +295,40 @@ def _split_by_kind(schema: TableSchema, mask: np.ndarray):
     return mask[:, kinds == REAL], mask[:, kinds == CATEGORICAL]
 
 
-def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
-               streams: list[Rng], iters: int, clean: np.ndarray | None = None) -> DecodedValues:
+def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, base: Rng,
+               chunk: int, iters: int, clean: np.ndarray | None = None
+               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Pseudo-Gibbs rounds from the observed rows: z ~ q(z | x), then x ~ p(x | z).
 
-    Each round draws, per row stream, one normal(latent + n_real) call
-    (latent noise, then cell noise for the reals) and one uniform(n_cat)
-    call (one per categorical). With a (B, D) ``clean`` mask in schema
-    column order, clean cells stay at their observed values in every round
-    and dirty cells start at mean behaviour: zero for standardized reals, a
-    zero one-hot block (a zero embedding) for categoricals. Returns the
-    last round's decoded values.
+    Round t draws the chunk's :func:`_round_normals` and, except in the
+    last round, whose cells nothing reads, one uniform per categorical cell
+    from ``base.derive(_UNIFORM, chunk, t)``. With a (B, D) ``clean`` mask
+    in schema column order, clean cells stay at their observed values in
+    every round and dirty cells start at mean behaviour: zero for
+    standardized reals, a zero one-hot block (a zero embedding) for
+    categoricals.
+
+    Returns the mean over the rounds of the decoded real means and category
+    probabilities at each round's sampled latent, a Rao-Blackwellised
+    readout of the chain: (B, n_real) reals and a dict of (B, C_d) simplexes.
     """
     schema, nets = model.schema, model.networks
-    k, n_real, n_cat = model.config.latent_dim, obs_reals.shape[1], obs_cats.shape[1]
+    n, k = obs_reals.shape[0], model.config.latent_dim
     reals, cats, zero_mask = obs_reals, obs_cats, None
     if clean is not None:
         keep_reals, keep_cats = _split_by_kind(schema, clean)
         reals, zero_mask = np.where(keep_reals, obs_reals, 0.0), ~keep_cats
+    means, probs = [], []
     for it in range(iters):
         x = encode_values(schema, reals, cats, zero_mask if it == 0 else None)
         mu, sig = nets.encoder.latent_values(x, nets.embeddings)
-        eps = _row_draws(streams, Rng.normal, k + n_real)
-        u = _row_draws(streams, Rng.uniform, n_cat)
+        eps = _round_normals(model, base, chunk, it, n)
         decoded = decode_values(nets.decoder, mu + sig * eps[:, :k])
+        means.append(decoded.real_means)
+        probs.append(decoded.cat_probs)
+        if it + 1 == iters:
+            break
+        u = base.derive(_UNIFORM, chunk, it).uniform((n, obs_cats.shape[1]))
         reals = decoded.real_means + decoded.real_stds * eps[:, k:]
         cats = np.empty_like(obs_cats)
         for j, feat in enumerate(schema.cat_features):
@@ -318,7 +336,8 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray,
         if clean is not None:
             reals = np.where(keep_reals, obs_reals, reals)
             cats = np.where(keep_cats, obs_cats, cats)
-    return decoded
+    return np.mean(means, axis=0), {f.name: np.mean([p[f.name] for p in probs], axis=0)
+                                    for f in schema.cat_features}
 
 
 def _check_chain(model: RvaeModel, table: MixedTable, gibbs_iters: int) -> None:
@@ -334,18 +353,18 @@ def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     """Pseudo-Gibbs chain treating every cell as suspect.
 
     Starts from the observed row and alternates encode / latent sample /
-    cell resample for the requested rounds; the reported repair is the
-    mode of the clean component at the final latent (decoded mean for
-    reals, highest-probability category for categoricals), so at T=1 this
-    collapses to sample-then-reconstruct.
+    cell resample for the requested rounds. The repair is the mode of the
+    chain's round-mean readout (see :func:`_run_chain`): its mean for reals,
+    its highest-probability category for categoricals. At T=1 this is
+    ``repair_map(sample_z=True)`` with the same seed.
     """
     _check_chain(model, table, gibbs_iters)
+    base = Rng(seed)
 
-    def chunk_chain(rows: np.ndarray):
-        decoded = _run_chain(model, table.reals[rows], table.cats[rows],
-                             Rng(seed).derive_rows(rows), gibbs_iters)
-        cats, simplexes = _modes(model.schema, decoded)
-        return decoded.real_means, cats, simplexes
+    def chunk_chain(chunk: int, rows: np.ndarray):
+        reals, probs = _run_chain(model, table.reals[rows], table.cats[rows], base, chunk,
+                                  gibbs_iters)
+        return reals, _modes(model.schema, probs, rows.size), probs
 
     reals, cats, simplexes = _map_chunks(table.n_rows, chunk_chain)
     return _assemble_repair(model, reals, cats, simplexes, "one-stage")
@@ -355,36 +374,41 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
                      seed: int = 0, pi_override: np.ndarray | float | None = None) -> RepairResult:
     """Pseudo-Gibbs with an inferred clean mask.
 
-    Runs the one-stage chain to stabilize the gate probabilities, takes
-    those of the observed cells at its final latent, samples a clean/dirty
-    mask from them, clamps clean cells to their observed values for the
-    whole second chain, and starts dirty cells at mean behaviour
-    (zero for standardized reals, a zero embedding for categoricals). The
-    final repair mixes observed values with the final-latent mode of the
-    clean component. ``pi_override`` substitutes forced gate probabilities
-    (test hook).
+    Takes each observed cell's clean probability from one encoder and
+    decoder pass at the row's posterior mean, samples a clean/dirty mask
+    from them with ``base.derive(_MASK, chunk, 0)``, clamps clean cells to
+    their observed values for the whole chain, and starts dirty cells at
+    mean behaviour (zero for standardized reals, a zero embedding for
+    categoricals). The repair keeps the clean cells' observed values and
+    gives dirty cells the mode of the chain's round-mean readout.
+    ``pi_override`` substitutes forced clean probabilities for the gate
+    pass, which then does not run.
     """
     _check_chain(model, table, gibbs_iters)
-    schema = model.schema
+    schema, nets = model.schema, model.networks
+    base = Rng(seed)
 
-    def chunk_chain(rows: np.ndarray):
-        streams = Rng(seed).derive_rows(rows)
-        obs_reals, obs_cats = table.reals[rows], table.cats[rows]
-        head = _run_chain(model, obs_reals, obs_cats, streams, gibbs_iters).head
-        ll_clean = clean_logliks_values(model.networks.decoder, head, obs_reals, obs_cats)
-        r = ll_clean - outlier_logliks(model.components, schema, obs_reals, obs_cats)
-        pi_hat = pi_update(r, model.config.alpha)
+    def gates(reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
         if pi_override is not None:
-            pi_hat = np.broadcast_to(np.asarray(pi_override, dtype=np.float64), pi_hat.shape)
-        clean = _row_draws(streams, Rng.uniform, schema.n_features) < pi_hat
-        decoded = _run_chain(model, obs_reals, obs_cats, streams, gibbs_iters, clean)
+            return np.broadcast_to(np.asarray(pi_override, dtype=np.float64),
+                                   (reals.shape[0], schema.n_features))
+        mu, _ = nets.encoder.latent_values(encode_values(schema, reals, cats), nets.embeddings)
+        ll_clean = clean_logliks_values(nets.decoder, nets.decoder.head(mu).value, reals, cats)
+        r = ll_clean - outlier_logliks(model.components, schema, reals, cats)
+        return pi_update(r, model.config.alpha)
+
+    def chunk_chain(chunk: int, rows: np.ndarray):
+        obs_reals, obs_cats = table.reals[rows], table.cats[rows]
+        u = base.derive(_MASK, chunk, 0).uniform((rows.size, schema.n_features))
+        clean = u < gates(obs_reals, obs_cats)
+        reals, probs = _run_chain(model, obs_reals, obs_cats, base, chunk, gibbs_iters, clean)
         keep_reals, keep_cats = _split_by_kind(schema, clean)
-        cats, simplexes = _modes(schema, decoded)
+        cats = _modes(schema, probs, rows.size)
         for j, feat in enumerate(schema.cat_features):
             keep = keep_cats[:, j]
-            simplexes[feat.name][keep] = np.eye(feat.cardinality)[obs_cats[keep, j]]
-        return (np.where(keep_reals, obs_reals, decoded.real_means),
-                np.where(keep_cats, obs_cats, cats), simplexes)
+            probs[feat.name][keep] = np.eye(feat.cardinality)[obs_cats[keep, j]]
+        return (np.where(keep_reals, obs_reals, reals),
+                np.where(keep_cats, obs_cats, cats), probs)
 
     reals, cats, simplexes = _map_chunks(table.n_rows, chunk_chain)
     return _assemble_repair(model, reals, cats, simplexes, "two-stage")

@@ -126,6 +126,8 @@ def test_corrupt_rejects_bad_noise_parameters(workspace, tmp_path, capsys, noise
     assert not list(tmp_path.iterdir())
 
 
+# a numpy overflow warning would be printed beside the config error
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("noise, process", [("lognorm:1000,cat:0", "LogNormalNoise"),
                                             ("gauss:1e308,cat:0", "GaussianNoise")])
 def test_corrupt_rejects_noise_that_overflows(workspace, tmp_path, capsys, noise, process):

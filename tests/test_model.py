@@ -329,12 +329,15 @@ def test_value_paths_match_tape(mixed_schema):
         np.testing.assert_allclose(tape_probs, decoded.cat_probs[feat.name], atol=1e-12,
                                    err_msg=feat.name)
 
-    # score's nll cells are the training pass at the latent draws score makes
+    # score's nll cells are the training pass at the latent draws score makes:
+    # the latent columns of the first round's normals, keyed (tag 0, chunk 0, round 0)
     model = RvaeModel(networks=nets, schema=mixed_schema,
                       config=TrainConfig(latent_dim=3, hidden_dim=8, embedding_dim=4),
                       stats={}, components=OutlierComponents(2.0))
     table = MixedTable(schema=mixed_schema, reals=reals, cats=cats, stats=None)
-    eps = np.stack([s.normal(3) for s in Rng(5).derive_rows(np.arange(4))])
+    n_real = len(mixed_schema.real_features)
+    eps = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0, 0, 0))).standard_normal(
+        (4, 3 + n_real))[:, :3]
     _, ll_sampled, _ = forward_elbo_parts(nets, mixed_schema, reals, cats, eps)
     np.testing.assert_array_equal(score(model, table, "nll", seed=5).cell_scores,
                                   -ll_sampled.value)

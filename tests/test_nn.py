@@ -249,33 +249,12 @@ def test_rng_seeds_exactly_as_numpy_seed_sequence(seed):
     assert Rng(seed).gen.bit_generator.state == numpy_state(seed)
     for keys in [(0,), (3, 2, 1), (2 ** 33, 0), (7, 2 ** 64 + 3, 9)]:
         assert Rng(seed).derive(*keys).gen.bit_generator.state == numpy_state(seed, keys)
-    rows = np.array([0, 1, 77, 1999, 2 ** 31, 2 ** 32 - 1])
-    for row, child in zip(rows, Rng(seed).derive_rows(rows)):
-        assert child.gen.bit_generator.state == numpy_state(seed, [int(row)])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 130), st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=40))
-def test_derive_rows_equals_derive_for_any_seed(seed, rows):
-    children = Rng(seed).derive_rows(np.array(rows, dtype=np.int64))
-    assert len(children) == len(rows)
-    for row, child in zip(rows, children):
-        assert child.gen.bit_generator.state == numpy_state(seed, [row])
-
-
-def test_derive_rows_draws_match_derive():
-    rows = np.arange(5)
-    for child, ref in zip(Rng(8).derive_rows(rows), [Rng(8).derive(int(r)) for r in rows]):
-        np.testing.assert_array_equal(child.normal(7), ref.normal(7))
-    assert Rng(8).derive_rows(np.arange(0)) == []
 
 
 @pytest.mark.parametrize("make", [
     lambda: Rng(-1),
     lambda: Rng(3).derive(-2),
     lambda: Rng(3).derive(1, -1),
-    lambda: Rng(3).derive_rows(np.array([4, -1])),
-    lambda: Rng(3).derive_rows(np.array([2 ** 32])),
 ])
 def test_rng_rejects_negative_seeds_keys_and_wide_rows(make):
     with pytest.raises(ValueError):

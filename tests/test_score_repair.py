@@ -265,15 +265,13 @@ def test_one_stage_t1_is_sample_then_reconstruct(trained):
     model, table, _ = trained
     result = repair_one_stage(model, table, gibbs_iters=1, seed=4)
 
-    # independent replication: one chain round with the same per-row streams,
-    # then read the decoded mode
-    streams = Rng(4).derive_rows(np.arange(table.n_rows))
-    decoded = _run_chain(model, table.reals, table.cats, streams, 1)
-    expected_reals = destandardize(table.with_values(reals=decoded.real_means)).reals
-    np.testing.assert_array_equal(result.table.reals, expected_reals)
-    for j, feat in enumerate(model.schema.cat_features):
-        np.testing.assert_array_equal(result.table.cats[:, j],
-                                      np.argmax(decoded.cat_probs[feat.name], axis=1))
+    # one round samples a latent from the observed row and reads the clean
+    # component there: MAP repair at a sampled latent, with the same draw
+    sampled = repair_map(model, table, sample_z=True, seed=4)
+    np.testing.assert_array_equal(result.table.reals, sampled.table.reals)
+    np.testing.assert_array_equal(result.table.cats, sampled.table.cats)
+    for name, probs in sampled.simplexes.items():
+        np.testing.assert_array_equal(result.simplexes[name], probs)
 
 
 def test_one_stage_reproducible(trained):
@@ -299,16 +297,27 @@ def test_two_stage_forced_dirty_matches_mean_start_chain(trained):
     model, table, _ = trained
     result = repair_two_stage(model, table, gibbs_iters=2, seed=12, pi_override=0.0)
 
-    # replicate: stage-1 chain (2 rounds), the mask draw (all dirty), then a
-    # 2-round chain from mean behaviour (zero reals, zeroed embeddings)
-    streams = Rng(12).derive_rows(np.arange(table.n_rows))
-    _run_chain(model, table.reals, table.cats, streams, 2)
-    for s in streams:
-        s.uniform(model.schema.n_features)  # the mask draws
+    # replicate: every cell dirty, so a 2-round chain from mean behaviour
+    # (zero reals, zeroed embeddings) over the table's one chunk
     all_dirty = np.zeros((table.n_rows, model.schema.n_features), dtype=bool)
-    decoded = _run_chain(model, table.reals, table.cats, streams, 2, clean=all_dirty)
-    expected = destandardize(table.with_values(reals=decoded.real_means)).reals
+    reals, _ = _run_chain(model, table.reals, table.cats, Rng(12), 0, 2, clean=all_dirty)
+    expected = destandardize(table.with_values(reals=reals)).reals
     np.testing.assert_array_equal(result.table.reals, expected)
+
+
+def test_forced_gates_skip_the_gate_pass(trained, monkeypatch):
+    import rvae.score_repair as sr
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("the gate pass ran although the gates were forced")
+
+    model, table, _ = trained
+    expected = repair_two_stage(model, table, gibbs_iters=2, seed=3, pi_override=0.5)
+    for name in ("clean_logliks_values", "outlier_logliks", "pi_update"):
+        monkeypatch.setattr(sr, name, not_called)
+    result = repair_two_stage(model, table, gibbs_iters=2, seed=3, pi_override=0.5)
+    np.testing.assert_array_equal(result.table.reals, expected.table.reals)
+    np.testing.assert_array_equal(result.table.cats, expected.table.cats)
 
 
 def test_load_simplexes_round_trip(tmp_path, trained):
@@ -322,108 +331,133 @@ def test_load_simplexes_round_trip(tmp_path, trained):
         np.testing.assert_array_equal(loaded[name], probs)
 
 
-# -- reference: per-call draws from numpy-seeded streams ---------------------------
+# -- reference: numpy streams keyed (seed, tag, chunk, round) -------------------------
 
-class NumpyRowStream:
-    """A row stream seeded straight from numpy: PCG64(SeedSequence(seed, spawn_key=(row,)))."""
-
-    def __init__(self, seed, row):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(row,))
-        self.gen = np.random.Generator(np.random.PCG64(seq))
-
-    def normal(self, size=None):
-        return self.gen.standard_normal(size)
-
-    def uniform(self, size=None):
-        return self.gen.random(size)
+NORMAL, UNIFORM, MASK = 0, 1, 2  # the stream tags of the seeded contract
+CHUNK = 512
 
 
-def reference_round(model, reals, cats, zero_mask, streams):
-    """One pseudo-Gibbs round drawing per call, in the order the chain
-    consumes its streams: normal(latent), normal(n_real), then one
-    uniform() per categorical feature."""
+def numpy_stream(seed, tag, chunk, rnd):
+    seq = np.random.SeedSequence(seed, spawn_key=(tag, chunk, rnd))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def chunks(n):
+    """(chunk index, row slice) for consecutive blocks of CHUNK rows."""
+    return [(c, slice(start, min(start + CHUNK, n))) for c, start in enumerate(range(0, n, CHUNK))]
+
+
+@pytest.fixture(scope="module")
+def long_table(trained):
+    """1,300 corrupted rows for the trained model: two full chunks and a part."""
+    dirty, _ = make_scenario(mixture_table(1300, seed=3), 0.10, NOISE, seed=3)
+    return apply_stats(dirty, trained[0].stats)
+
+
+def reference_round(model, reals, cats, zero_mask, eps, u):
+    """One pseudo-Gibbs round: latent noise eps[:, :K], cell noise eps[:, K:],
+    then one uniform per categorical cell (none in a chain's last round)."""
     from rvae.model import decode_values, encode_values
 
     schema, nets = model.schema, model.networks
+    k = model.config.latent_dim
     x = encode_values(schema, reals, cats, zero_mask)
     mu, sig = nets.encoder.latent_values(x, nets.embeddings)
-    eps_z = np.stack([s.normal(model.config.latent_dim) for s in streams])
-    decoded = decode_values(nets.decoder, mu + sig * eps_z)
-    new_reals = reals.copy()
-    if reals.shape[1]:
-        eps_x = np.stack([s.normal(reals.shape[1]) for s in streams])
-        new_reals = decoded.real_means + decoded.real_stds * eps_x
+    decoded = decode_values(nets.decoder, mu + sig * eps[:, :k])
+    new_reals = decoded.real_means + decoded.real_stds * eps[:, k:]
     new_cats = cats.copy()
-    for j, feat in enumerate(schema.cat_features):
-        u = np.array([s.uniform() for s in streams])
+    for j, feat in enumerate(schema.cat_features if u is not None else []):
         cum = np.cumsum(decoded.cat_probs[feat.name], axis=1)
-        new_cats[:, j] = np.clip((cum < u[:, None]).sum(axis=1), 0, feat.cardinality - 1)
+        new_cats[:, j] = np.clip((cum < u[:, j:j + 1]).sum(axis=1), 0, feat.cardinality - 1)
     return new_reals, new_cats, decoded
 
 
-def reference_two_stage(model, table, iters, seed):
-    """Stage one (every cell suspect), the mask draw from its gate
-    probabilities, then the clamped chain from mean behaviour, cell by cell;
-    returns stage one's last decoded values and the standardized reals,
-    cats and simplexes."""
-    from rvae.model import clean_logliks_values, outlier_logliks, pi_update
-
+def reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk):
+    """One chunk's chain, clamping cell by cell; returns the round means of
+    the decoded real means and category probabilities."""
     schema = model.schema
-    streams = [NumpyRowStream(seed, r) for r in range(table.n_rows)]
-    obs_r, obs_c = table.reals, table.cats
-    st_r, st_c = obs_r.copy(), obs_c.copy()
-    for _ in range(iters):
-        st_r, st_c, decoded = reference_round(model, st_r, st_c, None, streams)
-    ll = clean_logliks_values(model.networks.decoder, decoded.head, obs_r, obs_c)
-    pi_hat = pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
-                       model.config.alpha)
-    stage_one = decoded
-    clean = np.stack([s.uniform(schema.n_features) for s in streams]) < pi_hat
+    n, width = obs_r.shape[0], model.config.latent_dim + obs_r.shape[1]
     slots = [schema.kind_index(c) for c in range(schema.n_features)]
-    st_r, st_c = obs_r.copy(), obs_c.copy()
-    zero_mask = np.zeros_like(obs_c, dtype=bool)
-    for c, (kind, slot) in enumerate(slots):
-        if kind == "real":
-            st_r[~clean[:, c], slot] = 0.0
-        else:
-            zero_mask[~clean[:, c], slot] = True
-    for it in range(iters):
-        st_r, st_c, decoded = reference_round(model, st_r, st_c,
-                                              zero_mask if it == 0 else None, streams)
+    st_r, st_c, zero_mask = obs_r.copy(), obs_c.copy(), None
+    if clean is not None:
+        zero_mask = np.zeros_like(obs_c, dtype=bool)
         for c, (kind, slot) in enumerate(slots):
+            if kind == "real":
+                st_r[~clean[:, c], slot] = 0.0
+            else:
+                zero_mask[~clean[:, c], slot] = True
+    for it in range(iters):
+        eps = numpy_stream(seed, NORMAL, chunk, it).standard_normal((n, width))
+        u = (None if it == iters - 1
+             else numpy_stream(seed, UNIFORM, chunk, it).random((n, obs_c.shape[1])))
+        st_r, st_c, decoded = reference_round(model, st_r, st_c,
+                                              zero_mask if it == 0 else None, eps, u)
+        for c, (kind, slot) in enumerate(slots if clean is not None else []):
             keep = clean[:, c]
             if kind == "real":
                 st_r[keep, slot] = obs_r[keep, slot]
             else:
                 st_c[keep, slot] = obs_c[keep, slot]
-    reals = decoded.real_means.copy()
-    cats = np.zeros_like(obs_c)
-    simplexes = {}
-    for c, (kind, slot) in enumerate(slots):
-        keep = clean[:, c]
-        if kind == "real":
-            reals[keep, slot] = obs_r[keep, slot]
-            continue
-        feat = schema.features[c]
-        probs = decoded.cat_probs[feat.name].copy()
-        cats[:, slot] = np.argmax(probs, axis=1)
-        cats[keep, slot] = obs_c[keep, slot]
-        probs[keep] = np.eye(feat.cardinality)[obs_c[keep, slot]]
-        simplexes[feat.name] = probs
-    return stage_one, (reals, cats, simplexes)
+        if it == 0:
+            total_r, total_p = decoded.real_means, dict(decoded.cat_probs)
+        else:
+            total_r = total_r + decoded.real_means
+            total_p = {name: total_p[name] + p for name, p in decoded.cat_probs.items()}
+    return total_r / iters, {name: p / iters for name, p in total_p.items()}
 
 
-def test_chains_replay_numpy_seeded_per_call_draws(trained):
-    model, table, _ = trained
-    decoded, (reals, cats, simplexes) = reference_two_stage(model, table, 3, seed=21)
+def reference_chains(model, table, iters, seed):
+    """Both chains chunk by chunk: one-stage's round means, and two-stage's
+    standardized reals, cats and simplexes, its clean mask drawn from the
+    gates at each row's posterior mean."""
+    from rvae.model import (clean_logliks_values, decode_values, encode_values,
+                            outlier_logliks, pi_update)
+
+    schema, nets = model.schema, model.networks
+    one_r, one_p, two_r, two_c, two_p = [], [], [], [], []
+    for chunk, rows in chunks(table.n_rows):
+        obs_r, obs_c = table.reals[rows], table.cats[rows]
+        means, probs = reference_chain(model, obs_r, obs_c, None, iters, seed, chunk)
+        one_r.append(means)
+        one_p.append(probs)
+
+        mu, _ = nets.encoder.latent_values(encode_values(schema, obs_r, obs_c), nets.embeddings)
+        ll = clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, obs_r, obs_c)
+        pi_hat = pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
+                           model.config.alpha)
+        u = numpy_stream(seed, MASK, chunk, 0).random((obs_r.shape[0], schema.n_features))
+        clean = u < pi_hat
+        means, probs = reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk)
+        reals, cats, simplexes = means.copy(), np.zeros_like(obs_c), {}
+        for c, (kind, slot) in enumerate(schema.kind_index(c) for c in range(schema.n_features)):
+            keep = clean[:, c]
+            if kind == "real":
+                reals[keep, slot] = obs_r[keep, slot]
+                continue
+            feat = schema.features[c]
+            cats[:, slot] = np.argmax(probs[feat.name], axis=1)
+            cats[keep, slot] = obs_c[keep, slot]
+            simplexes[feat.name] = probs[feat.name].copy()
+            simplexes[feat.name][keep] = np.eye(feat.cardinality)[obs_c[keep, slot]]
+        two_r.append(reals)
+        two_c.append(cats)
+        two_p.append(simplexes)
+    join = {name: np.concatenate([p[name] for p in one_p]) for name in one_p[0]}
+    join_two = {name: np.concatenate([p[name] for p in two_p]) for name in two_p[0]}
+    return ((np.concatenate(one_r), join),
+            (np.concatenate(two_r), np.concatenate(two_c), join_two))
+
+
+def test_chains_replay_numpy_seeded_per_call_draws(trained, long_table):
+    model, table = trained[0], long_table
+    (one_r, one_p), (reals, cats, simplexes) = reference_chains(model, table, 3, seed=21)
 
     one = repair_one_stage(model, table, gibbs_iters=3, seed=21)
     np.testing.assert_array_equal(
-        one.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+        one.table.reals, destandardize(table.with_values(reals=one_r)).reals)
     for j, feat in enumerate(model.schema.cat_features):
-        np.testing.assert_array_equal(one.simplexes[feat.name], decoded.cat_probs[feat.name])
-        np.testing.assert_array_equal(one.table.cats[:, j],
-                                      np.argmax(decoded.cat_probs[feat.name], axis=1))
+        np.testing.assert_array_equal(one.simplexes[feat.name], one_p[feat.name])
+        np.testing.assert_array_equal(one.table.cats[:, j], np.argmax(one_p[feat.name], axis=1))
 
     two = repair_two_stage(model, table, gibbs_iters=3, seed=21)
     np.testing.assert_array_equal(two.table.reals,
@@ -433,21 +467,48 @@ def test_chains_replay_numpy_seeded_per_call_draws(trained):
         np.testing.assert_array_equal(two.simplexes[name], probs)
 
 
-def test_sampled_latents_replay_numpy_seeded_draws(trained):
+def test_sampled_latents_replay_numpy_seeded_draws(trained, long_table):
     from rvae.model import clean_logliks_values, decode_values, encode_values
 
-    model, table, _ = trained
-    nets = model.networks
-    streams = [NumpyRowStream(13, r) for r in range(table.n_rows)]
+    model, table = trained[0], long_table
+    nets, k = model.networks, model.config.latent_dim
+    width = k + len(model.schema.real_features)
     mu, sig = nets.encoder.latent_values(
         encode_values(model.schema, table.reals, table.cats), nets.embeddings)
-    eps = np.stack([s.normal(model.config.latent_dim) for s in streams])
+    eps = np.concatenate([numpy_stream(13, NORMAL, chunk, 0).standard_normal(
+        (rows.stop - rows.start, width))[:, :k] for chunk, rows in chunks(table.n_rows)])
     decoded = decode_values(nets.decoder, mu + sig * eps)
     expected = -clean_logliks_values(nets.decoder, decoded.head, table.reals, table.cats)
     np.testing.assert_array_equal(score(model, table, "nll", seed=13).cell_scores, expected)
     sampled = repair_map(model, table, sample_z=True, seed=13)
     np.testing.assert_array_equal(
         sampled.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+
+
+SEEDED_RUNS = {
+    "score-nll": lambda model, table: score(model, table, "nll", seed=5),
+    "score-pi": lambda model, table: score(model, table, "pi", seed=5),
+    "map-sample-z": lambda model, table: repair_map(model, table, sample_z=True, seed=5),
+    "one-stage": lambda model, table: repair_one_stage(model, table, gibbs_iters=3, seed=5),
+    "two-stage": lambda model, table: repair_two_stage(model, table, gibbs_iters=3, seed=5),
+}
+
+
+def output_arrays(out):
+    if isinstance(out, ScoreReport):
+        return {"cells": out.cell_scores, "rows": out.row_scores}
+    return {"reals": out.table.reals, "cats": out.table.cats, **out.simplexes}
+
+
+@pytest.mark.parametrize("run", SEEDED_RUNS)
+def test_first_rows_do_not_depend_on_the_rows_after_them(trained, long_table, run):
+    model = trained[0]
+    full = output_arrays(SEEDED_RUNS[run](model, long_table))
+    for n in (600, 1100):
+        head = MixedTable(schema=long_table.schema, reals=long_table.reals[:n],
+                          cats=long_table.cats[:n], stats=long_table.stats)
+        for name, values in output_arrays(SEEDED_RUNS[run](model, head)).items():
+            assert values.tobytes() == full[name][:n].tobytes(), (n, name)
 
 
 # -- artifact writers against csv.writer ---------------------------------------------
