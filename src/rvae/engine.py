@@ -3,7 +3,15 @@
 A Tensor wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar (or seeding a vector output) walks the tape in
 reverse topological order and accumulates gradients into every reachable
-node.  Only the operations the models need are provided.
+node.
+
+The module holds the nodes the models run. Most are fused: one node makes
+the numpy operations of a chain of one-op nodes in the same order, so it
+matches that chain bit for bit; the one-op nodes are the tests' reference
+tape, ``tests/reference_tape.py``. :func:`matmul`, :func:`concat`,
+:func:`take_rows`, :func:`gather_cols` and :func:`log_softmax` stay although
+no model runs them: the benchmark tracer (``bench/tracing.py``) hooks them
+by name, and they can move once it hooks the fused nodes instead.
 """
 
 from __future__ import annotations
@@ -12,46 +20,22 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "add",
-    "sub",
-    "mul",
-    "neg",
-    "exp",
-    "log",
-    "relu",
-    "sigmoid",
-    "softplus",
-    "clip",
+    "stable_sigmoid",
     "gaussian_params",
     "gaussian_latent",
-    "matmul",
     "dense",
     "onehot_dense",
-    "fold_weight",
-    "tsum",
-    "tmean",
-    "reshape",
-    "concat",
     "slice_cols",
     "column",
-    "take_rows",
-    "gather_cols",
-    "permute_cols",
-    "log_softmax",
     "block_softmax",
     "block_log_probs",
-    "block_log_softmax_at",
+    # hooked by the benchmark tracer; no model calls them
+    "matmul",
+    "concat",
+    "take_rows",
+    "gather_cols",
+    "log_softmax",
 ]
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -132,69 +116,6 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value + b.value, (a, b))
-
-    def bw(g):
-        a._acc(_unbroadcast(g, a.value.shape))
-        b._acc(_unbroadcast(g, b.value.shape))
-
-    out._bw = bw
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value - b.value, (a, b))
-
-    def bw(g):
-        a._acc(_unbroadcast(g, a.value.shape))
-        b._acc(-_unbroadcast(g, b.value.shape))
-
-    out._bw = bw
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.value * b.value, (a, b))
-
-    def bw(g):
-        a._acc(_unbroadcast(g * b.value, a.value.shape))
-        b._acc(_unbroadcast(g * a.value, b.value.shape))
-
-    out._bw = bw
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.value, (a,))
-    out._bw = lambda g: a._acc(-g)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    val = np.exp(a.value)
-    out = Tensor(val, (a,))
-    # the closure holds the value, not `out`: a node that refers to itself
-    # keeps its whole tape alive until the cycle collector runs
-    out._bw = lambda g: a._acc(g * val)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.value), (a,))
-    out._bw = lambda g: a._acc(g / a.value)
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.value, 0.0), (a,))
-    out._bw = lambda g: a._acc(g * (a.value > 0.0))
-    return out
-
-
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function (plain ndarray in and out)."""
     x = np.asarray(x, dtype=np.float64)
@@ -203,26 +124,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = stable_sigmoid(a.value)
-    out = Tensor(s, (a,))
-    out._bw = lambda g: a._acc(g * s * (1.0 - s))
-    return out
-
-
-def softplus(a: Tensor) -> Tensor:
-    out = Tensor(np.logaddexp(0.0, a.value), (a,))
-    out._bw = lambda g: a._acc(g * stable_sigmoid(a.value))
-    return out
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    # gradient passes inside [lo, hi] and is zero outside, like torch.clamp
-    out = Tensor(np.clip(a.value, lo, hi), (a,))
-    out._bw = lambda g: a._acc(g * ((a.value >= lo) & (a.value <= hi)))
     return out
 
 
@@ -238,12 +139,14 @@ def gaussian_latent(a: Tensor, eps: np.ndarray, lo: float, hi: float) -> Tensor:
     """A reparameterised Gaussian latent and its KL to N(0, I), as one node.
 
     ``a`` (B, 2K) holds the means, then the log stds, which are clipped to
-    [lo, hi] (with :func:`clip`'s gradient). The (B, K + 1) value holds
+    [lo, hi] (the gradient passes only where the clip left them). The
+    (B, K + 1) value holds
     ``z = mu + sigma * eps`` in its first K columns and
     ``KL(N(mu, sigma^2) || N(0, I))`` per row in the last; read them with
     :func:`slice_cols` and :func:`column`. Forward and backward make the
-    numpy operations of the slice -> clip -> exp -> add/mul chain in the
-    same order, so values and gradients match it bit for bit.
+    numpy operations of the reference tape's slice -> clip -> exp ->
+    add/mul chain in the same order, so values and gradients match it bit
+    for bit.
     """
     mu, log_sigma, sigma = gaussian_params(a.value, lo, hi)
     k = mu.shape[1]
@@ -317,7 +220,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return out
 
 
-def fold_weight(w: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+def _fold_weight(w: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     """The weight a layer applies to a one-hot-coded input.
 
     ``w`` (n_lead + sum d_j, H) holds a leading block for the plain input
@@ -344,13 +247,13 @@ def onehot_dense(x: np.ndarray, w: Tensor, b: Tensor, tables: list[Tensor],
     then per table a block of C_j columns holding a one-hot code (or
     zeros, for an input row of zeros). It stands for the layer input
     ``[x_lead | table_0[c_0] | ...]`` of a layer with weight ``w`` and bias
-    ``b``; the product runs against :func:`fold_weight`, rebuilt on every
+    ``b``; the product runs against :func:`_fold_weight`, rebuilt on every
     call from the current tables. Gradients flow into ``w``, ``b`` and the
     tables, not into ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
     values = [t.value for t in tables]
-    folded = fold_weight(w.value, values)
+    folded = _fold_weight(w.value, values)
     if x.ndim != 2 or x.shape[1] != folded.shape[0]:
         raise ValueError(f"input width {x.shape[-1]} does not match the folded weight "
                          f"({folded.shape[0]} rows)")
@@ -377,30 +280,6 @@ def onehot_dense(x: np.ndarray, w: Tensor, b: Tensor, tables: list[Tensor],
         b._acc(g.sum(axis=0))
 
     out._bw = bw
-    return out
-
-
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(a.value.sum(axis=axis, keepdims=keepdims), (a,))
-
-    def bw(g):
-        # _acc broadcasts the reduced gradient back to a's shape
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._acc(g)
-
-    out._bw = bw
-    return out
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.value.reshape(shape), (a,))
-    out._bw = lambda g: a._acc(g.reshape(a.value.shape))
     return out
 
 
@@ -477,19 +356,6 @@ def gather_cols(a: Tensor, idx: np.ndarray) -> Tensor:
     return out
 
 
-def permute_cols(a: Tensor, order: np.ndarray) -> Tensor:
-    """Reorder the columns of a 2-D tensor: out[:, i] = a[:, order[i]].
-
-    ``order`` must be a permutation, so the backward pass is a plain index
-    with the inverse permutation.
-    """
-    order = np.asarray(order, dtype=np.int64)
-    inverse = np.argsort(order)
-    out = Tensor(a.value[:, order], (a,))
-    out._bw = lambda g: a._acc(g[:, inverse])
-    return out
-
-
 def log_softmax(a: Tensor) -> Tensor:
     """Row-wise log softmax of a 2-D tensor, stabilized by max subtraction."""
     x = a.value
@@ -536,12 +402,14 @@ def block_softmax(x: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarr
 
 
 def block_log_probs(x: np.ndarray, sizes: list[int], idx: np.ndarray):
-    """Values and gradient of :func:`block_log_softmax_at` on a plain array.
+    """Log softmax within column blocks, at one column per block and row.
 
-    ``x`` (B, sum sizes) holds the blocks. Returns the (B, n_blocks) log
-    probabilities at ``idx`` and a function ``grad(g, out)`` that writes
-    their gradient for the upstream gradient ``g`` into ``out`` (shaped
-    like ``x``). The probabilities are built only when ``grad`` runs.
+    ``x`` (B, sum sizes) holds consecutive blocks of widths ``sizes``;
+    ``idx`` (B, n_blocks) holds one position within each block per row.
+    Returns the (B, n_blocks) log probabilities at ``idx`` and a function
+    ``grad(g, out)`` that writes their gradient for the upstream gradient
+    ``g`` into ``out`` (shaped like ``x``), per block ``g * (onehot(idx) -
+    softmax)``. The probabilities are built only when ``grad`` runs.
     """
     idx = np.asarray(idx, dtype=np.int64)
     shifted, e, sums = _block_exp(x, sizes)
@@ -556,21 +424,3 @@ def block_log_probs(x: np.ndarray, sizes: list[int], idx: np.ndarray):
     return shifted[rows, cols] - np.log(sums), grad
 
 
-def block_log_softmax_at(a: Tensor, start: int, sizes: list[int], idx: np.ndarray) -> Tensor:
-    """Log softmax within column blocks, at one column per block and row.
-
-    Columns ``start:`` of the 2-D tensor ``a`` form consecutive blocks of
-    widths ``sizes``; ``idx`` (B, n_blocks) holds one position within each
-    block per row. Returns the (B, n_blocks) log probabilities at those
-    positions. Backward, per block: ``g * (onehot(idx) - softmax)``.
-    """
-    val, grad = block_log_probs(a.value[:, start:], sizes, idx)
-    out = Tensor(val, (a,))
-
-    def bw(g):
-        buf = np.zeros_like(a.value)
-        grad(g, buf[:, start:])
-        a._acc(buf)
-
-    out._bw = bw
-    return out

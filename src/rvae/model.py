@@ -1,6 +1,6 @@
 """The probabilistic core: per-feature likelihoods, outlier components,
-KL terms, the VAE and gated-mixture ELBOs, and the closed-form update for
-the per-cell clean probability.
+KL terms, the gated-mixture ELBO, and the closed-form update for the
+per-cell clean probability.
 
 Every real feature is modelled as N(x | m_d(z), sigma_d) with a learned
 per-feature sigma_d; every categorical feature as a softmax over logits
@@ -8,6 +8,9 @@ a_d(z). The outlier side is a z-independent broad Gaussian N(0, S) for
 reals and a uniform 1/C_d for categoricals. A per-cell gate probability
 pi mixes the two; its coordinate-ascent optimum is
 sigmoid(r + logit(alpha)) with r the expected log density ratio.
+
+All three model kinds train through one node, :func:`gated_rows`; they
+differ only in where its gates come from.
 """
 
 from __future__ import annotations
@@ -129,9 +132,9 @@ class Decoder:
         """(B, D) clean-component log likelihoods of the observed cells under
         ``head`` (from :meth:`head`), schema order, as one node.
 
-        Forward and backward make the numpy operations of the engine chain
-        (slice, clip, exp, sub, mul for the Gaussian term of the reals;
-        :func:`engine.block_log_softmax_at` for the categoricals; concat;
+        Forward and backward make the numpy operations of the reference
+        tape's chain (slice, clip, exp, sub, mul for the Gaussian term of
+        the reals; a per-block log softmax for the categoricals; concat;
         permute) in the same order, so values and gradients match it bit
         for bit.
         """
@@ -311,7 +314,7 @@ def outlier_logliks(components: OutlierComponents, schema: TableSchema,
 
 
 # ---------------------------------------------------------------------------
-# ELBOs (tape expressions over batches; one z sample per expectation)
+# ELBO (a tape expression over batches; one z sample per expectation)
 # ---------------------------------------------------------------------------
 
 def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray,
@@ -324,83 +327,53 @@ def forward_elbo_parts(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarra
     return x_enc, dec.clean_logliks(dec.head(z), reals, cats), kl_z
 
 
-def elbo_vae(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray, cats: np.ndarray,
-             eps: np.ndarray) -> Tensor:
-    """Per-row ELBO (B,): sum_d E_q[log p(x_d | z)] - KL(q(z|x) || p(z))."""
-    _, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
-    return engine.sub(engine.tsum(ll_clean, axis=1), kl_z)
+def gated_rows(ll_clean: Tensor, kl_z: Tensor, ll_out: np.ndarray | None = None,
+               gates: np.ndarray | Tensor | None = None,
+               alpha: float | None = None) -> tuple[Tensor, np.ndarray | None]:
+    """Per-row gated ELBO (B,) and its gates pi, as one node:
+    sum_d [pi * ll_clean + (1 - pi) * ll_out] - kl_z - sum_d KL(Bernoulli(pi) || Bernoulli(alpha)).
 
-
-def kl_bernoulli_from_logits(logits: Tensor, alpha: float) -> Tensor:
-    """Per-cell KL(Bernoulli(sigmoid(w)) || Bernoulli(alpha)) on the tape.
-
-    Uses log pi = -softplus(-w) and log(1 - pi) = -softplus(w) so saturated
-    gates stay finite under differentiation.
+    ``gates`` is None for the VAE (pi held at 1, no KL(w) term, None
+    returned), constant gates for rvae-cvi (no gradient reaches them), or
+    the gate logits w for rvae-avi: pi = sigmoid(w), KL(w) reads log pi =
+    -softplus(-w) and log(1 - pi) = -softplus(w) so saturated gates stay
+    finite, and backward reaches w. The gradient through cell d carries the
+    factor pi_d, which is the down-weighting mechanism. The numpy operations
+    are those of the reference tape's chain, in the same order, so values
+    and gradients match it bit for bit.
     """
-    pi = engine.sigmoid(logits)
-    log_pi = engine.neg(engine.softplus(engine.neg(logits)))
-    log_1m = engine.neg(engine.softplus(logits))
-    t1 = engine.mul(pi, engine.sub(log_pi, math.log(alpha)))
-    t2 = engine.mul(engine.sub(engine._wrap(1.0), pi), engine.sub(log_1m, math.log(1.0 - alpha)))
-    return engine.add(t1, t2)
-
-
-def _gated_rows(ll_clean: Tensor, kl_z: Tensor, pi: np.ndarray, ll_out: np.ndarray,
-                kl_w: np.ndarray) -> Tensor:
-    """Per-row gated ELBO for constant gates ``pi``, as one node:
-    sum_d [pi * ll_clean + (1 - pi) * ll_out] - kl_z - kl_w.
-
-    The numpy operations are those of the mul -> add -> tsum -> sub -> sub
-    chain, in the same order, so values and gradients match it bit for bit.
-    """
-    val = (ll_clean.value * pi + (1.0 - pi) * ll_out).sum(axis=1)
+    llc, pi = ll_clean.value, gates
+    logits = gates if isinstance(gates, Tensor) else None
+    if logits is not None:
+        w = logits.value
+        pi = engine.stable_sigmoid(w)
+        d1 = -np.logaddexp(0.0, -w) - math.log(alpha)        # log pi - log alpha
+        d2 = -np.logaddexp(0.0, w) - math.log(1.0 - alpha)   # log(1 - pi) - log(1 - alpha)
+        kl_w = pi * d1 + (1.0 - pi) * d2
+    elif pi is not None:
+        kl_w = kl_bernoulli(pi, alpha)
+    val = llc.sum(axis=1) if pi is None else (llc * pi + (1.0 - pi) * ll_out).sum(axis=1)
     val -= kl_z.value
-    val -= kl_w
+    if pi is not None:
+        val -= kl_w.sum(axis=1)
 
     def bw(g):
-        ll_clean._acc(g[:, None] * pi)
+        g_cell = g[:, None]
+        ll_clean._acc(g_cell if pi is None else g_cell * pi)
         kl_z._acc(-g)
+        if logits is not None:
+            # w's four paths in the reference tape's order: the mix's sigmoid,
+            # the softplus of log pi, KL(w)'s sigmoid, the softplus of
+            # log(1 - pi); (x * pi) * (1 - pi) keeps the sigmoid's rounding
+            g_kl, one_m = -g_cell, 1.0 - pi
+            g_w = ((g_cell * llc - g_cell * ll_out) * pi) * one_m
+            g_w += -(-(g_kl * pi) * engine.stable_sigmoid(-w))
+            g_w += ((g_kl * d1 - g_kl * d2) * pi) * one_m
+            g_w += -(g_kl * one_m) * engine.stable_sigmoid(w)
+            logits._acc(g_w)
 
-    return Tensor(val, (ll_clean, kl_z), bw)
-
-
-def rvae_step_objective(nets: RvaeNetworks, schema: TableSchema, reals: np.ndarray,
-                        cats: np.ndarray, components: OutlierComponents, alpha: float,
-                        eps: np.ndarray, amortized: bool,
-                        pi_override: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """Per-row gated ELBO for one training step, plus the pi values used.
-
-    sum_d [pi * E_q log p(x_d|z) + (1 - pi) * log p0(x_d)]
-      - KL(q(z|x) || p(z)) - sum_d KL(Bernoulli(pi) || Bernoulli(alpha)).
-
-    The gradient w.r.t. decoder parameters through cell d carries the
-    factor pi_nd, which is the down-weighting mechanism.
-
-    Coordinate mode infers pi in closed form from the same single z sample
-    and treats it as constant for the gradient; amortized mode takes pi
-    from the gate encoder, so gradients flow into it. ``pi_override``
-    substitutes fixed constants in either mode (test hook).
-    """
-    x_enc, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
-    ll_out = outlier_logliks(components, schema, reals, cats)
-    if amortized and pi_override is None:
-        if nets.pi_encoder is None:
-            raise ConfigError("amortized objective requires a pi encoder")
-        logits = nets.pi_encoder.apply(x_enc, nets.embeddings.tables)
-        pi_t = engine.sigmoid(logits)
-        mix = engine.tsum(engine.add(engine.mul(pi_t, ll_clean),
-                                     engine.mul(engine.sub(engine._wrap(1.0), pi_t), ll_out)), axis=1)
-        kl_w = engine.tsum(kl_bernoulli_from_logits(logits, alpha), axis=1)
-        per_row = engine.sub(engine.sub(mix, kl_z), kl_w)
-        return per_row, pi_t.value
-    if pi_override is not None:
-        pi = np.broadcast_to(np.asarray(pi_override, dtype=np.float64),
-                             (ll_out.shape[0], schema.n_features)).copy()
-    else:
-        r = ll_clean.value - ll_out
-        pi = pi_update(r, alpha)
-    kl_w = kl_bernoulli(pi, alpha).sum(axis=1)
-    return _gated_rows(ll_clean, kl_z, pi, ll_out, kl_w), pi
+    parents = (ll_clean, kl_z) if logits is None else (ll_clean, kl_z, logits)
+    return Tensor(val, parents, bw), pi
 
 
 # ---------------------------------------------------------------------------

@@ -20,18 +20,20 @@ ACTIVATIONS = ("relu", "identity")
 class Rng:
     """Seeded PCG64 stream; identical seed means identical sample stream.
 
-    A stream is ``PCG64(SeedSequence(seed))`` and a child stream
-    ``PCG64(SeedSequence(seed, spawn_key=keys))``, numpy's own seeding.
+    A stream is ``PCG64(SeedSequence(seed, spawn_key=spawn_key))``, numpy's
+    own seeding; a root stream has the empty spawn key.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
         self.seed = int(seed)
-        seq = np.random.SeedSequence(self.seed, spawn_key=spawn_key)
+        self.spawn_key = tuple(spawn_key)
+        seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self.gen = np.random.Generator(np.random.PCG64(seq))
 
     def derive(self, *keys: int) -> "Rng":
-        """Independent child stream keyed by (seed, *keys)."""
-        return Rng(self.seed, keys)
+        """Independent child stream keyed by (seed, *spawn_key, *keys), so
+        nested children never collide with their parent's siblings."""
+        return Rng(self.seed, self.spawn_key + keys)
 
     def normal(self, size=None) -> np.ndarray:
         return self.gen.standard_normal(size)

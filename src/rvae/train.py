@@ -3,9 +3,10 @@ checkpointing.
 
 One training step: sample a mini-batch, draw one z sample per row,
 evaluate clean and outlier likelihoods, obtain the per-cell clean
-probabilities (closed form for rvae-cvi, gate encoder for rvae-avi), and
-take an Adam step on the negative per-row-mean objective. Everything is
-deterministic under the configured seed.
+probabilities (1 for the VAE, closed form for rvae-cvi, gate encoder for
+rvae-avi), and take an Adam step on the negative per-row-mean objective,
+whose gradient seeds backward directly. Everything is deterministic under
+the configured seed.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import numpy as np
 from . import __version__
 from .container import read_container, write_container
 from .data import ColumnStats, MixedTable, TableSchema, require_same_schema
-from .engine import neg, tmean
 from .errors import CheckpointError, ConfigError, TrainingError
-from .model import (OutlierComponents, RvaeNetworks, build_networks, elbo_vae,
-                    rvae_step_objective)
+from .model import (OutlierComponents, RvaeNetworks, build_networks, forward_elbo_parts,
+                    gated_rows, outlier_logliks, pi_update)
 from .nn import Rng, adam_step, init_adam
 
 MODEL_KINDS = ("vae", "rvae-cvi", "rvae-avi")
@@ -113,11 +113,17 @@ class RvaeModel:
 def batch_objective(model_nets: RvaeNetworks, schema: TableSchema, config: TrainConfig,
                     components: OutlierComponents, reals: np.ndarray, cats: np.ndarray,
                     eps: np.ndarray):
-    """Per-row objective tensor and the pi values used (None for the VAE)."""
+    """Per-row objective tensor and the pi values used (None for the VAE),
+    one :func:`gated_rows` node for every model kind."""
+    x_enc, ll_clean, kl_z = forward_elbo_parts(model_nets, schema, reals, cats, eps)
     if config.model == "vae":
-        return elbo_vae(model_nets, schema, reals, cats, eps=eps), None
-    return rvae_step_objective(model_nets, schema, reals, cats, components, config.alpha, eps,
-                               amortized=config.is_amortized)
+        return gated_rows(ll_clean, kl_z)
+    ll_out = outlier_logliks(components, schema, reals, cats)
+    if config.is_amortized:
+        gates = model_nets.pi_encoder.apply(x_enc, model_nets.embeddings.tables)
+    else:
+        gates = pi_update(ll_clean.value - ll_out, config.alpha)
+    return gated_rows(ll_clean, kl_z, ll_out, gates, config.alpha)
 
 
 def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
@@ -143,14 +149,15 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
             eps = rng.normal((idx.size, config.latent_dim))
             per_row, pi = batch_objective(nets, table.schema, config, components,
                                           table.reals[idx], table.cats[idx], eps)
-            loss = neg(tmean(per_row))
-            if not np.isfinite(loss.value):
+            total = float(per_row.value.sum())
+            if not np.isfinite(total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
-            loss.backward()
+            # the gradient of the loss, -mean(per_row)
+            per_row.backward(np.full(idx.size, -1.0 / idx.size))
             adam_step(params, {name: t.grad for name, t in params.items()}, opt)
             nets.embeddings.renormalize()
-            elbo_sum += float(per_row.value.sum())
+            elbo_sum += total
             if pi is not None:
                 pi_sum += float(pi.sum())
                 pi_count += pi.size

@@ -12,18 +12,17 @@ from rvae.baselines import fit_marginals, marginal_score
 from rvae.corrupt import (GaussianNoise, NoiseSpec, TemperedCategorical,
                           make_scenario)
 from rvae.data import FeatureSpec, TableSchema, destandardize, standardize, write_table
-from rvae.engine import neg, tmean
 from rvae.metrics import average_precision, brier, evaluate, smse
-from rvae.model import (OutlierComponents, build_networks, elbo_vae,
-                        forward_elbo_parts, kl_bernoulli, outlier_logliks,
-                        pi_update, rvae_step_objective)
+from rvae.model import (OutlierComponents, build_networks, forward_elbo_parts, kl_bernoulli,
+                        outlier_logliks, pi_update)
 from rvae.nn import Rng
 from rvae.score_repair import repair_map, repair_one_stage, repair_two_stage, score
 from rvae.synthetic import mixture_table
 from rvae.train import TrainConfig, train
 
 from conftest import (assert_grads_close, finite_difference, gated_elbo, kl_gaussian,
-                      restore_clean)
+                      restore_clean, train_objective)
+from reference_tape import neg, tmean
 
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
 SCENARIO_SEEDS = (0, 1, 2)
@@ -81,10 +80,10 @@ def test_criterion_1_gradient_correctness():
                           schema.n_features)) * 0.8 + 0.1
 
         objectives = {
-            "vae": lambda: elbo_vae(nets, schema, reals, cats, eps=eps),
-            "gated": lambda: rvae_step_objective(nets, schema, reals, cats, comps, alpha, eps,
-                                                 amortized=amortized,
-                                                 pi_override=None if amortized else pi)[0],
+            "vae": lambda: train_objective(nets, schema, reals, cats, eps, "vae"),
+            "gated": lambda: (train_objective(nets, schema, reals, cats, eps, "rvae-avi", alpha)
+                              if amortized else
+                              gated_elbo(nets, schema, reals, cats, comps, pi, alpha, eps)),
         }
         params = nets.params()
         for objective in objectives.values():

@@ -9,11 +9,12 @@ from rvae.data import (EmbeddingBank, FeatureSpec, MixedTable,
                        TableSchema, apply_stats, destandardize, encode_values,
                        encoded_dim, load_csv, read_table,
                        standardize, write_table)
-from rvae.engine import Tensor, onehot_dense, tsum
+from rvae.engine import Tensor, onehot_dense
 from rvae.errors import DataFormatError
 from rvae.nn import Rng
 
 from conftest import random_table
+from reference_tape import tsum
 
 
 def write_inputs(tmp_path, csv_text, schema_obj):

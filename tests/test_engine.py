@@ -1,3 +1,6 @@
+"""The engine's nodes and the reference tape's one-op nodes against finite
+differences, and each fused node against the one-op chain it stands for."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,9 @@ from hypothesis import strategies as st
 
 from rvae import engine
 from rvae.engine import Tensor
+from rvae.model import kl_bernoulli
+
+import reference_tape as tape
 
 
 def fd_scalar(f, x, h=1e-6):
@@ -25,19 +31,19 @@ def fd_scalar(f, x, h=1e-6):
 def check_op(build, x):
     """Compare tape gradient of sum(op(x)) against central differences."""
     t = Tensor(x)
-    out = engine.tsum(build(t))
+    out = tape.tsum(build(t))
     out.backward()
-    numeric = fd_scalar(lambda: engine.tsum(build(Tensor(x))).value, x)
+    numeric = fd_scalar(lambda: tape.tsum(build(Tensor(x))).value, x)
     np.testing.assert_allclose(t.grad, numeric, rtol=1e-4, atol=1e-7)
 
 
 @pytest.mark.parametrize("build", [
-    lambda t: engine.exp(t),
-    lambda t: engine.log(engine.add(engine.mul(t, t), 1.0)),
-    lambda t: engine.relu(t),
-    lambda t: engine.sigmoid(t),
-    lambda t: engine.softplus(t),
-    lambda t: engine.mul(t, engine.exp(engine.neg(t))),
+    lambda t: tape.exp(t),
+    lambda t: tape.log(tape.add(tape.mul(t, t), 1.0)),
+    lambda t: tape.relu(t),
+    lambda t: tape.sigmoid(t),
+    lambda t: tape.softplus(t),
+    lambda t: tape.mul(t, tape.exp(tape.neg(t))),
     lambda t: engine.log_softmax(t),
     lambda t: engine.slice_cols(t, 1, 3),
 ])
@@ -50,7 +56,7 @@ def test_matmul_gradients():
     rng = np.random.default_rng(1)
     a_val, b_val = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     a, b = Tensor(a_val), Tensor(b_val)
-    out = engine.tsum(engine.matmul(a, b))
+    out = tape.tsum(engine.matmul(a, b))
     out.backward()
     np.testing.assert_allclose(a.grad, fd_scalar(lambda: (a_val @ b_val).sum(), a_val), atol=1e-7)
     np.testing.assert_allclose(b.grad, fd_scalar(lambda: (a_val @ b_val).sum(), b_val), atol=1e-7)
@@ -64,7 +70,7 @@ def test_matmul_rejects_vectors():
 def test_take_rows_scatters_gradient():
     e = Tensor(np.arange(12.0).reshape(4, 3))
     idx = np.array([1, 1, 3])
-    out = engine.tsum(engine.take_rows(e, idx))
+    out = tape.tsum(engine.take_rows(e, idx))
     out.backward()
     expected = np.zeros((4, 3))
     expected[1] = 2.0
@@ -74,7 +80,7 @@ def test_take_rows_scatters_gradient():
 
 def test_gather_cols_scatters_gradient():
     x = Tensor(np.arange(6.0).reshape(2, 3))
-    out = engine.tsum(engine.gather_cols(x, np.array([2, 0])))
+    out = tape.tsum(engine.gather_cols(x, np.array([2, 0])))
     out.backward()
     np.testing.assert_array_equal(x.grad, [[0, 0, 1], [1, 0, 0]])
     assert out.value == 5.0
@@ -85,7 +91,7 @@ def test_gather_cols_gradient_matches_add_at_with_repeated_columns():
     x = Tensor(rng.normal(size=(6, 4)))
     idx = np.array([2, 2, 0, 3, 2, 0])  # columns repeat across rows
     weights = rng.normal(size=6)
-    engine.tsum(engine.mul(engine.gather_cols(x, idx), weights)).backward()
+    tape.tsum(tape.mul(engine.gather_cols(x, idx), weights)).backward()
     expected = np.zeros((6, 4))
     np.add.at(expected, (np.arange(6), idx), weights)
     np.testing.assert_array_equal(x.grad, expected)
@@ -93,7 +99,7 @@ def test_gather_cols_gradient_matches_add_at_with_repeated_columns():
 
 def test_concat_splits_gradient():
     a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3)))
-    out = engine.tsum(engine.mul(engine.concat([a, b], axis=1), np.arange(10.0).reshape(2, 5)))
+    out = tape.tsum(tape.mul(engine.concat([a, b], axis=1), np.arange(10.0).reshape(2, 5)))
     out.backward()
     np.testing.assert_array_equal(a.grad, [[0, 1], [5, 6]])
     np.testing.assert_array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
@@ -101,14 +107,14 @@ def test_concat_splits_gradient():
 
 def test_clip_blocks_gradient_outside_range():
     x = Tensor(np.array([-2.0, 0.5, 3.0]))
-    out = engine.tsum(engine.clip(x, -1.0, 1.0))
+    out = tape.tsum(tape.clip(x, -1.0, 1.0))
     out.backward()
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_broadcast_add_unbroadcasts():
     a, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
-    engine.tsum(engine.add(a, b)).backward()
+    tape.tsum(tape.add(a, b)).backward()
     np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
 
@@ -116,13 +122,13 @@ def test_backward_requires_scalar_or_seed():
     t = Tensor(np.ones(3))
     with pytest.raises(ValueError):
         t.backward()
-    t2 = engine.mul(Tensor(np.ones(3)), 2.0)
+    t2 = tape.mul(Tensor(np.ones(3)), 2.0)
     t2.backward(seed=np.ones(3))  # fine with an explicit seed
 
 
 def test_repeated_backward_resets_gradients():
     x = Tensor(np.array(2.0))
-    out = engine.mul(x, 3.0)
+    out = tape.mul(x, 3.0)
     out.backward()
     first = x.grad.copy()
     out.backward()
@@ -132,7 +138,7 @@ def test_repeated_backward_resets_gradients():
 def test_repeated_backward_through_shared_nodes_gives_equal_gradients():
     w = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
     h = engine.matmul(Tensor(np.ones((2, 3))), w)
-    out = engine.tsum(engine.mul(engine.slice_cols(h, 0, 2), engine.slice_cols(h, 1, 3)))
+    out = tape.tsum(tape.mul(engine.slice_cols(h, 0, 2), engine.slice_cols(h, 1, 3)))
     out.backward()
     first = w.grad.copy()
     out.backward()
@@ -141,30 +147,30 @@ def test_repeated_backward_through_shared_nodes_gives_equal_gradients():
 
 def test_shared_node_accumulates_gradient():
     x = Tensor(np.array(1.5))
-    out = engine.add(engine.mul(x, x), x)  # x^2 + x, derivative 2x + 1
+    out = tape.add(tape.mul(x, x), x)  # x^2 + x, derivative 2x + 1
     out.backward()
     assert float(x.grad) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_node_used_twice_in_one_op_gets_summed_gradient():
     a = Tensor(np.array([1.0, -2.0, 3.0]))
-    engine.tsum(engine.add(a, a)).backward()
+    tape.tsum(tape.add(a, a)).backward()
     np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
     x = Tensor(np.array([1.0, -2.0, 3.0]))
-    engine.tsum(engine.mul(x, x)).backward()
+    tape.tsum(tape.mul(x, x)).backward()
     np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
 
 
 def test_node_feeding_several_slices_gets_summed_gradient():
     h = Tensor(np.arange(8.0).reshape(2, 4))
     parts = [engine.slice_cols(h, 0, 3), engine.slice_cols(h, 1, 4), engine.slice_cols(h, 2, 3)]
-    engine.tsum(engine.concat(parts, axis=1)).backward()
+    tape.tsum(engine.concat(parts, axis=1)).backward()
     np.testing.assert_array_equal(h.grad, [[1, 2, 3, 1], [1, 2, 3, 1]])
 
 
 def test_backward_leaves_the_seed_unchanged():
     x = Tensor(np.array([1.0, 2.0, 3.0]))
-    out = engine.add(engine.add(x, x), 0.0)
+    out = tape.add(tape.add(x, x), 0.0)
     seed = np.array([0.5, -1.0, 2.0])
     kept = seed.copy()
     out.backward(seed=seed)
@@ -175,9 +181,9 @@ def test_backward_leaves_the_seed_unchanged():
 
 def test_permute_cols_routes_gradient_back():
     a = Tensor(np.arange(6.0).reshape(2, 3))
-    out = engine.permute_cols(a, np.array([2, 0, 1]))
+    out = tape.permute_cols(a, np.array([2, 0, 1]))
     np.testing.assert_array_equal(out.value, [[2, 0, 1], [5, 3, 4]])
-    engine.tsum(engine.mul(out, np.array([10.0, 20.0, 30.0]))).backward()
+    tape.tsum(tape.mul(out, np.array([10.0, 20.0, 30.0]))).backward()
     np.testing.assert_array_equal(a.grad, [[20, 30, 10], [20, 30, 10]])
 
 
@@ -189,12 +195,22 @@ def test_log_softmax_rows_normalize(seed):
     np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_kl_bernoulli_from_logits_matches_value_form():
+    logits = Tensor(np.array([[-3.0, 0.0, 2.5, 40.0, -40.0]]))
+    alpha = 0.9
+    kl = tape.kl_bernoulli_from_logits(logits, alpha)
+    direct = kl_bernoulli(engine.stable_sigmoid(logits.value), alpha)
+    np.testing.assert_allclose(kl.value, direct, atol=1e-9)
+    tape.tsum(kl).backward()
+    assert np.all(np.isfinite(logits.grad))
+
+
 # -- fused ops ----------------------------------------------------------------
 
 def weighted_sum(out, seed):
     """A scalar loss whose upstream gradient differs per output entry."""
     weights = np.random.default_rng(seed).normal(size=out.shape)
-    return engine.tsum(engine.mul(out, weights))
+    return tape.tsum(tape.mul(out, weights))
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -204,9 +220,9 @@ def test_dense_matches_matmul_add_relu_chain_exactly(relu):
     fused = [Tensor(x_val.copy()), Tensor(w_val.copy()), Tensor(b_val.copy())]
     chain = [Tensor(x_val.copy()), Tensor(w_val.copy()), Tensor(b_val.copy())]
     out_fused = engine.dense(*fused, relu=relu)
-    out_chain = engine.add(engine.matmul(chain[0], chain[1]), chain[2])
+    out_chain = tape.add(engine.matmul(chain[0], chain[1]), chain[2])
     if relu:
-        out_chain = engine.relu(out_chain)
+        out_chain = tape.relu(out_chain)
     np.testing.assert_array_equal(out_fused.value, out_chain.value)
     weighted_sum(out_fused, 21).backward()
     weighted_sum(out_chain, 21).backward()
@@ -233,7 +249,7 @@ def embedded_chain(lead, codes, w, b, tables, zero_mask, relu):
     for j, t in enumerate(tables):
         emb = engine.take_rows(t, codes[:, j])
         if zero_mask is not None:
-            emb = engine.mul(emb, (~zero_mask[:, j]).astype(float)[:, None])
+            emb = tape.mul(emb, (~zero_mask[:, j]).astype(float)[:, None])
         parts.append(emb)
     x = parts[0] if len(parts) == 1 else engine.concat(parts, axis=1)
     return engine.dense(x, w, b, relu=relu)
@@ -293,8 +309,8 @@ def test_onehot_dense_gradients_accumulate_into_a_shared_table():
     for w, b in layers:
         weighted_sum(engine.onehot_dense(x, w, b, [table]), 41).backward()
         grads.append(table.grad)
-    both = engine.add(engine.onehot_dense(x, *layers[0], [table]),
-                      engine.onehot_dense(x, *layers[1], [table]))
+    both = tape.add(engine.onehot_dense(x, *layers[0], [table]),
+                    engine.onehot_dense(x, *layers[1], [table]))
     weighted_sum(both, 41).backward()
     np.testing.assert_allclose(table.grad, grads[0] + grads[1], rtol=0, atol=1e-12)
 
@@ -306,12 +322,12 @@ def test_block_log_softmax_at_matches_per_block_chain(start):
     a_val = rng.normal(size=(n, start + sum(sizes))) * 3.0
     idx = np.stack([rng.integers(0, c, size=n) for c in sizes], axis=1)
     fused, chain = Tensor(a_val.copy()), Tensor(a_val.copy())
-    out_fused = engine.block_log_softmax_at(fused, start, sizes, idx)
+    out_fused = tape.block_log_softmax_at(fused, start, sizes, idx)
     cols, col = [], start
     for j, c in enumerate(sizes):
         ll = engine.gather_cols(engine.log_softmax(engine.slice_cols(chain, col, col + c)),
                                 idx[:, j])
-        cols.append(engine.reshape(ll, (n, 1)))
+        cols.append(tape.reshape(ll, (n, 1)))
         col += c
     out_chain = engine.concat(cols, axis=1)
     np.testing.assert_allclose(out_fused.value, out_chain.value, rtol=0, atol=1e-12)
@@ -345,7 +361,7 @@ def fused_op_cases():
            lambda: engine.onehot_dense(xo, wo, bo, tables, relu=True))
     a = Tensor(rng.normal(size=(4, 1 + 2 + 7)))
     yield "block_log_softmax_at", {"a": a}, \
-        lambda: engine.block_log_softmax_at(a, 1, [2, 7], codes)
+        lambda: tape.block_log_softmax_at(a, 1, [2, 7], codes)
 
 
 @pytest.mark.parametrize("case", [c[0] for c in fused_op_cases()])

@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 
 from rvae import engine
 from rvae.data import FeatureSpec, MixedTable, TableSchema
-from rvae.engine import Tensor, neg, tmean
-from rvae.model import (OutlierComponents, build_networks,
-                        clean_logliks_values, decode_values, elbo_vae,
-                        encode_values, forward_elbo_parts, kl_bernoulli,
-                        kl_bernoulli_from_logits, outlier_logliks, pi_update,
-                        rvae_step_objective)
+from rvae.model import (OutlierComponents, build_networks, clean_logliks_values,
+                        decode_values, encode_values, forward_elbo_parts, kl_bernoulli,
+                        outlier_logliks, pi_update)
 from rvae.nn import Rng
 from rvae.score_repair import score
-from rvae.train import RvaeModel, TrainConfig, batch_objective
+from rvae.train import MODEL_KINDS, RvaeModel, TrainConfig, batch_objective
 
 from conftest import (assert_grads_close, finite_difference, gated_elbo, kl_gaussian,
-                      random_batch, reference_objective, tiny_networks,
+                      random_batch, reference_objective, tiny_networks, train_objective,
                       wire_identity_autoencoder)
+from reference_tape import add, neg, tmean
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
@@ -124,17 +122,6 @@ def test_kl_bernoulli_nonnegative(pi, alpha):
     assert kl_bernoulli(pi, alpha) >= 0.0
 
 
-def test_kl_bernoulli_from_logits_matches_value_form():
-    logits = Tensor(np.array([[-3.0, 0.0, 2.5, 40.0, -40.0]]))
-    alpha = 0.9
-    tape = kl_bernoulli_from_logits(logits, alpha)
-    from rvae.engine import stable_sigmoid
-    direct = kl_bernoulli(stable_sigmoid(logits.value), alpha)
-    np.testing.assert_allclose(tape.value, direct, atol=1e-9)
-    engine.tsum(tape).backward()
-    assert np.all(np.isfinite(logits.grad))
-
-
 # -- the gate update ---------------------------------------------------------
 
 def test_pi_update_at_zero_ratio_is_alpha_exactly():
@@ -187,7 +174,7 @@ def test_elbo_vae_matches_hand_composition(mixed_schema):
     nets = tiny_networks(mixed_schema, seed=3)
     reals, cats = random_batch(mixed_schema, 1, seed=4)
     eps = Rng(5).normal((1, 3))
-    per_row = elbo_vae(nets, mixed_schema, reals, cats, eps=eps)
+    per_row = train_objective(nets, mixed_schema, reals, cats, eps, "vae")
 
     x = encode_values(mixed_schema, reals, cats)
     mu, sigma = nets.encoder.latent_values(x, nets.embeddings)
@@ -202,9 +189,9 @@ def test_elbo_batch_is_mean_of_rows(mixed_schema):
     nets = tiny_networks(mixed_schema, seed=6)
     reals, cats = random_batch(mixed_schema, 5, seed=7)
     eps = Rng(8).normal((5, 3))
-    batch = elbo_vae(nets, mixed_schema, reals, cats, eps=eps)
-    singles = [float(elbo_vae(nets, mixed_schema, reals[i:i + 1], cats[i:i + 1],
-                              eps=eps[i:i + 1]).value[0]) for i in range(5)]
+    batch = train_objective(nets, mixed_schema, reals, cats, eps, "vae")
+    singles = [float(train_objective(nets, mixed_schema, reals[i:i + 1], cats[i:i + 1],
+                                     eps[i:i + 1], "vae").value[0]) for i in range(5)]
     np.testing.assert_allclose(batch.value, singles, atol=1e-12)
     assert float(tmean(batch).value) == pytest.approx(np.mean(singles), abs=1e-12)
 
@@ -217,8 +204,8 @@ def test_elbo_vae_structural_limit():
     wire_identity_autoencoder(nets)
     x = 0.73
     eps = np.zeros((1, 1))
-    elbo = float(elbo_vae(nets, schema, np.array([[x]]), np.zeros((1, 0), dtype=np.int64),
-                          eps=eps).value[0])
+    elbo = float(train_objective(nets, schema, np.array([[x]]),
+                                 np.zeros((1, 0), dtype=np.int64), eps, "vae").value[0])
     expected = -HALF_LOG_2PI - kl_gaussian([x], [math.exp(-6.0)])
     assert elbo == pytest.approx(expected, abs=1e-6)
 
@@ -231,7 +218,7 @@ def test_elbo_rvae_with_unit_gates_matches_vae(mixed_schema):
     alpha = 0.95
     pi = np.ones((3, 4))
     gated = gated_elbo(nets, mixed_schema, reals, cats, comps, pi, alpha, eps)
-    plain = elbo_vae(nets, mixed_schema, reals, cats, eps=eps)
+    plain = train_objective(nets, mixed_schema, reals, cats, eps, "vae")
     offset = 4 * kl_bernoulli(1.0, alpha)
     np.testing.assert_allclose(gated.value, plain.value - offset, atol=1e-12)
 
@@ -289,10 +276,10 @@ def test_elbo_gradients_match_finite_differences(mixed_schema):
     pi = Rng(22).uniform((2, 4)) * 0.8 + 0.1
 
     cases = {
-        "vae": lambda nets: elbo_vae(nets, mixed_schema, reals, cats, eps=eps),
+        "vae": lambda nets: train_objective(nets, mixed_schema, reals, cats, eps, "vae"),
         "rvae": lambda nets: gated_elbo(nets, mixed_schema, reals, cats, comps, pi, 0.9, eps),
-        "avi": lambda nets: rvae_step_objective(nets, mixed_schema, reals, cats, comps, 0.9,
-                                                eps, amortized=True)[0],
+        "avi": lambda nets: train_objective(nets, mixed_schema, reals, cats, eps, "rvae-avi",
+                                            alpha=0.9),
     }
     for name, objective in cases.items():
         nets = tiny_networks(mixed_schema, seed=23, amortized=(name == "avi"))
@@ -319,7 +306,7 @@ def test_value_paths_match_tape(mixed_schema):
     decoded = decode_values(dec, mu)
     np.testing.assert_array_equal(clean_logliks_values(dec, decoded.head, reals, cats),
                                   ll_tape.value)
-    head = engine.add(engine.matmul(dec.trunk.apply(mu), dec.W), dec.b)
+    head = add(engine.matmul(dec.trunk.apply(mu), dec.W), dec.b)
     np.testing.assert_array_equal(decoded.head, head.value)
     np.testing.assert_array_equal(decoded.real_means, head.value[:, :dec.n_real])
     for feat in mixed_schema.cat_features:
@@ -353,10 +340,11 @@ def test_forward_passes_leave_no_reference_cycles(mixed_schema):
     gc.collect()
     gc.disable()
     try:
-        for amortized in (False, True):
-            per_row, _ = rvae_step_objective(nets, mixed_schema, reals, cats, comps, 0.9,
-                                             np.zeros((4, 3)), amortized=amortized)
-            neg(tmean(per_row)).backward()
+        for model in MODEL_KINDS:
+            config = TrainConfig(model=model, alpha=0.9)
+            per_row, _ = batch_objective(nets, mixed_schema, config, comps, reals, cats,
+                                         np.zeros((4, 3)))
+            per_row.backward(np.full(4, -1.0 / 4))
         mu, _ = nets.encoder.latent_values(x, nets.embeddings)
         clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, reals, cats)
         del per_row
@@ -418,19 +406,25 @@ def test_fused_objective_matches_generic_tape_bit_for_bit(model, layout):
     enc_bias.value[latent:latent + 2] = [40.0, -40.0]
     if nets.decoder.n_real:
         nets.decoder.log_sigma.value[0] = 5.0
+    if model == "rvae-avi":
+        # saturate two gates: sigmoid(40) rounds to 1, and sigmoid(-40) is about 4e-18
+        nets.pi_encoder.layers[-1].b.value[:2] = [40.0, -40.0]
     config = TrainConfig(model=model, alpha=0.9, latent_dim=latent)
     params = nets.params()
 
-    def run(objective):
+    def run(objective, backward):
         per_row, pi = objective()
-        neg(tmean(per_row)).backward()
+        backward(per_row)
         # a parameter no cell reads (log sigma with no reals) gets no gradient
         return per_row.value, pi, {name: None if t.grad is None else t.grad.copy()
                                    for name, t in params.items()}
 
-    fused = run(lambda: batch_objective(nets, schema, config, comps, reals, cats, eps))
+    # the fused side is seeded as train() seeds it, the tape runs the loss nodes
+    fused = run(lambda: batch_objective(nets, schema, config, comps, reals, cats, eps),
+                lambda per_row: per_row.backward(np.full(n, -1.0 / n)))
     tape = run(lambda: reference_objective(nets, schema, reals, cats, comps, config.alpha,
-                                           eps, model))
+                                           eps, model),
+               lambda per_row: neg(tmean(per_row)).backward())
     np.testing.assert_array_equal(fused[0], tape[0])
     if model == "vae":
         assert fused[1] is None and tape[1] is None
@@ -444,3 +438,6 @@ def test_fused_objective_matches_generic_tape_bit_for_bit(model, layout):
             np.testing.assert_array_equal(fused[2][name], grad, err_msg=name)
     # the clip masks did block: the clipped encoder log stds get no gradient
     np.testing.assert_array_equal(fused[2][nets.encoder.net.name + ".b1"][latent:latent + 2], 0.0)
+    if model == "rvae-avi":
+        assert np.all(fused[1][:, 0] == 1.0) and np.all(fused[1][:, 1] < 1e-16)
+        assert np.all(np.isfinite(fused[2][nets.pi_encoder.name + ".b1"]))

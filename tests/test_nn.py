@@ -251,6 +251,13 @@ def test_rng_seeds_exactly_as_numpy_seed_sequence(seed):
         assert Rng(seed).derive(*keys).gen.bit_generator.state == numpy_state(seed, keys)
 
 
+def test_rng_derive_nests_spawn_keys():
+    nested = Rng(5).derive(1).derive(2)
+    assert nested.gen.bit_generator.state == numpy_state(5, (1, 2))
+    assert nested.gen.bit_generator.state != Rng(5).derive(2).gen.bit_generator.state
+    np.testing.assert_array_equal(nested.normal(4), Rng(5).derive(1, 2).normal(4))
+
+
 @pytest.mark.parametrize("make", [
     lambda: Rng(-1),
     lambda: Rng(3).derive(-2),

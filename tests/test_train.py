@@ -5,13 +5,13 @@ from rvae.corrupt import GaussianNoise, NoiseSpec, TemperedCategorical, make_sce
 from rvae.data import FeatureSpec, MixedTable, TableSchema, standardize
 from rvae.errors import (CheckpointError, ConfigError, SchemaMismatchError,
                          TrainingError)
-from rvae.model import OutlierComponents, rvae_step_objective
+from rvae.model import OutlierComponents
 from rvae.nn import Rng
 from rvae.score_repair import score
 from rvae.synthetic import mixture_table
-from rvae.train import TrainConfig, load_model, save_model, train
+from rvae.train import TrainConfig, batch_objective, load_model, save_model, train
 
-from conftest import random_batch, softmax
+from conftest import gated_elbo, random_batch, softmax, tiny_networks
 
 TINY = dict(epochs=25, hidden_dim=64, latent_dim=6, embedding_dim=12, batch_size=100)
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
@@ -76,9 +76,10 @@ def test_rvae_separates_corrupted_cells():
     assert all(g > 0 for g in gaps)
 
 
-def test_cvi_training_is_bit_deterministic():
+@pytest.mark.parametrize("model", ["vae", "rvae-cvi", "rvae-avi"])
+def test_training_is_bit_deterministic(model):
     table = standardize(mixture_table(300, seed=5))
-    config = TrainConfig(model="rvae-cvi", seed=11, epochs=5, **{
+    config = TrainConfig(model=model, seed=11, epochs=5, **{
         k: v for k, v in TINY.items() if k != "epochs"})
     model_a, _ = train(table, config)
     model_b, _ = train(table, config)
@@ -88,18 +89,14 @@ def test_cvi_training_is_bit_deterministic():
 
 
 def test_avi_and_cvi_share_the_objective(mixed_schema):
-    # with the gate encoder's outputs substituted into the coordinate path,
-    # per-batch losses agree
-    from conftest import tiny_networks
-
+    # with the gate encoder's outputs as constant gates, per-batch losses agree
     nets = tiny_networks(mixed_schema, seed=21, amortized=True)
     comps = OutlierComponents(2.0)
     reals, cats = random_batch(mixed_schema, 6, seed=22)
     eps = Rng(23).normal((6, 3))
-    avi_row, avi_pi = rvae_step_objective(nets, mixed_schema, reals, cats, comps, 0.9,
-                                          eps, amortized=True)
-    pinned_row, _ = rvae_step_objective(nets, mixed_schema, reals, cats, comps, 0.9,
-                                        eps, amortized=False, pi_override=avi_pi)
+    config = TrainConfig(model="rvae-avi", alpha=0.9)
+    avi_row, avi_pi = batch_objective(nets, mixed_schema, config, comps, reals, cats, eps)
+    pinned_row = gated_elbo(nets, mixed_schema, reals, cats, comps, avi_pi, 0.9, eps)
     np.testing.assert_allclose(avi_row.value, pinned_row.value, atol=1e-9)
 
 
