@@ -255,11 +255,6 @@ def build_networks(schema: TableSchema, latent_dim: int, hidden_dim: int,
 # closed-form pieces
 # ---------------------------------------------------------------------------
 
-def gaussian_log_pdf(x, mean, std):
-    x = np.asarray(x, dtype=np.float64)
-    return -HALF_LOG_2PI - np.log(std) - 0.5 * ((x - mean) / std) ** 2
-
-
 def kl_bernoulli(pi, alpha):
     """KL(Bernoulli(pi) || Bernoulli(alpha)) with the 0*ln(0) := 0 convention."""
     if not 0.0 < alpha < 1.0:

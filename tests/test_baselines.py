@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rvae.baselines import (Gmm1D, MarginalModel, fit_gmm_1d, fit_gmm_bic,
+from rvae.baselines import (Gmm1D, MarginalModel, _kmeanspp_centers, fit_gmm_1d, fit_gmm_bic,
                             fit_marginals, marginal_repair, marginal_score)
 from rvae.data import FeatureSpec, MixedTable, TableSchema
 from rvae.errors import ConfigError
@@ -88,17 +88,25 @@ def test_gmm_std_floor_on_degenerate_data():
     assert np.all(gmm.stds >= 1e-4)
 
 
-def test_mixture_matches_scalar_reference():
+@pytest.mark.filterwarnings("error")  # a dead component's log weight raises no warning
+@pytest.mark.parametrize("weights, means, stds, x, from_bound", [
     # a dead component (weight 0), and two points at least 40 sigma from every
     # live mean, whose densities underflow unless the sum is shifted by its
     # largest term
-    gmm = Gmm1D(weights=np.array([0.3, 0.0, 0.7]), means=np.array([-1.0, 2.0, 1.5]),
-                stds=np.array([0.5, 1.0, 0.25]))
-    x = np.array([-1.2, 0.0, 0.4, 1.5, 2.0, 3.1, 24.0, -1.0 - 40 * 0.5])
+    ([0.3, 0.0, 0.7], [-1.0, 2.0, 1.5], [0.5, 1.0, 0.25],
+     [-1.2, 0.0, 0.4, 1.5, 2.0, 3.1, 24.0, -1.0 - 40 * 0.5], False),
+    # a tight component away from zero, where the power basis keeps each log
+    # density only to eps * (m^2 + x^2) / s^2, about 3e-8 near x = 8
+    ([0.4, 0.6], [8.0, -0.5], [1e-3, 1.0],
+     [7.998, 7.9995, 8.0, 8.0012, 8.004, 0.3, -2.0, 40.0], True),
+], ids=["standardized", "tight-component"])
+def test_mixture_matches_scalar_reference(weights, means, stds, x, from_bound):
+    gmm = Gmm1D(weights=np.array(weights), means=np.array(means), stds=np.array(stds))
+    x = np.array(x)
 
     def terms(v):
         return [math.log(w) - math.log(s * math.sqrt(2 * math.pi)) - 0.5 * ((v - m) / s) ** 2
-                if w > 0 else -math.inf for w, m, s in zip(gmm.weights, gmm.means, gmm.stds)]
+                if w > 0 else -math.inf for w, m, s in zip(weights, means, stds)]
 
     want_log_pdf, want_resp = [], []
     for v in x:
@@ -107,13 +115,50 @@ def test_mixture_matches_scalar_reference():
         total = math.fsum(math.exp(a - top) for a in t)
         want_log_pdf.append(top + math.log(total))
         want_resp.append([math.exp(a - top) / total for a in t])
-    np.testing.assert_allclose(gmm.log_pdf(x), want_log_pdf, rtol=1e-12, atol=1e-12)
+    atol = np.full(x.size, 1e-12)
+    if from_bound:
+        atol += np.finfo(float).eps * np.max((gmm.means ** 2 + x[:, None] ** 2) / gmm.stds ** 2,
+                                             axis=1)
+        assert atol.max() > 1e-8
+
+    def assert_close(got, want, atol):  # assert_allclose takes only a scalar atol
+        want = np.array(want)
+        np.testing.assert_array_less(np.abs(got - want), atol + 1e-12 * np.abs(want))
+
+    assert_close(gmm.log_pdf(x), want_log_pdf, atol)
     resp = gmm.responsibilities(x)
-    assert resp.shape == (x.size, 3)
-    np.testing.assert_allclose(resp, want_resp, rtol=1e-12, atol=1e-12)
+    assert resp.shape == (x.size, len(weights))
+    assert_close(resp, want_resp, atol[:, None])
     np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert np.all(resp[:, 1] == 0.0)
-    assert want_log_pdf[-1] < -745  # exp underflows to 0 below about -745
+    assert np.all(resp[:, gmm.weights == 0.0] == 0.0)
+    assert min(want_log_pdf) < -745  # exp underflows to 0 below about -745
+
+
+def test_em_step_matches_scalar_reference():
+    # one iteration from the k-means++ start against the textbook updates,
+    # summed with math.fsum
+    rng = Rng(8)
+    x = np.concatenate([rng.normal(300) * 0.6 + 1.5, rng.normal(200) * 0.9 + 4.0])
+    k, n = 3, x.size
+    gmm, trajectory = fit_gmm_1d(x, k, Rng(9), max_iter=1)
+    start, s0 = _kmeanspp_centers(x, k, Rng(9)), float(x.std())
+    resp, log_norm = [], []
+    for v in map(float, x):
+        t = [math.log(1.0 / k) - math.log(s0 * math.sqrt(2 * math.pi)) - 0.5 * ((v - m) / s0) ** 2
+             for m in start]
+        top = max(t)
+        total = math.fsum(math.exp(a - top) for a in t)
+        log_norm.append(top + math.log(total))
+        resp.append([math.exp(a - top) / total for a in t])
+    nk = [math.fsum(r[j] for r in resp) for j in range(k)]
+    means = [math.fsum(r[j] * v for r, v in zip(resp, x)) / nk[j] for j in range(k)]
+    stds = [math.sqrt(math.fsum(r[j] * (v - means[j]) ** 2 for r, v in zip(resp, x)) / nk[j])
+            for j in range(k)]
+    assert len(trajectory) == 1
+    assert trajectory[0] == pytest.approx(math.fsum(log_norm), rel=1e-12)
+    np.testing.assert_allclose(gmm.weights, np.array(nk) / n, rtol=1e-12)
+    np.testing.assert_allclose(gmm.means, means, rtol=1e-12)
+    np.testing.assert_allclose(gmm.stds, stds, rtol=1e-12)
 
 
 def test_category_frequencies_reproduce_counts():
