@@ -67,18 +67,14 @@ class Tensor:
             g = np.broadcast_to(g, self.value.shape)
         self.grad = g if self.grad is None else self.grad + g
 
-    def backward(self, seed=None) -> None:
+    def backward(self, seed) -> None:
         """Run reverse-mode accumulation from this node.
 
-        `seed` defaults to 1.0 and is only optional for scalar outputs; a
-        caller's seed is copied, so the caller's array is never aliased.
-        Gradients of every node reachable from here are reset first, so
-        repeated calls do not accumulate across tapes.
+        `seed` is the upstream gradient, of this node's shape; it is copied,
+        so the caller's array is never aliased. Gradients of every node
+        reachable from here are reset first, so repeated calls do not
+        accumulate across tapes.
         """
-        if seed is None:
-            if self.value.ndim != 0:
-                raise ValueError("backward() without a seed requires a scalar output")
-            seed = 1.0
         seed = np.array(seed, dtype=np.float64)
         if seed.shape != self.value.shape:
             raise ValueError(f"seed shape {seed.shape} does not match output shape {self.value.shape}")

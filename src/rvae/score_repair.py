@@ -5,8 +5,13 @@ All operations are read-only on the model and run over chunks of
 from its own stream, ``Rng(seed).derive(tag, chunk, round)``, so row r's
 draws are row r % CHUNK_ROWS of that block and depend only on (seed, tag,
 row, round). ``CHUNK_ROWS`` is therefore part of the seeded contract: a
-table's first rows get the same draws, and the same results, whatever
-rows follow them.
+table's first rows get the same draws whatever rows follow them.
+
+Only the draws are exact. A product's row count is the chunk's, and in
+two-stage's chain the number of the chunk's rows with a dirty cell, and
+OpenBLAS may take another kernel for few rows. So a prefix's last chunk
+can move a row's outputs in their last bits: at the README's widths, by
+up to 3.6e-15.
 """
 
 from __future__ import annotations
@@ -296,39 +301,44 @@ def _split_by_kind(schema: TableSchema, mask: np.ndarray):
 
 
 def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, base: Rng,
-               chunk: int, iters: int, clean: np.ndarray | None = None
+               chunk: int, iters: int, active: np.ndarray, clean: np.ndarray | None = None
                ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Pseudo-Gibbs rounds from the observed rows: z ~ q(z | x), then x ~ p(x | z).
 
-    Round t draws the chunk's :func:`_round_normals` and, except in the
-    last round, whose cells nothing reads, one uniform per categorical cell
-    from ``base.derive(_UNIFORM, chunk, t)``. With a (B, D) ``clean`` mask
-    in schema column order, clean cells stay at their observed values in
-    every round and dirty cells start at mean behaviour: zero for
-    standardized reals, a zero one-hot block (a zero embedding) for
-    categoricals.
+    The chain runs on the rows of the chunk that the boolean mask
+    ``active`` selects; ``obs_reals`` and ``obs_cats`` hold those rows.
+    Round t draws the whole chunk's :func:`_round_normals` and, except in
+    the last round, whose cells nothing reads, one uniform per categorical
+    cell from ``base.derive(_UNIFORM, chunk, t)``, and takes the active
+    rows of each block, so a row's draws do not depend on which other rows
+    run. With a (B, D) ``clean`` mask in schema column order, clean cells
+    stay at their observed values in every round and dirty cells start at
+    mean behaviour: zero for standardized reals, a zero one-hot block (a
+    zero embedding) for categoricals.
 
     Returns the mean over the rounds of the decoded real means and category
     probabilities at each round's sampled latent, a Rao-Blackwellised
     readout of the chain: (B, n_real) reals and a dict of (B, C_d) simplexes.
     """
     schema, nets = model.schema, model.networks
-    n, k = obs_reals.shape[0], model.config.latent_dim
+    k = model.config.latent_dim
     reals, cats, zero_mask = obs_reals, obs_cats, None
     if clean is not None:
         keep_reals, keep_cats = _split_by_kind(schema, clean)
         reals, zero_mask = np.where(keep_reals, obs_reals, 0.0), ~keep_cats
+    # a chain over the whole chunk takes its draw blocks as they are, uncopied
+    take = slice(None) if active.all() else active
     means, probs = [], []
     for it in range(iters):
         x = encode_values(schema, reals, cats, zero_mask if it == 0 else None)
         mu, sig = nets.encoder.latent_values(x, nets.embeddings)
-        eps = _round_normals(model, base, chunk, it, n)
+        eps = _round_normals(model, base, chunk, it, active.size)[take]
         decoded = decode_values(nets.decoder, mu + sig * eps[:, :k])
         means.append(decoded.real_means)
         probs.append(decoded.cat_probs)
         if it + 1 == iters:
             break
-        u = base.derive(_UNIFORM, chunk, it).uniform((n, obs_cats.shape[1]))
+        u = base.derive(_UNIFORM, chunk, it).uniform((active.size, obs_cats.shape[1]))[take]
         reals = decoded.real_means + decoded.real_stds * eps[:, k:]
         cats = np.empty_like(obs_cats)
         for j, feat in enumerate(schema.cat_features):
@@ -363,7 +373,7 @@ def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
 
     def chunk_chain(chunk: int, rows: np.ndarray):
         reals, probs = _run_chain(model, table.reals[rows], table.cats[rows], base, chunk,
-                                  gibbs_iters)
+                                  gibbs_iters, np.ones(rows.size, dtype=bool))
         return reals, _modes(model.schema, probs, rows.size), probs
 
     reals, cats, simplexes = _map_chunks(table.n_rows, chunk_chain)
@@ -379,10 +389,11 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     from them with ``base.derive(_MASK, chunk, 0)``, clamps clean cells to
     their observed values for the whole chain, and starts dirty cells at
     mean behaviour (zero for standardized reals, a zero embedding for
-    categoricals). The repair keeps the clean cells' observed values and
-    gives dirty cells the mode of the chain's round-mean readout.
-    ``pi_override`` substitutes forced clean probabilities for the gate
-    pass, which then does not run.
+    categoricals). The repair keeps the clean cells' observed values, with
+    one-hot simplexes, and gives dirty cells the mode of the chain's
+    round-mean readout. The chain runs only on rows with a dirty cell; a
+    chunk without one runs no chain. ``pi_override`` substitutes forced
+    clean probabilities for the gate pass, which then does not run.
     """
     _check_chain(model, table, gibbs_iters)
     schema, nets = model.schema, model.networks
@@ -401,9 +412,19 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
         obs_reals, obs_cats = table.reals[rows], table.cats[rows]
         u = base.derive(_MASK, chunk, 0).uniform((rows.size, schema.n_features))
         clean = u < gates(obs_reals, obs_cats)
-        reals, probs = _run_chain(model, obs_reals, obs_cats, base, chunk, gibbs_iters, clean)
+        # the chain fills the rows with a dirty cell; every other row keeps
+        # all its cells, so the clamp below fills it
+        active = ~clean.all(axis=1)
+        reals, cats = np.empty_like(obs_reals), np.empty_like(obs_cats)
+        probs = {f.name: np.empty((rows.size, f.cardinality)) for f in schema.cat_features}
+        if active.any():
+            chain_reals, chain_probs = _run_chain(model, obs_reals[active], obs_cats[active],
+                                                  base, chunk, gibbs_iters, active, clean[active])
+            reals[active] = chain_reals
+            cats[active] = _modes(schema, chain_probs, active.sum())
+            for name, chain in chain_probs.items():
+                probs[name][active] = chain
         keep_reals, keep_cats = _split_by_kind(schema, clean)
-        cats = _modes(schema, probs, rows.size)
         for j, feat in enumerate(schema.cat_features):
             keep = keep_cats[:, j]
             probs[feat.name][keep] = np.eye(feat.cardinality)[obs_cats[keep, j]]

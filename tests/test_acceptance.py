@@ -88,7 +88,7 @@ def test_criterion_1_gradient_correctness():
         params = nets.params()
         for objective in objectives.values():
             loss = neg(tmean(objective()))
-            loss.backward()
+            loss.backward(1.0)
             analytic = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.value))
                         for k, t in params.items()}
             numeric = finite_difference(lambda: float(neg(tmean(objective())).value),

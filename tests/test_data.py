@@ -196,7 +196,7 @@ def test_encode_gradient_reaches_embeddings(mixed_schema):
     bank = EmbeddingBank(mixed_schema, dim=4, rng=Rng(1))
     reals = np.zeros((2, 2))
     cats = np.array([[1, 0], [1, 1]])
-    tsum(embedded_input(mixed_schema, bank, reals, cats)).backward()
+    tsum(embedded_input(mixed_schema, bank, reals, cats)).backward(1.0)
     grad = bank.tensors["b"].grad  # both rows hit embedding row 1
     assert grad is not None
     np.testing.assert_array_equal(grad[1], 2.0)

@@ -32,7 +32,7 @@ def check_op(build, x):
     """Compare tape gradient of sum(op(x)) against central differences."""
     t = Tensor(x)
     out = tape.tsum(build(t))
-    out.backward()
+    out.backward(1.0)
     numeric = fd_scalar(lambda: tape.tsum(build(Tensor(x))).value, x)
     np.testing.assert_allclose(t.grad, numeric, rtol=1e-4, atol=1e-7)
 
@@ -57,7 +57,7 @@ def test_matmul_gradients():
     a_val, b_val = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     a, b = Tensor(a_val), Tensor(b_val)
     out = tape.tsum(engine.matmul(a, b))
-    out.backward()
+    out.backward(1.0)
     np.testing.assert_allclose(a.grad, fd_scalar(lambda: (a_val @ b_val).sum(), a_val), atol=1e-7)
     np.testing.assert_allclose(b.grad, fd_scalar(lambda: (a_val @ b_val).sum(), b_val), atol=1e-7)
 
@@ -71,7 +71,7 @@ def test_take_rows_scatters_gradient():
     e = Tensor(np.arange(12.0).reshape(4, 3))
     idx = np.array([1, 1, 3])
     out = tape.tsum(engine.take_rows(e, idx))
-    out.backward()
+    out.backward(1.0)
     expected = np.zeros((4, 3))
     expected[1] = 2.0
     expected[3] = 1.0
@@ -81,7 +81,7 @@ def test_take_rows_scatters_gradient():
 def test_gather_cols_scatters_gradient():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     out = tape.tsum(engine.gather_cols(x, np.array([2, 0])))
-    out.backward()
+    out.backward(1.0)
     np.testing.assert_array_equal(x.grad, [[0, 0, 1], [1, 0, 0]])
     assert out.value == 5.0
 
@@ -91,7 +91,7 @@ def test_gather_cols_gradient_matches_add_at_with_repeated_columns():
     x = Tensor(rng.normal(size=(6, 4)))
     idx = np.array([2, 2, 0, 3, 2, 0])  # columns repeat across rows
     weights = rng.normal(size=6)
-    tape.tsum(tape.mul(engine.gather_cols(x, idx), weights)).backward()
+    tape.tsum(tape.mul(engine.gather_cols(x, idx), weights)).backward(1.0)
     expected = np.zeros((6, 4))
     np.add.at(expected, (np.arange(6), idx), weights)
     np.testing.assert_array_equal(x.grad, expected)
@@ -100,7 +100,7 @@ def test_gather_cols_gradient_matches_add_at_with_repeated_columns():
 def test_concat_splits_gradient():
     a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3)))
     out = tape.tsum(tape.mul(engine.concat([a, b], axis=1), np.arange(10.0).reshape(2, 5)))
-    out.backward()
+    out.backward(1.0)
     np.testing.assert_array_equal(a.grad, [[0, 1], [5, 6]])
     np.testing.assert_array_equal(b.grad, [[2, 3, 4], [7, 8, 9]])
 
@@ -108,30 +108,33 @@ def test_concat_splits_gradient():
 def test_clip_blocks_gradient_outside_range():
     x = Tensor(np.array([-2.0, 0.5, 3.0]))
     out = tape.tsum(tape.clip(x, -1.0, 1.0))
-    out.backward()
+    out.backward(1.0)
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
 def test_broadcast_add_unbroadcasts():
     a, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
-    tape.tsum(tape.add(a, b)).backward()
+    tape.tsum(tape.add(a, b)).backward(1.0)
     np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
 
-def test_backward_requires_scalar_or_seed():
+def test_backward_requires_a_seed_of_the_output_shape():
     t = Tensor(np.ones(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         t.backward()
+    with pytest.raises(ValueError):
+        t.backward(1.0)
     t2 = tape.mul(Tensor(np.ones(3)), 2.0)
-    t2.backward(seed=np.ones(3))  # fine with an explicit seed
+    t2.backward(seed=np.ones(3))
+    np.testing.assert_array_equal(t2.grad, np.ones(3))
 
 
 def test_repeated_backward_resets_gradients():
     x = Tensor(np.array(2.0))
     out = tape.mul(x, 3.0)
-    out.backward()
+    out.backward(1.0)
     first = x.grad.copy()
-    out.backward()
+    out.backward(1.0)
     np.testing.assert_array_equal(x.grad, first)
 
 
@@ -139,32 +142,32 @@ def test_repeated_backward_through_shared_nodes_gives_equal_gradients():
     w = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
     h = engine.matmul(Tensor(np.ones((2, 3))), w)
     out = tape.tsum(tape.mul(engine.slice_cols(h, 0, 2), engine.slice_cols(h, 1, 3)))
-    out.backward()
+    out.backward(1.0)
     first = w.grad.copy()
-    out.backward()
+    out.backward(1.0)
     np.testing.assert_array_equal(w.grad, first)
 
 
 def test_shared_node_accumulates_gradient():
     x = Tensor(np.array(1.5))
     out = tape.add(tape.mul(x, x), x)  # x^2 + x, derivative 2x + 1
-    out.backward()
+    out.backward(1.0)
     assert float(x.grad) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_node_used_twice_in_one_op_gets_summed_gradient():
     a = Tensor(np.array([1.0, -2.0, 3.0]))
-    tape.tsum(tape.add(a, a)).backward()
+    tape.tsum(tape.add(a, a)).backward(1.0)
     np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
     x = Tensor(np.array([1.0, -2.0, 3.0]))
-    tape.tsum(tape.mul(x, x)).backward()
+    tape.tsum(tape.mul(x, x)).backward(1.0)
     np.testing.assert_array_equal(x.grad, [2.0, -4.0, 6.0])
 
 
 def test_node_feeding_several_slices_gets_summed_gradient():
     h = Tensor(np.arange(8.0).reshape(2, 4))
     parts = [engine.slice_cols(h, 0, 3), engine.slice_cols(h, 1, 4), engine.slice_cols(h, 2, 3)]
-    tape.tsum(engine.concat(parts, axis=1)).backward()
+    tape.tsum(engine.concat(parts, axis=1)).backward(1.0)
     np.testing.assert_array_equal(h.grad, [[1, 2, 3, 1], [1, 2, 3, 1]])
 
 
@@ -183,7 +186,7 @@ def test_permute_cols_routes_gradient_back():
     a = Tensor(np.arange(6.0).reshape(2, 3))
     out = tape.permute_cols(a, np.array([2, 0, 1]))
     np.testing.assert_array_equal(out.value, [[2, 0, 1], [5, 3, 4]])
-    tape.tsum(tape.mul(out, np.array([10.0, 20.0, 30.0]))).backward()
+    tape.tsum(tape.mul(out, np.array([10.0, 20.0, 30.0]))).backward(1.0)
     np.testing.assert_array_equal(a.grad, [[20, 30, 10], [20, 30, 10]])
 
 
@@ -201,7 +204,7 @@ def test_kl_bernoulli_from_logits_matches_value_form():
     kl = tape.kl_bernoulli_from_logits(logits, alpha)
     direct = kl_bernoulli(engine.stable_sigmoid(logits.value), alpha)
     np.testing.assert_allclose(kl.value, direct, atol=1e-9)
-    tape.tsum(kl).backward()
+    tape.tsum(kl).backward(1.0)
     assert np.all(np.isfinite(logits.grad))
 
 
@@ -224,8 +227,8 @@ def test_dense_matches_matmul_add_relu_chain_exactly(relu):
     if relu:
         out_chain = tape.relu(out_chain)
     np.testing.assert_array_equal(out_fused.value, out_chain.value)
-    weighted_sum(out_fused, 21).backward()
-    weighted_sum(out_chain, 21).backward()
+    weighted_sum(out_fused, 21).backward(1.0)
+    weighted_sum(out_chain, 21).backward(1.0)
     for f, c in zip(fused, chain):
         np.testing.assert_array_equal(f.grad, c.grad)
 
@@ -286,8 +289,8 @@ def test_onehot_dense_matches_concatenated_embeddings(case, relu):
     out_fold = engine.onehot_dense(x, w1, b1, t1, relu=relu)
     out_ref = embedded_chain(lead, codes, w2, b2, t2, zero_mask, relu)
     np.testing.assert_allclose(out_fold.value, out_ref.value, rtol=0, atol=1e-12)
-    weighted_sum(out_fold, 31).backward()
-    weighted_sum(out_ref, 31).backward()
+    weighted_sum(out_fold, 31).backward(1.0)
+    weighted_sum(out_ref, 31).backward(1.0)
     for f, r in zip([w1, b1, *t1], [w2, b2, *t2]):
         np.testing.assert_allclose(f.grad, r.grad, rtol=0, atol=1e-12)
 
@@ -307,11 +310,11 @@ def test_onehot_dense_gradients_accumulate_into_a_shared_table():
     layers = [(Tensor(rng.normal(size=(2, 5))), Tensor(np.zeros(5))) for _ in range(2)]
     grads = []
     for w, b in layers:
-        weighted_sum(engine.onehot_dense(x, w, b, [table]), 41).backward()
+        weighted_sum(engine.onehot_dense(x, w, b, [table]), 41).backward(1.0)
         grads.append(table.grad)
     both = tape.add(engine.onehot_dense(x, *layers[0], [table]),
                     engine.onehot_dense(x, *layers[1], [table]))
-    weighted_sum(both, 41).backward()
+    weighted_sum(both, 41).backward(1.0)
     np.testing.assert_allclose(table.grad, grads[0] + grads[1], rtol=0, atol=1e-12)
 
 
@@ -331,8 +334,8 @@ def test_block_log_softmax_at_matches_per_block_chain(start):
         col += c
     out_chain = engine.concat(cols, axis=1)
     np.testing.assert_allclose(out_fused.value, out_chain.value, rtol=0, atol=1e-12)
-    weighted_sum(out_fused, 51).backward()
-    weighted_sum(out_chain, 51).backward()
+    weighted_sum(out_fused, 51).backward(1.0)
+    weighted_sum(out_chain, 51).backward(1.0)
     np.testing.assert_allclose(fused.grad, chain.grad, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(fused.grad[:, :start], 0.0)
 
@@ -369,7 +372,7 @@ def test_fused_ops_match_finite_differences(case):
     from conftest import assert_grads_close, finite_difference
 
     _, params, build = next(c for c in fused_op_cases() if c[0] == case)
-    weighted_sum(build(), 71).backward()
+    weighted_sum(build(), 71).backward(1.0)
     analytic = {name: t.grad.copy() for name, t in params.items()}
     numeric = finite_difference(lambda: float(weighted_sum(build(), 71).value), params)
     assert_grads_close(analytic, numeric, rtol=1e-4, atol=1e-6)

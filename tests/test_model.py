@@ -230,7 +230,7 @@ def test_zero_gate_kills_decoder_head_gradient(mixed_schema):
     eps = Rng(14).normal((1, 3))
     pi = np.array([[1.0, 1.0, 0.0, 1.0]])  # gate off feature "c" (real head)
     loss = neg(tmean(gated_elbo(nets, mixed_schema, reals, cats, comps, pi, 0.95, eps)))
-    loss.backward()
+    loss.backward(1.0)
     dec = nets.decoder
     c, a = dec.columns["c"], dec.columns["a"]
     assert np.all(dec.W.grad[:, c] == 0.0)
@@ -285,7 +285,7 @@ def test_elbo_gradients_match_finite_differences(mixed_schema):
         nets = tiny_networks(mixed_schema, seed=23, amortized=(name == "avi"))
         params = nets.params()
         loss = neg(tmean(objective(nets)))
-        loss.backward()
+        loss.backward(1.0)
         analytic = {k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.value))
                     for k, t in params.items()}
         numeric = finite_difference(lambda: float(neg(tmean(objective(nets))).value), params)
@@ -424,7 +424,7 @@ def test_fused_objective_matches_generic_tape_bit_for_bit(model, layout):
                 lambda per_row: per_row.backward(np.full(n, -1.0 / n)))
     tape = run(lambda: reference_objective(nets, schema, reals, cats, comps, config.alpha,
                                            eps, model),
-               lambda per_row: neg(tmean(per_row)).backward())
+               lambda per_row: neg(tmean(per_row)).backward(1.0))
     np.testing.assert_array_equal(fused[0], tape[0])
     if model == "vae":
         assert fused[1] is None and tape[1] is None

@@ -300,7 +300,8 @@ def test_two_stage_forced_dirty_matches_mean_start_chain(trained):
     # replicate: every cell dirty, so a 2-round chain from mean behaviour
     # (zero reals, zeroed embeddings) over the table's one chunk
     all_dirty = np.zeros((table.n_rows, model.schema.n_features), dtype=bool)
-    reals, _ = _run_chain(model, table.reals, table.cats, Rng(12), 0, 2, clean=all_dirty)
+    reals, _ = _run_chain(model, table.reals, table.cats, Rng(12), 0, 2,
+                          np.ones(table.n_rows, dtype=bool), all_dirty)
     expected = destandardize(table.with_values(reals=reals)).reals
     np.testing.assert_array_equal(result.table.reals, expected)
 
@@ -372,14 +373,20 @@ def reference_round(model, reals, cats, zero_mask, eps, u):
     return new_reals, new_cats, decoded
 
 
-def reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk):
+def reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk, active=None):
     """One chunk's chain, clamping cell by cell; returns the round means of
-    the decoded real means and category probabilities."""
+    the decoded real means and category probabilities. A boolean ``active``
+    mask over the chunk's rows runs the chain on those rows alone, each
+    taking its row of every full-chunk draw block."""
     schema = model.schema
     n, width = obs_r.shape[0], model.config.latent_dim + obs_r.shape[1]
+    if active is None:
+        active = np.ones(n, dtype=bool)
+    obs_r, obs_c = obs_r[active], obs_c[active]
     slots = [schema.kind_index(c) for c in range(schema.n_features)]
     st_r, st_c, zero_mask = obs_r.copy(), obs_c.copy(), None
     if clean is not None:
+        clean = clean[active]
         zero_mask = np.zeros_like(obs_c, dtype=bool)
         for c, (kind, slot) in enumerate(slots):
             if kind == "real":
@@ -387,9 +394,9 @@ def reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk):
             else:
                 zero_mask[~clean[:, c], slot] = True
     for it in range(iters):
-        eps = numpy_stream(seed, NORMAL, chunk, it).standard_normal((n, width))
+        eps = numpy_stream(seed, NORMAL, chunk, it).standard_normal((n, width))[active]
         u = (None if it == iters - 1
-             else numpy_stream(seed, UNIFORM, chunk, it).random((n, obs_c.shape[1])))
+             else numpy_stream(seed, UNIFORM, chunk, it).random((n, obs_c.shape[1]))[active])
         st_r, st_c, decoded = reference_round(model, st_r, st_c,
                                               zero_mask if it == 0 else None, eps, u)
         for c, (kind, slot) in enumerate(slots if clean is not None else []):
@@ -406,14 +413,27 @@ def reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk):
     return total_r / iters, {name: p / iters for name, p in total_p.items()}
 
 
-def reference_chains(model, table, iters, seed):
-    """Both chains chunk by chunk: one-stage's round means, and two-stage's
-    standardized reals, cats and simplexes, its clean mask drawn from the
-    gates at each row's posterior mean."""
+def reference_clean_mask(model, obs_r, obs_c, seed, chunk):
+    """Two-stage's clean mask for one chunk, drawn from the gates at each
+    row's posterior mean."""
     from rvae.model import (clean_logliks_values, decode_values, encode_values,
                             outlier_logliks, pi_update)
 
     schema, nets = model.schema, model.networks
+    mu, _ = nets.encoder.latent_values(encode_values(schema, obs_r, obs_c), nets.embeddings)
+    ll = clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, obs_r, obs_c)
+    pi_hat = pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
+                       model.config.alpha)
+    return numpy_stream(seed, MASK, chunk, 0).random((obs_r.shape[0], schema.n_features)) < pi_hat
+
+
+def reference_chains(model, table, iters, seed, dirty_rows_only=True):
+    """Both chains chunk by chunk: one-stage's round means, and two-stage's
+    standardized reals, cats and simplexes. Two-stage's chain runs on the
+    rows with a sampled dirty cell, or with ``dirty_rows_only=False`` on
+    the whole chunk; either way the clean cells keep their observed values
+    and one-hot simplexes."""
+    schema = model.schema
     one_r, one_p, two_r, two_c, two_p = [], [], [], [], []
     for chunk, rows in chunks(table.n_rows):
         obs_r, obs_c = table.reals[rows], table.cats[rows]
@@ -421,24 +441,20 @@ def reference_chains(model, table, iters, seed):
         one_r.append(means)
         one_p.append(probs)
 
-        mu, _ = nets.encoder.latent_values(encode_values(schema, obs_r, obs_c), nets.embeddings)
-        ll = clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, obs_r, obs_c)
-        pi_hat = pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
-                           model.config.alpha)
-        u = numpy_stream(seed, MASK, chunk, 0).random((obs_r.shape[0], schema.n_features))
-        clean = u < pi_hat
-        means, probs = reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk)
-        reals, cats, simplexes = means.copy(), np.zeros_like(obs_c), {}
+        clean = reference_clean_mask(model, obs_r, obs_c, seed, chunk)
+        run = ~clean.all(axis=1) if dirty_rows_only else np.ones(obs_r.shape[0], dtype=bool)
+        means, probs = reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk, run)
+        reals, cats, simplexes = obs_r.copy(), obs_c.copy(), {}
         for c, (kind, slot) in enumerate(schema.kind_index(c) for c in range(schema.n_features)):
-            keep = clean[:, c]
+            dirty = ~clean[run, c]
+            take = np.flatnonzero(run)[dirty]
             if kind == "real":
-                reals[keep, slot] = obs_r[keep, slot]
+                reals[take, slot] = means[dirty, slot]
                 continue
             feat = schema.features[c]
-            cats[:, slot] = np.argmax(probs[feat.name], axis=1)
-            cats[keep, slot] = obs_c[keep, slot]
-            simplexes[feat.name] = probs[feat.name].copy()
-            simplexes[feat.name][keep] = np.eye(feat.cardinality)[obs_c[keep, slot]]
+            simplexes[feat.name] = np.eye(feat.cardinality)[obs_c[:, slot]]
+            simplexes[feat.name][take] = probs[feat.name][dirty]
+            cats[take, slot] = np.argmax(probs[feat.name][dirty], axis=1)
         two_r.append(reals)
         two_c.append(cats)
         two_p.append(simplexes)
@@ -465,6 +481,72 @@ def test_chains_replay_numpy_seeded_per_call_draws(trained, long_table):
     np.testing.assert_array_equal(two.table.cats, cats)
     for name, probs in simplexes.items():
         np.testing.assert_array_equal(two.simplexes[name], probs)
+
+
+def test_two_stage_runs_the_chain_on_rows_with_a_dirty_cell(trained, long_table,
+                                                           monkeypatch):
+    import rvae.score_repair as sr
+
+    model, table = trained[0], long_table
+    calls = []
+
+    def recording_chain(model, obs_reals, obs_cats, base, chunk, iters, active, clean=None):
+        calls.append((chunk, obs_reals, obs_cats, active, clean))
+        return run_chain(model, obs_reals, obs_cats, base, chunk, iters, active, clean)
+
+    run_chain = sr._run_chain
+    monkeypatch.setattr(sr, "_run_chain", recording_chain)
+    result = repair_two_stage(model, table, gibbs_iters=2, seed=9)
+    observed = destandardize(table)
+    assert [call[0] for call in calls] == [chunk for chunk, _ in chunks(table.n_rows)]
+    for (chunk, obs_reals, obs_cats, active, clean), (_, rows) in zip(calls, chunks(table.n_rows)):
+        expected = reference_clean_mask(model, table.reals[rows], table.cats[rows], 9, chunk)
+        dirty_rows = ~expected.all(axis=1)
+        assert 0 < dirty_rows.sum() < dirty_rows.size
+        np.testing.assert_array_equal(active, dirty_rows)
+        np.testing.assert_array_equal(clean, expected[dirty_rows])
+        np.testing.assert_array_equal(obs_reals, table.reals[rows][dirty_rows])
+        np.testing.assert_array_equal(obs_cats, table.cats[rows][dirty_rows])
+        # rows whose every cell stays clean come back as observed, one-hot
+        kept = np.arange(rows.start, rows.stop)[~dirty_rows]
+        np.testing.assert_array_equal(result.table.reals[kept], observed.reals[kept])
+        np.testing.assert_array_equal(result.table.cats[kept], observed.cats[kept])
+        for j, feat in enumerate(model.schema.cat_features):
+            np.testing.assert_array_equal(result.simplexes[feat.name][kept],
+                                          np.eye(feat.cardinality)[table.cats[kept, j]])
+
+    # a chunk with no dirty row runs no chain at all
+    calls.clear()
+    repair_two_stage(model, table, gibbs_iters=2, seed=9, pi_override=1.0)
+    assert calls == []
+
+
+def test_two_stage_matches_a_full_chunk_chain_at_readme_shapes():
+    """An untrained model at the README's widths, where OpenBLAS may pick
+    another kernel for the few rows the chain runs on: the restricted chain
+    must still give every row the draws of the full-chunk chain."""
+    from rvae.model import OutlierComponents
+
+    dirty, _ = make_scenario(mixture_table(1300, seed=4), 0.20, NOISE, seed=4)
+    table = standardize(dirty)
+    config = TrainConfig(model="rvae-cvi", hidden_dim=400, latent_dim=20, embedding_dim=50)
+    nets = build_networks(table.schema, config.latent_dim, config.hidden_dim,
+                          config.embedding_dim, rng=Rng(4))
+    model = RvaeModel(networks=nets, schema=table.schema, config=config,
+                      stats=dict(table.stats), components=OutlierComponents(2.0))
+    _, (reals, cats, simplexes) = reference_chains(model, table, 3, seed=8,
+                                                   dirty_rows_only=False)
+
+    two = repair_two_stage(model, table, gibbs_iters=3, seed=8)
+    np.testing.assert_array_equal(two.table.cats, cats)
+    np.testing.assert_allclose(apply_stats(two.table, model.stats).reals, reals,
+                               rtol=0, atol=1e-12)
+    for name, probs in simplexes.items():
+        np.testing.assert_allclose(two.simplexes[name], probs, rtol=0, atol=1e-12)
+    dirty_rows = np.concatenate([
+        ~reference_clean_mask(model, table.reals[rows], table.cats[rows], 8, chunk).all(axis=1)
+        for chunk, rows in chunks(table.n_rows)])
+    assert 0 < dirty_rows.sum() < table.n_rows
 
 
 def test_sampled_latents_replay_numpy_seeded_draws(trained, long_table):
