@@ -151,21 +151,19 @@ def cmd_score(args) -> None:
     tic = time.perf_counter()
     model = load_model(args.checkpoint)
     table = apply_stats(read_table(args.input, model.schema), model.stats)
-    report = score(model, table, args.rule, seed=args.seed)
+    report = score(model, table, args.rule)
     report.save(args.out, model.schema)
     _write_manifest(args.out, "score", {"rule": args.rule},
-                    args.seed, [args.input, args.checkpoint], [args.out],
+                    None, [args.input, args.checkpoint], [args.out],
                     time.perf_counter() - tic)
 
 
 def cmd_repair(args) -> None:
     tic = time.perf_counter()
-    if args.sample_z and args.method != "map":
-        raise ConfigError(f"--sample-z applies to the map method, not to {args.method}")
     model = load_model(args.checkpoint)
     table = apply_stats(read_table(args.input, model.schema), model.stats)
     if args.method == "map":
-        result = repair_map(model, table, sample_z=args.sample_z, seed=args.seed)
+        result = repair_map(model, table)
     elif args.method == "one-stage":
         result = repair_one_stage(model, table, gibbs_iters=args.gibbs_iters, seed=args.seed)
     else:
@@ -173,8 +171,7 @@ def cmd_repair(args) -> None:
     simplex_path = args.out_simplexes or (str(args.out) + ".simplexes")
     result.save(args.out, simplex_path)
     _write_manifest(args.out, "repair",
-                    {"method": args.method, "gibbs_iters": args.gibbs_iters,
-                     "sample_z": args.sample_z},
+                    {"method": args.method, "gibbs_iters": args.gibbs_iters},
                     args.seed, [args.input, args.checkpoint], [args.out, simplex_path],
                     time.perf_counter() - tic)
 
@@ -259,7 +256,7 @@ def cmd_experiment(args) -> None:
         for kind, rule in (("rvae-cvi", "pi"), ("vae", "nll")):
             model, _ = train(std, replace(config, model=kind))
             runs[kind] = evaluate(record, dirty,
-                                  scores=score(model, std, rule, seed=args.seed),
+                                  scores=score(model, std, rule),
                                   repair=repair_map(model, std))
         marginal = fit_marginals(std, max_components=args.max_gmm_components, seed=args.seed)
         runs["marginal"] = evaluate(record, dirty,
@@ -324,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rule", choices=["nll", "pi"], required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted; the scores do not depend on it")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_score)
 
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--method", choices=["map", "one-stage", "two-stage"], default="map")
     p.add_argument("--gibbs-iters", type=int, default=5)
-    p.add_argument("--sample-z", action="store_true", help="sample the latent instead of its mean (map)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--out-simplexes", default=None)

@@ -1,11 +1,13 @@
 """Outlier scores, MAP repair, and the two pseudo-Gibbs repair chains.
 
 All operations are read-only on the model and run over chunks of
-``CHUNK_ROWS`` rows. Each draw call of a chunk fills a (rows, width) block
-from its own stream, ``Rng(seed).derive(tag, chunk, round)``, so row r's
-draws are row r % CHUNK_ROWS of that block and depend only on (seed, tag,
-row, round). ``CHUNK_ROWS`` is therefore part of the seeded contract: a
-table's first rows get the same draws whatever rows follow them.
+``CHUNK_ROWS`` rows. Scores, MAP repair and two-stage's gates read one
+encoder and decoder pass at each row's posterior mean and draw nothing;
+only the two chains draw. Each draw call of a chunk fills a (rows, width)
+block from its own stream, ``Rng(seed).derive(tag, chunk, round)``, so row
+r's draws are row r % CHUNK_ROWS of that block and depend only on (seed,
+tag, row, round). ``CHUNK_ROWS`` is therefore part of the seeded contract:
+a table's first rows get the same draws whatever rows follow them.
 
 Only the draws are exact. A product's row count is the chunk's, and in
 two-stage's chain the number of the chunk's rows with a dirty cell, and
@@ -25,8 +27,8 @@ from .data import (CATEGORICAL, REAL, WRITE_BLOCK_ROWS, MixedTable, TableSchema,
                    destandardize, require_same_schema, write_csv, write_table)
 from .engine import stable_sigmoid
 from .errors import ConfigError, DataFormatError, ScoreRuleError
-from .model import (clean_logliks_values, decode_values, encode_values, outlier_logliks,
-                    pi_update)
+from .model import (DecodedValues, clean_logliks_values, decode_values, encode_values,
+                    outlier_logliks, pi_update)
 from .nn import Rng
 from .train import RvaeModel
 
@@ -206,45 +208,44 @@ def _pi_cell_scores(pi: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(pi, 1e-300))
 
 
-def _round_normals(model: RvaeModel, base: Rng, chunk: int, rnd: int, n: int) -> np.ndarray:
-    """Chain round ``rnd``'s (n, latent + n_real) standard normals for a
-    chunk: latent noise, then cell noise for the reals."""
-    width = model.config.latent_dim + len(model.schema.real_features)
-    return base.derive(_NORMAL, chunk, rnd).normal((n, width))
+def _mean_pass(model: RvaeModel, reals: np.ndarray, cats: np.ndarray) -> DecodedValues:
+    """The rows decoded once at their posterior mean latent."""
+    nets = model.networks
+    mu, _ = nets.encoder.latent_values(encode_values(model.schema, reals, cats), nets.embeddings)
+    return decode_values(nets.decoder, mu)
 
 
-def _sampled_latents(model: RvaeModel, x: np.ndarray, base: Rng, chunk: int) -> np.ndarray:
-    """z = mu + sigma * eps, eps the latent noise of a chain's first round,
-    so a sampled latent is the one the one-stage chain starts from."""
-    mu, sig = model.networks.encoder.latent_values(x, model.networks.embeddings)
-    return mu + sig * _round_normals(model, base, chunk, 0, x.shape[0])[:, :mu.shape[1]]
+def _mean_gates(model: RvaeModel, reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
+    """(B, D) clean probabilities of the observed cells at the posterior
+    mean: :func:`pi_update` of their clean over outlier log likelihood ratio."""
+    head = _mean_pass(model, reals, cats).head
+    ll_clean = clean_logliks_values(model.networks.decoder, head, reals, cats)
+    r = ll_clean - outlier_logliks(model.components, model.schema, reals, cats)
+    return pi_update(r, model.config.alpha)
 
 
-def score(model: RvaeModel, table: MixedTable, rule: str, seed: int = 0) -> ScoreReport:
-    """Per-cell outlier scores: 'nll' is the negative expected clean log
-    likelihood (one posterior sample); 'pi' is -log of the inferred clean
-    probability. Row scores sum the cells."""
+def score(model: RvaeModel, table: MixedTable, rule: str) -> ScoreReport:
+    """Per-cell outlier scores at each row's posterior mean latent: 'nll' is
+    the negative clean log likelihood; 'pi' is -log of the inferred clean
+    probability, which an ``rvae-avi`` model reads from its gate encoder.
+    Row scores sum the cells."""
     if rule not in SCORE_RULES:
         raise ConfigError(f"unknown scoring rule '{rule}' (choose from {SCORE_RULES})")
     if rule == "pi" and not model.is_robust:
         raise ScoreRuleError("the pi rule needs a gated model; this checkpoint is a plain VAE")
     model.require_table(table)
-    schema = model.schema
     nets = model.networks
-    base = Rng(seed)
 
     def chunk_scores(chunk: int, rows: np.ndarray):
         reals, cats = table.reals[rows], table.cats[rows]
-        x = encode_values(schema, reals, cats)
-        if rule == "pi" and model.config.is_amortized:
-            pi = stable_sigmoid(nets.pi_encoder.apply(x, nets.embeddings.tables).value)
-            return (_pi_cell_scores(pi),)
-        z = _sampled_latents(model, x, base, chunk)
-        ll_clean = clean_logliks_values(nets.decoder, nets.decoder.head(z).value, reals, cats)
         if rule == "nll":
-            return (-ll_clean,)
-        r = ll_clean - outlier_logliks(model.components, schema, reals, cats)
-        return (_pi_cell_scores(pi_update(r, model.config.alpha)),)
+            head = _mean_pass(model, reals, cats).head
+            return (-clean_logliks_values(nets.decoder, head, reals, cats),)
+        if model.config.is_amortized:
+            x = encode_values(model.schema, reals, cats)
+            return (_pi_cell_scores(stable_sigmoid(
+                nets.pi_encoder.apply(x, nets.embeddings.tables).value)),)
+        return (_pi_cell_scores(_mean_gates(model, reals, cats)),)
 
     cells, = _map_chunks(table.n_rows, chunk_scores)
     return ScoreReport(rule=rule, cell_scores=cells, row_scores=cells.sum(axis=1))
@@ -266,24 +267,16 @@ def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, cat_idx: np.ndarra
     return RepairResult(table=destandardize(std_table), simplexes=simplexes, method=method)
 
 
-def repair_map(model: RvaeModel, table: MixedTable, sample_z: bool = False,
-               seed: int = 0) -> RepairResult:
-    """Mode of the clean component given a posterior latent: reals become
-    the decoded mean (then de-standardized), categoricals the highest
-    probability category, ties to the lowest index. z is the posterior
-    mean unless ``sample_z`` asks for a draw."""
+def repair_map(model: RvaeModel, table: MixedTable) -> RepairResult:
+    """Mode of the clean component at each row's posterior mean latent:
+    reals become the decoded mean (then de-standardized), categoricals the
+    highest probability category, ties to the lowest index."""
     model.require_table(table)
-    schema, nets = model.schema, model.networks
-    base = Rng(seed)
 
     def chunk_repair(chunk: int, rows: np.ndarray):
-        x = encode_values(schema, table.reals[rows], table.cats[rows])
-        if sample_z:
-            z = _sampled_latents(model, x, base, chunk)
-        else:
-            z, _ = nets.encoder.latent_values(x, nets.embeddings)
-        decoded = decode_values(nets.decoder, z)
-        return decoded.real_means, _modes(schema, decoded.cat_probs, rows.size), decoded.cat_probs
+        decoded = _mean_pass(model, table.reals[rows], table.cats[rows])
+        probs = decoded.cat_probs
+        return decoded.real_means, _modes(model.schema, probs, rows.size), probs
 
     reals, cats, simplexes = _map_chunks(table.n_rows, chunk_repair)
     return _assemble_repair(model, reals, cats, simplexes, "map")
@@ -307,11 +300,12 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, ba
 
     The chain runs on the rows of the chunk that the boolean mask
     ``active`` selects; ``obs_reals`` and ``obs_cats`` hold those rows.
-    Round t draws the whole chunk's :func:`_round_normals` and, except in
-    the last round, whose cells nothing reads, one uniform per categorical
-    cell from ``base.derive(_UNIFORM, chunk, t)``, and takes the active
-    rows of each block, so a row's draws do not depend on which other rows
-    run. With a (B, D) ``clean`` mask in schema column order, clean cells
+    Round t draws the whole chunk's (rows, latent + n_real) standard
+    normals from ``base.derive(_NORMAL, chunk, t)`` (latent noise, then
+    real-cell noise) and, except in the last round, whose cells nothing
+    reads, one uniform per categorical cell from
+    ``base.derive(_UNIFORM, chunk, t)``. It takes the active rows of each
+    block, so a row's draws do not depend on which other rows run. With a (B, D) ``clean`` mask in schema column order, clean cells
     stay at their observed values in every round and dirty cells start at
     mean behaviour: zero for standardized reals, a zero one-hot block (a
     zero embedding) for categoricals.
@@ -322,6 +316,7 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, ba
     """
     schema, nets = model.schema, model.networks
     k = model.config.latent_dim
+    width = k + obs_reals.shape[1]
     reals, cats, zero_mask = obs_reals, obs_cats, None
     if clean is not None:
         keep_reals, keep_cats = _split_by_kind(schema, clean)
@@ -332,7 +327,7 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, ba
     for it in range(iters):
         x = encode_values(schema, reals, cats, zero_mask if it == 0 else None)
         mu, sig = nets.encoder.latent_values(x, nets.embeddings)
-        eps = _round_normals(model, base, chunk, it, active.size)[take]
+        eps = base.derive(_NORMAL, chunk, it).normal((active.size, width))[take]
         decoded = decode_values(nets.decoder, mu + sig * eps[:, :k])
         means.append(decoded.real_means)
         probs.append(decoded.cat_probs)
@@ -365,8 +360,7 @@ def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     Starts from the observed row and alternates encode / latent sample /
     cell resample for the requested rounds. The repair is the mode of the
     chain's round-mean readout (see :func:`_run_chain`): its mean for reals,
-    its highest-probability category for categoricals. At T=1 this is
-    ``repair_map(sample_z=True)`` with the same seed.
+    its highest-probability category for categoricals.
     """
     _check_chain(model, table, gibbs_iters)
     base = Rng(seed)
@@ -396,22 +390,14 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     clean probabilities for the gate pass, which then does not run.
     """
     _check_chain(model, table, gibbs_iters)
-    schema, nets = model.schema, model.networks
+    schema = model.schema
     base = Rng(seed)
-
-    def gates(reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
-        if pi_override is not None:
-            return np.broadcast_to(np.asarray(pi_override, dtype=np.float64),
-                                   (reals.shape[0], schema.n_features))
-        mu, _ = nets.encoder.latent_values(encode_values(schema, reals, cats), nets.embeddings)
-        ll_clean = clean_logliks_values(nets.decoder, nets.decoder.head(mu).value, reals, cats)
-        r = ll_clean - outlier_logliks(model.components, schema, reals, cats)
-        return pi_update(r, model.config.alpha)
 
     def chunk_chain(chunk: int, rows: np.ndarray):
         obs_reals, obs_cats = table.reals[rows], table.cats[rows]
         u = base.derive(_MASK, chunk, 0).uniform((rows.size, schema.n_features))
-        clean = u < gates(obs_reals, obs_cats)
+        clean = u < (_mean_gates(model, obs_reals, obs_cats) if pi_override is None
+                     else pi_override)
         # the chain fills the rows with a dirty cell; every other row keeps
         # all its cells, so the clamp below fills it
         active = ~clean.all(axis=1)

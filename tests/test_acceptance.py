@@ -193,7 +193,7 @@ def test_criterion_5_robustness_separation(scenario_runs):
     for run in scenario_runs["runs"]:
         seed, std, dirty, record = run["seed"], run["std"], run["dirty"], run["record"]
         rvae, vae = run["rvae"], run["vae"]
-        rvae_eval = evaluate(record, dirty, scores=score(rvae, std, "pi", seed=seed),
+        rvae_eval = evaluate(record, dirty, scores=score(rvae, std, "pi"),
                              repair=repair_map(rvae, std))
         vae_eval = evaluate(record, dirty, repair=repair_map(vae, std))
         # criterion 5 consumes only the marginal baseline's categorical AVPR,
@@ -207,7 +207,7 @@ def test_criterion_5_robustness_separation(scenario_runs):
                                  if n in marg_eval.cell_avpr]))
         smse_rvae.append(rvae_eval.smse_real_avg)
         smse_vae.append(vae_eval.smse_real_avg)
-        pi = np.exp(-score(rvae, std, "pi", seed=seed).cell_scores)
+        pi = np.exp(-score(rvae, std, "pi").cell_scores)
         gaps.append(pi[~record.mask].mean() - pi[record.mask].mean())
     total = scenario_runs["build_seconds"] + (time.perf_counter() - tic)
     assert np.mean(cat_rvae) > np.mean(cat_marg), (cat_rvae, cat_marg)
@@ -228,7 +228,7 @@ def test_criterion_6_alpha_insensitivity(scenario_runs):
             seed, std, dirty, record = run["seed"], run["std"], run["dirty"], run["record"]
             model, _ = train(std, TrainConfig(model="rvae-cvi", alpha=alpha, seed=seed,
                                               **C5_CONFIG))
-            report = evaluate(record, dirty, scores=score(model, std, "pi", seed=seed))
+            report = evaluate(record, dirty, scores=score(model, std, "pi"))
             values.append(report.cell_avpr_macro)
         per_alpha[alpha] = float(np.mean(values))
     spread = max(per_alpha.values()) - min(per_alpha.values())

@@ -472,10 +472,11 @@ def test_record_too_large_to_hold_exits_3(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("method", ["one-stage", "two-stage"])
-def test_sample_z_is_a_config_error_for_chain_methods(workspace, tmp_path, capsys, method):
-    assert run(["repair", "--input", workspace / "clean.csv", "--checkpoint",
-                workspace / "small.ckpt", "--method", method, "--sample-z",
-                "--out", tmp_path / "r.csv"]) == 2
-    assert "--sample-z applies to the map method" in capsys.readouterr().err
-    assert not list(tmp_path.iterdir())
+def test_score_seed_does_not_change_the_scores(workspace, small_checkpoint, tmp_path):
+    for seed in ("0", "7"):
+        assert run(["score", "--input", workspace / "clean.csv", "--checkpoint",
+                    small_checkpoint, "--rule", "pi", "--seed", seed,
+                    "--out", tmp_path / f"s{seed}.rvae"]) == 0
+        manifest = json.loads((tmp_path / f"s{seed}.rvae.manifest.json").read_text())
+        assert manifest["seed"] is None
+    assert (tmp_path / "s0.rvae").read_bytes() == (tmp_path / "s7.rvae").read_bytes()

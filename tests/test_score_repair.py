@@ -69,7 +69,7 @@ def test_pi_cell_scores_example():
 def test_row_scores_sum_cells(trained):
     model, table, _ = trained
     for rule in ("nll", "pi"):
-        report = score(model, table, rule, seed=3)
+        report = score(model, table, rule)
         np.testing.assert_allclose(report.row_scores, report.cell_scores.sum(axis=1),
                                    atol=1e-12)
         assert np.all(np.isfinite(report.cell_scores))
@@ -77,7 +77,7 @@ def test_row_scores_sum_cells(trained):
 
 def test_pi_scores_nonnegative(trained):
     model, table, _ = trained
-    report = score(model, table, "pi", seed=3)
+    report = score(model, table, "pi")
     assert np.all(report.cell_scores >= 0.0)
 
 
@@ -103,11 +103,11 @@ def test_nll_score_rises_with_injected_noise(trained):
         rng = Rng(seed)
         row = int(rng.integers(0, table.n_rows))
         col = int(rng.integers(0, 2))  # real slots 0..3 in schema order
-        base = score(model, table, "nll", seed=seed).cell_scores
+        base = score(model, table, "nll").cell_scores
         reals = table.reals.copy()
         reals[row, col] += 5.0  # +5 sigma in standardized units
         bumped = table.with_values(reals=reals)
-        bumped_scores = score(model, bumped, "nll", seed=seed).cell_scores
+        bumped_scores = score(model, bumped, "nll").cell_scores
         assert bumped_scores[row, col] > base[row, col]
 
 
@@ -115,7 +115,7 @@ def test_score_report_csv_round_trip(tmp_path, trained):
     import csv
 
     model, table, _ = trained
-    report = score(model, table, "pi", seed=5)
+    report = score(model, table, "pi")
     path = tmp_path / "scores"
     report.save(path, model.schema)
     loaded = ScoreReport.load(path, model.schema)
@@ -215,15 +215,6 @@ def test_repair_map_tie_breaks_to_lowest_index():
     assert result.table.cats[0, 0] == 0
 
 
-def test_repair_map_sample_z_reproducible(trained):
-    model, table, _ = trained
-    a = repair_map(model, table, sample_z=True, seed=9)
-    b = repair_map(model, table, sample_z=True, seed=9)
-    np.testing.assert_array_equal(a.table.reals, b.table.reals)
-    c = repair_map(model, table, sample_z=True, seed=10)
-    assert not np.array_equal(a.table.reals, c.table.reals)
-
-
 def test_repair_result_validates_simplexes(trained):
     model, table, _ = trained
     result = repair_map(model, table)
@@ -259,19 +250,6 @@ def test_chains_require_gated_model():
         repair_one_stage(vae, table)
     with pytest.raises(ScoreRuleError):
         repair_two_stage(vae, table)
-
-
-def test_one_stage_t1_is_sample_then_reconstruct(trained):
-    model, table, _ = trained
-    result = repair_one_stage(model, table, gibbs_iters=1, seed=4)
-
-    # one round samples a latent from the observed row and reads the clean
-    # component there: MAP repair at a sampled latent, with the same draw
-    sampled = repair_map(model, table, sample_z=True, seed=4)
-    np.testing.assert_array_equal(result.table.reals, sampled.table.reals)
-    np.testing.assert_array_equal(result.table.cats, sampled.table.cats)
-    for name, probs in sampled.simplexes.items():
-        np.testing.assert_array_equal(result.simplexes[name], probs)
 
 
 def test_one_stage_reproducible(trained):
@@ -413,18 +391,23 @@ def reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk, active=None)
     return total_r / iters, {name: p / iters for name, p in total_p.items()}
 
 
-def reference_clean_mask(model, obs_r, obs_c, seed, chunk):
-    """Two-stage's clean mask for one chunk, drawn from the gates at each
-    row's posterior mean."""
+def reference_gates(model, obs_r, obs_c):
+    """The cells' clean probabilities at each row's posterior mean."""
     from rvae.model import (clean_logliks_values, decode_values, encode_values,
                             outlier_logliks, pi_update)
 
     schema, nets = model.schema, model.networks
     mu, _ = nets.encoder.latent_values(encode_values(schema, obs_r, obs_c), nets.embeddings)
     ll = clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, obs_r, obs_c)
-    pi_hat = pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
-                       model.config.alpha)
-    return numpy_stream(seed, MASK, chunk, 0).random((obs_r.shape[0], schema.n_features)) < pi_hat
+    return pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
+                     model.config.alpha)
+
+
+def reference_clean_mask(model, obs_r, obs_c, seed, chunk):
+    """Two-stage's clean mask for one chunk, drawn from the gates at each
+    row's posterior mean."""
+    u = numpy_stream(seed, MASK, chunk, 0).random((obs_r.shape[0], model.schema.n_features))
+    return u < reference_gates(model, obs_r, obs_c)
 
 
 def reference_chains(model, table, iters, seed, dirty_rows_only=True):
@@ -481,6 +464,35 @@ def test_chains_replay_numpy_seeded_per_call_draws(trained, long_table):
     np.testing.assert_array_equal(two.table.cats, cats)
     for name, probs in simplexes.items():
         np.testing.assert_array_equal(two.simplexes[name], probs)
+
+
+def test_pi_scores_are_two_stage_gates(trained, long_table):
+    model, table = trained[0], long_table
+    expected = np.concatenate([
+        _pi_cell_scores(reference_gates(model, table.reals[rows], table.cats[rows]))
+        for _, rows in chunks(table.n_rows)])
+    np.testing.assert_array_equal(score(model, table, "pi").cell_scores, expected)
+
+
+@pytest.mark.parametrize("kind", ["vae", "rvae-cvi", "rvae-avi"])
+def test_scores_and_map_repair_draw_nothing(trained, kind, monkeypatch):
+    import rvae.score_repair as sr
+    from rvae.model import OutlierComponents
+
+    table = trained[1]
+    config = TrainConfig(model=kind, hidden_dim=16, latent_dim=3, embedding_dim=4)
+    nets = build_networks(table.schema, config.latent_dim, config.hidden_dim,
+                          config.embedding_dim, rng=Rng(7), amortized=config.is_amortized)
+    model = RvaeModel(networks=nets, schema=table.schema, config=config,
+                      stats=dict(table.stats), components=OutlierComponents(2.0))
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a posterior-mean readout made a random stream")
+
+    monkeypatch.setattr(sr, "Rng", no_stream)
+    for rule in ("nll", "pi") if model.is_robust else ("nll",):
+        assert score(model, table, rule).cell_scores.shape == (table.n_rows, table.schema.n_features)
+    assert repair_map(model, table).table.n_rows == table.n_rows
 
 
 def test_two_stage_runs_the_chain_on_rows_with_a_dirty_cell(trained, long_table,
@@ -549,8 +561,10 @@ def test_two_stage_matches_a_full_chunk_chain_at_readme_shapes():
     assert 0 < dirty_rows.sum() < table.n_rows
 
 
-def test_sampled_latents_replay_numpy_seeded_draws(trained, long_table):
-    from rvae.model import clean_logliks_values, decode_values, encode_values
+def test_one_stage_t1_is_sample_then_reconstruct(trained, long_table):
+    # one round samples a latent from the observed row, with the latent
+    # columns of the round's normals, and reads the clean component there
+    from rvae.model import decode_values, encode_values
 
     model, table = trained[0], long_table
     nets, k = model.networks, model.config.latent_dim
@@ -560,17 +574,19 @@ def test_sampled_latents_replay_numpy_seeded_draws(trained, long_table):
     eps = np.concatenate([numpy_stream(13, NORMAL, chunk, 0).standard_normal(
         (rows.stop - rows.start, width))[:, :k] for chunk, rows in chunks(table.n_rows)])
     decoded = decode_values(nets.decoder, mu + sig * eps)
-    expected = -clean_logliks_values(nets.decoder, decoded.head, table.reals, table.cats)
-    np.testing.assert_array_equal(score(model, table, "nll", seed=13).cell_scores, expected)
-    sampled = repair_map(model, table, sample_z=True, seed=13)
+
+    result = repair_one_stage(model, table, gibbs_iters=1, seed=13)
     np.testing.assert_array_equal(
-        sampled.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+        result.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+    for j, feat in enumerate(model.schema.cat_features):
+        np.testing.assert_array_equal(result.simplexes[feat.name], decoded.cat_probs[feat.name])
+        np.testing.assert_array_equal(result.table.cats[:, j],
+                                      np.argmax(decoded.cat_probs[feat.name], axis=1))
 
 
 SEEDED_RUNS = {
-    "score-nll": lambda model, table: score(model, table, "nll", seed=5),
-    "score-pi": lambda model, table: score(model, table, "pi", seed=5),
-    "map-sample-z": lambda model, table: repair_map(model, table, sample_z=True, seed=5),
+    "score-nll": lambda model, table: score(model, table, "nll"),
+    "score-pi": lambda model, table: score(model, table, "pi"),
     "one-stage": lambda model, table: repair_one_stage(model, table, gibbs_iters=3, seed=5),
     "two-stage": lambda model, table: repair_two_stage(model, table, gibbs_iters=3, seed=5),
 }

@@ -58,7 +58,7 @@ def test_rvae_on_clean_data_gates_open():
     table = standardize(mixture_table(400, seed=3))
     model, log = train(table, TrainConfig(model="rvae-cvi", alpha=0.95, seed=3, epochs=30, **{
         k: v for k, v in TINY.items() if k != "epochs"}))
-    pi = np.exp(-score(model, table, "pi", seed=3).cell_scores)
+    pi = np.exp(-score(model, table, "pi").cell_scores)
     assert model.config.alpha == 0.95
     assert pi.mean() > 0.9
     assert log.epochs[-1].mean_pi > 0.9
@@ -71,7 +71,7 @@ def test_rvae_separates_corrupted_cells():
         dirty, record = make_scenario(clean, 0.10, NOISE, seed)
         table = standardize(dirty)
         model, _ = train(table, TrainConfig(model="rvae-cvi", alpha=0.95, seed=seed, **TINY))
-        pi = np.exp(-score(model, table, "pi", seed=seed).cell_scores)
+        pi = np.exp(-score(model, table, "pi").cell_scores)
         gaps.append(pi[~record.mask].mean() - pi[record.mask].mean())
     assert all(g > 0 for g in gaps)
 
@@ -111,7 +111,7 @@ def test_all_categorical_table_trains_scores_repairs():
     model, _ = train(table, TrainConfig(model="rvae-cvi", epochs=3, hidden_dim=16,
                                         latent_dim=3, embedding_dim=6, batch_size=60,
                                         seed=8))
-    report = score(model, table, "pi", seed=8)
+    report = score(model, table, "pi")
     assert report.cell_scores.shape == (120, 2)
     from rvae.score_repair import repair_map, repair_two_stage
 
@@ -126,7 +126,7 @@ def test_avi_training_runs_and_scores():
     model, log = train(table, TrainConfig(model="rvae-avi", seed=6, epochs=5, **{
         k: v for k, v in TINY.items() if k != "epochs"}))
     assert model.networks.pi_encoder is not None
-    report = score(model, table, "pi", seed=6)
+    report = score(model, table, "pi")
     assert report.cell_scores.shape == (200, table.schema.n_features)
 
 
@@ -158,8 +158,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, trained_model):
         np.testing.assert_array_equal(tensor.value, loaded.networks.params()[name].value)
     assert loaded.config == model.config
     assert loaded.stats == model.stats
-    a = score(model, table, "pi", seed=1)
-    b = score(loaded, table, "pi", seed=1)
+    a = score(model, table, "pi")
+    b = score(loaded, table, "pi")
     np.testing.assert_array_equal(a.cell_scores, b.cell_scores)
 
 
