@@ -561,20 +561,36 @@ def test_two_stage_matches_a_full_chunk_chain_at_readme_shapes():
     assert 0 < dirty_rows.sum() < table.n_rows
 
 
-def test_one_stage_t1_is_sample_then_reconstruct(trained, long_table):
-    # one round samples a latent from the observed row, with the latent
-    # columns of the round's normals, and reads the clean component there
+def sampled_latent_decode(model, table, seed):
+    """Decode at the latents of one-stage's first round, replayed from the
+    latent columns of that round's numpy-seeded normals."""
     from rvae.model import decode_values, encode_values
 
-    model, table = trained[0], long_table
     nets, k = model.networks, model.config.latent_dim
     width = k + len(model.schema.real_features)
     mu, sig = nets.encoder.latent_values(
         encode_values(model.schema, table.reals, table.cats), nets.embeddings)
-    eps = np.concatenate([numpy_stream(13, NORMAL, chunk, 0).standard_normal(
+    eps = np.concatenate([numpy_stream(seed, NORMAL, chunk, 0).standard_normal(
         (rows.stop - rows.start, width))[:, :k] for chunk, rows in chunks(table.n_rows)])
-    decoded = decode_values(nets.decoder, mu + sig * eps)
+    return decode_values(nets.decoder, mu + sig * eps)
 
+
+def test_sampled_latents_replay_numpy_seeded_draws(trained, long_table):
+    model, table = trained[0], long_table
+    decoded = sampled_latent_decode(model, table, 13)
+    result = repair_one_stage(model, table, gibbs_iters=1, seed=13)
+    np.testing.assert_array_equal(
+        result.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+    other = repair_one_stage(model, table, gibbs_iters=1, seed=14)
+    assert not np.array_equal(other.table.reals, result.table.reals)
+
+
+def test_one_stage_t1_is_sample_then_reconstruct(trained, long_table):
+    # one round samples a latent from the observed row and reads the clean
+    # component there: means for reals, the decoded simplex and its mode for
+    # categories
+    model, table = trained[0], long_table
+    decoded = sampled_latent_decode(model, table, 13)
     result = repair_one_stage(model, table, gibbs_iters=1, seed=13)
     np.testing.assert_array_equal(
         result.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
