@@ -172,7 +172,8 @@ def cmd_repair(args) -> None:
     result.save(args.out, simplex_path)
     _write_manifest(args.out, "repair",
                     {"method": args.method, "gibbs_iters": args.gibbs_iters},
-                    args.seed, [args.input, args.checkpoint], [args.out, simplex_path],
+                    None if args.method == "map" else args.seed,
+                    [args.input, args.checkpoint], [args.out, simplex_path],
                     time.perf_counter() - tic)
 
 
@@ -330,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--method", choices=["map", "one-stage", "two-stage"], default="map")
     p.add_argument("--gibbs-iters", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the chains; a map repair does not depend on it")
     p.add_argument("--out", required=True)
     p.add_argument("--out-simplexes", default=None)
     p.set_defaults(fn=cmd_repair)

@@ -27,8 +27,7 @@ from .data import (CATEGORICAL, REAL, WRITE_BLOCK_ROWS, MixedTable, TableSchema,
                    destandardize, require_same_schema, write_csv, write_table)
 from .engine import stable_sigmoid
 from .errors import ConfigError, DataFormatError, ScoreRuleError
-from .model import (DecodedValues, clean_logliks_values, decode_values, encode_values,
-                    outlier_logliks, pi_update)
+from .model import clean_logliks_values, decode_values, encode_values, outlier_logliks, pi_update
 from .nn import Rng
 from .train import RvaeModel
 
@@ -208,17 +207,22 @@ def _pi_cell_scores(pi: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(pi, 1e-300))
 
 
-def _mean_pass(model: RvaeModel, reals: np.ndarray, cats: np.ndarray) -> DecodedValues:
-    """The rows decoded once at their posterior mean latent."""
+def _mean_latents(model: RvaeModel, reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
+    """The rows' posterior mean latents."""
     nets = model.networks
-    mu, _ = nets.encoder.latent_values(encode_values(model.schema, reals, cats), nets.embeddings)
-    return decode_values(nets.decoder, mu)
+    return nets.encoder.latent_values(encode_values(model.schema, reals, cats), nets.embeddings)[0]
+
+
+def _mean_head(model: RvaeModel, reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
+    """:meth:`Decoder.head`'s value at the rows' posterior mean latents; no
+    category probabilities are built."""
+    return model.networks.decoder.head(_mean_latents(model, reals, cats)).value
 
 
 def _mean_gates(model: RvaeModel, reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
     """(B, D) clean probabilities of the observed cells at the posterior
     mean: :func:`pi_update` of their clean over outlier log likelihood ratio."""
-    head = _mean_pass(model, reals, cats).head
+    head = _mean_head(model, reals, cats)
     ll_clean = clean_logliks_values(model.networks.decoder, head, reals, cats)
     r = ll_clean - outlier_logliks(model.components, model.schema, reals, cats)
     return pi_update(r, model.config.alpha)
@@ -239,7 +243,7 @@ def score(model: RvaeModel, table: MixedTable, rule: str) -> ScoreReport:
     def chunk_scores(chunk: int, rows: np.ndarray):
         reals, cats = table.reals[rows], table.cats[rows]
         if rule == "nll":
-            head = _mean_pass(model, reals, cats).head
+            head = _mean_head(model, reals, cats)
             return (-clean_logliks_values(nets.decoder, head, reals, cats),)
         if model.config.is_amortized:
             x = encode_values(model.schema, reals, cats)
@@ -274,7 +278,8 @@ def repair_map(model: RvaeModel, table: MixedTable) -> RepairResult:
     model.require_table(table)
 
     def chunk_repair(chunk: int, rows: np.ndarray):
-        decoded = _mean_pass(model, table.reals[rows], table.cats[rows])
+        decoded = decode_values(model.networks.decoder,
+                                _mean_latents(model, table.reals[rows], table.cats[rows]))
         probs = decoded.cat_probs
         return decoded.real_means, _modes(model.schema, probs, rows.size), probs
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rvae.baselines import (Gmm1D, MarginalModel, _kmeanspp_centers, fit_gmm_1d, fit_gmm_bic,
-                            fit_marginals, marginal_repair, marginal_score)
+from rvae import baselines
+from rvae.baselines import (BIC_PATIENCE, Gmm1D, MarginalModel, _kmeanspp_centers, fit_gmm_1d,
+                            fit_gmm_bic, fit_marginals, marginal_repair, marginal_score)
 from rvae.data import FeatureSpec, MixedTable, TableSchema
 from rvae.errors import ConfigError
 from rvae.nn import Rng
@@ -47,12 +48,52 @@ def test_bic_selects_two_components_when_separated():
     assert wins >= 8
 
 
-def test_full_forty_component_sweep_runs():
+def test_forty_component_sweep_stops_after_the_patience():
     x = Rng(0).normal(1000)
     gmm, bics = fit_gmm_bic(x, seed=0, max_components=40)
-    assert set(bics) == set(range(1, 41))
-    assert min(bics.values()) == min(bics[k] for k in bics)
-    assert gmm.weights.size == min(bics, key=bics.get)
+    best = min(bics, key=bics.get)
+    assert set(bics) == set(range(1, best + BIC_PATIENCE + 1))
+    assert all(bics[k] >= bics[best] for k in bics if k > best)
+    assert gmm.weights.size == best
+
+
+def sweep_with_bics(monkeypatch, want, max_components=40, n=100):
+    """Run fit_gmm_bic over stand-in fits whose BIC at k is ``want[k]``;
+    returns the selected fit (the label 'fit<k>'), the BIC dict and the
+    streams passed per k."""
+    streams = {}
+
+    def fake_fit(x, k, rngs):
+        streams[k] = rngs
+        return f"fit{k}", [((3 * k - 1) * math.log(n) - want[k]) / 2.0]
+
+    monkeypatch.setattr(baselines, "fit_gmm_1d", fake_fit)
+    fit, bics = fit_gmm_bic(np.zeros(n), seed=4, max_components=max_components, feature_key=2)
+    return fit, bics, streams
+
+
+def test_bic_sweep_finds_a_minimum_within_the_patience(monkeypatch):
+    # BIC_PATIENCE - 1 counts without a new minimum, then the minimum at 6
+    want = {1: 10.0, 2: 12.0, 3: 11.0, 4: 13.0, 5: 10.5, 6: 5.0, **{k: 20.0 for k in range(7, 41)}}
+    fit, bics, streams = sweep_with_bics(monkeypatch, want)
+    assert fit == "fit6"
+    assert set(bics) == set(range(1, 6 + BIC_PATIENCE + 1))
+    np.testing.assert_allclose([bics[k] for k in sorted(bics)], [want[k] for k in sorted(bics)])
+    # every restart of one k in one call, each on its own derived stream
+    assert {k: len(rngs) for k, rngs in streams.items()} == {
+        k: 1 if k == 1 else 10 if k <= 5 else 3 for k in bics}
+    assert [r.spawn_key for r in streams[4]] == [(2, 4, a) for a in range(10)]
+
+
+def test_bic_sweep_misses_a_minimum_past_the_patience(monkeypatch):
+    want = {1: 10.0, **{k: 20.0 for k in range(2, 41)}}
+    want[2 + BIC_PATIENCE] = 0.0
+    fit, bics, _ = sweep_with_bics(monkeypatch, want)
+    assert fit == "fit1"
+    assert set(bics) == set(range(1, 1 + BIC_PATIENCE + 1))
+    # max_components stays the cap
+    fit, bics, _ = sweep_with_bics(monkeypatch, {1: 10.0, 2: 9.0, 3: 8.0}, max_components=3)
+    assert fit == "fit3" and set(bics) == {1, 2, 3}
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -64,7 +105,7 @@ def test_bic_sweep_rejects_fewer_than_one_component(count):
 def test_em_loglik_non_decreasing():
     rng = Rng(3)
     x = np.concatenate([rng.normal(400) * 0.5 - 2.0, rng.normal(400) * 1.5 + 3.0])
-    _, trajectory = fit_gmm_1d(x, k=3, rng=Rng(4))
+    _, trajectory = fit_gmm_1d(x, 3, [Rng(4)])
     diffs = np.diff(trajectory)
     assert np.all(diffs >= -1e-9)
 
@@ -72,7 +113,7 @@ def test_em_loglik_non_decreasing():
 def test_one_component_fit_does_not_depend_on_the_start():
     # why the BIC sweep runs a single restart at k = 1
     x = Rng(6).normal(500) * 2.0 + 1.0
-    fits = [fit_gmm_1d(x, k=1, rng=Rng(seed)) for seed in range(5)]
+    fits = [fit_gmm_1d(x, 1, [Rng(seed)]) for seed in range(5)]
     for gmm, trajectory in fits:
         assert trajectory[-1] == fits[0][1][-1]
         for got, want in zip((gmm.weights, gmm.means, gmm.stds),
@@ -82,9 +123,78 @@ def test_one_component_fit_does_not_depend_on_the_start():
     np.testing.assert_allclose(fits[0][0].stds, x.std(), rtol=1e-12)
 
 
+def clustered(seed=3, n=400):
+    rng = Rng(seed)
+    return np.concatenate([rng.normal(n // 2) * 0.5 - 2.0, rng.normal(n // 4) * 1.5 + 3.0,
+                           rng.normal(n - n // 2 - n // 4) * 0.3 + 0.5])
+
+
+def assert_same_fit(got, want, rtol=1e-12):
+    (gmm, trajectory), (want_gmm, want_trajectory) = got, want
+    assert len(trajectory) == len(want_trajectory)
+    np.testing.assert_allclose(trajectory, want_trajectory, rtol=rtol, atol=0)
+    for a, b in zip((gmm.weights, gmm.means, gmm.stds),
+                    (want_gmm.weights, want_gmm.means, want_gmm.stds)):
+        np.testing.assert_allclose(a, b, rtol=rtol, atol=0)
+
+
+def test_batched_restarts_match_each_stream_fitted_alone():
+    x, k, seeds = clustered(), 3, range(8)
+    alone = [fit_gmm_1d(x, k, [Rng(s)]) for s in seeds]
+    finals = [trajectory[-1] for _, trajectory in alone]
+    assert len({len(trajectory) for _, trajectory in alone}) > 2
+    for r in seeds:
+        # the restarts that end below r, with r among them, so that r wins
+        batch = [s for s in seeds if finals[s] < finals[r] or s == r]
+        assert_same_fit(fit_gmm_1d(x, k, [Rng(s) for s in batch]), alone[r])
+
+
+def test_a_restart_that_stops_early_keeps_its_fit():
+    x, k, seeds = clustered(), 3, range(8)
+    alone = [fit_gmm_1d(x, k, [Rng(s)]) for s in seeds]
+    pairs = [(w, l) for w in seeds for l in seeds
+             if alone[w][1][-1] > alone[l][1][-1] and len(alone[w][1]) < len(alone[l][1])]
+    assert pairs
+    for w, l in pairs:
+        # the loser runs on after the winner stops, in the same call
+        got = fit_gmm_1d(x, k, [Rng(l), Rng(w)])
+        assert_same_fit(got, alone[w])
+        # the fit after the stopping iteration's M-step: that many iterations
+        # under a tolerance that never stops
+        assert_same_fit(got, fit_gmm_1d(x, k, [Rng(w)], max_iter=len(alone[w][1]), tol=-np.inf))
+
+
+@pytest.mark.parametrize("per_value, winner", [
+    ([-2.0, -1.0, -1.0, -1.5], 1),  # a tie goes to the earliest restart
+    ([math.nan, -3.0, -1.0], 2),  # NaN never wins
+    ([-1.0, math.nan, -1.0], 0),
+    ([math.nan, math.nan, -5.0], 2),
+], ids=["tie", "nan-first", "nan-between-ties", "nan-twice"])
+def test_restart_selection_is_the_strict_greater_rule(monkeypatch, per_value, winner):
+    # the E-step's log densities are replaced by one constant per restart, so
+    # the final log likelihoods are exactly n times those; max_iter = 2 keeps
+    # every restart running to the same iteration
+    x, k = clustered(n=200), 2
+    real_posterior = baselines._posterior
+
+    def fixed(comp):
+        log_norm, resp = real_posterior(comp)
+        log_norm[:] = np.array(per_value)[:, None]
+        return log_norm, resp
+
+    alone = [fit_gmm_1d(x, k, [Rng(s)], max_iter=2) for s in range(len(per_value))]
+    monkeypatch.setattr(baselines, "_posterior", fixed)
+    gmm, trajectory = fit_gmm_1d(x, k, [Rng(s) for s in range(len(per_value))], max_iter=2)
+    np.testing.assert_array_equal(trajectory, [x.size * per_value[winner]] * 2)
+    np.testing.assert_allclose(gmm.means, alone[winner][0].means, rtol=1e-12, atol=0)
+    for other, (fit, _) in enumerate(alone):
+        if other != winner:
+            assert np.max(np.abs(fit.means - gmm.means)) > 1e-6
+
+
 def test_gmm_std_floor_on_degenerate_data():
     x = np.concatenate([np.zeros(50), np.ones(50)])  # point masses
-    gmm, _ = fit_gmm_1d(x, k=2, rng=Rng(5))
+    gmm, _ = fit_gmm_1d(x, 2, [Rng(5)])
     assert np.all(gmm.stds >= 1e-4)
 
 
@@ -140,7 +250,7 @@ def test_em_step_matches_scalar_reference():
     rng = Rng(8)
     x = np.concatenate([rng.normal(300) * 0.6 + 1.5, rng.normal(200) * 0.9 + 4.0])
     k, n = 3, x.size
-    gmm, trajectory = fit_gmm_1d(x, k, Rng(9), max_iter=1)
+    gmm, trajectory = fit_gmm_1d(x, k, [Rng(9)], max_iter=1)
     start, s0 = _kmeanspp_centers(x, k, Rng(9)), float(x.std())
     resp, log_norm = [], []
     for v in map(float, x):

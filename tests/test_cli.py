@@ -480,3 +480,15 @@ def test_score_seed_does_not_change_the_scores(workspace, small_checkpoint, tmp_
         manifest = json.loads((tmp_path / f"s{seed}.rvae.manifest.json").read_text())
         assert manifest["seed"] is None
     assert (tmp_path / "s0.rvae").read_bytes() == (tmp_path / "s7.rvae").read_bytes()
+
+
+def test_map_repair_seed_does_not_change_the_repair(workspace, small_checkpoint, tmp_path):
+    out = tmp_path / "r.csv"
+    written = []
+    for seed in ("0", "7"):
+        assert run(["repair", "--input", workspace / "clean.csv", "--checkpoint",
+                    small_checkpoint, "--method", "map", "--seed", seed, "--out", out]) == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest.pop("wall_time_s") >= 0 and manifest["seed"] is None
+        written.append((out.read_bytes(), (tmp_path / "r.csv.simplexes").read_bytes(), manifest))
+    assert written[0] == written[1]

@@ -474,6 +474,27 @@ def test_pi_scores_are_two_stage_gates(trained, long_table):
     np.testing.assert_array_equal(score(model, table, "pi").cell_scores, expected)
 
 
+def test_scores_and_gates_read_the_head_without_decoding(trained, long_table, monkeypatch):
+    # the same bytes as decode_values(...).head, with no category probabilities built
+    import rvae.score_repair as sr
+    from rvae.model import clean_logliks_values, decode_values, encode_values
+
+    model, table = trained[0], long_table
+    nets, pieces = model.networks, []
+    for _, rows in chunks(table.n_rows):
+        r, c = table.reals[rows], table.cats[rows]
+        mu, _ = nets.encoder.latent_values(encode_values(model.schema, r, c), nets.embeddings)
+        pieces.append(-clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head,
+                                            r, c))
+    calls = []
+    monkeypatch.setattr(sr, "decode_values", lambda *a: calls.append(1) or decode_values(*a))
+    np.testing.assert_array_equal(score(model, table, "nll").cell_scores, np.concatenate(pieces))
+    score(model, table, "pi")  # its bytes: test_pi_scores_are_two_stage_gates
+    assert not calls
+    repair_map(model, table)
+    assert len(calls) == len(chunks(table.n_rows))
+
+
 @pytest.mark.parametrize("kind", ["vae", "rvae-cvi", "rvae-avi"])
 def test_scores_and_map_repair_draw_nothing(trained, kind, monkeypatch):
     import rvae.score_repair as sr
