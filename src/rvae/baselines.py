@@ -7,7 +7,7 @@ repairs the modal category.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -271,6 +271,6 @@ def marginal_repair(model: MarginalModel, table: MixedTable, mask: np.ndarray) -
                 cats[flagged, slot] = int(np.argmax(freq))
                 probs[flagged] = freq
             simplexes[feat.name] = probs
-    repaired = destandardize(table.with_values(reals=reals, cats=cats))
+    repaired = destandardize(replace(table, reals=reals, cats=cats))
     return RepairResult(table=repaired, simplexes=simplexes, method="marginal")
 

@@ -10,7 +10,7 @@ marginal distribution with the clean category excluded.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +318,7 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
     # finite parameters can still draw values that overflow to inf
     if not np.all(np.isfinite(reals[mask[:, is_real]])):
         raise ConfigError(f"real noise {noise.real} drew values too large for float64")
-    dirty = table.with_values(reals=reals, cats=cats)
+    dirty = replace(table, reals=reals, cats=cats)
     record = CorruptionRecord(mask=mask, originals=clean[mask], categorical_columns=cat_columns,
                               seed=seed, row_fraction=row_frac, feat_fraction=feat_frac)
     return dirty, record

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -172,15 +172,6 @@ class MixedTable:
     def is_standardized(self) -> bool:
         return self.stats is not None
 
-    def with_values(self, reals: np.ndarray | None = None, cats: np.ndarray | None = None,
-                    stats="__keep__") -> "MixedTable":
-        return MixedTable(
-            schema=self.schema,
-            reals=self.reals if reals is None else reals,
-            cats=self.cats if cats is None else cats,
-            stats=self.stats if stats == "__keep__" else stats,
-        )
-
 
 def load_csv(csv_path, schema_path) -> MixedTable:
     schema = TableSchema.load(schema_path)
@@ -318,7 +309,7 @@ def standardize(table: MixedTable) -> MixedTable:
     to float rounding and de-standardization always recovers raw units.
     """
     if not table.schema.real_features:
-        return table.with_values(stats={})
+        return replace(table, stats={})
     means = table.reals.mean(axis=0)
     stds = table.reals.std(axis=0)
     new_stats = {}
@@ -332,7 +323,7 @@ def standardize(table: MixedTable) -> MixedTable:
             new_stats[feat.name] = ColumnStats(mean=float(old.mean + means[j] * old.std),
                                                std=float(old.std * stds[j]))
     values = (table.reals - means) / stds
-    return table.with_values(reals=values, stats=new_stats)
+    return replace(table, reals=values, stats=new_stats)
 
 
 def apply_stats(table: MixedTable, stats: dict[str, ColumnStats]) -> MixedTable:
@@ -343,7 +334,7 @@ def apply_stats(table: MixedTable, stats: dict[str, ColumnStats]) -> MixedTable:
     for j, feat in enumerate(table.schema.real_features):
         st = stats[feat.name]
         values[:, j] = (values[:, j] - st.mean) / st.std
-    return table.with_values(reals=values, stats=dict(stats))
+    return replace(table, reals=values, stats=dict(stats))
 
 
 def destandardize(table: MixedTable) -> MixedTable:
@@ -354,7 +345,7 @@ def destandardize(table: MixedTable) -> MixedTable:
     for j, feat in enumerate(table.schema.real_features):
         st = table.stats[feat.name]
         values[:, j] = values[:, j] * st.std + st.mean
-    return table.with_values(reals=values, stats=None)
+    return replace(table, reals=values, stats=None)
 
 
 class EmbeddingBank:

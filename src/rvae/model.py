@@ -23,33 +23,12 @@ import numpy as np
 from . import engine
 from .data import REAL, EmbeddingBank, TableSchema, encode_values
 from .engine import Tensor
-from .errors import ConfigError
 from .nn import DenseNet, Rng
 
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 LOG_SIGMA_MIN = -6.0
 LOG_SIGMA_MAX = 4.0
 R_CLAMP = 30.0
-
-
-@dataclass(frozen=True)
-class OutlierComponents:
-    """Broad-Gaussian scale for reals (a standard deviation, > 1);
-    categoricals get uniform mass 1/C_d."""
-
-    real_scale: float = 2.0
-
-    def __post_init__(self):
-        if not self.real_scale > 1.0:
-            raise ConfigError(f"outlier scale must exceed 1, got {self.real_scale}")
-
-    def log_lik_real(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        s = self.real_scale
-        return -HALF_LOG_2PI - math.log(s) - 0.5 * (x / s) ** 2
-
-    def log_lik_cat(self, cardinality: int) -> float:
-        return -math.log(cardinality)
 
 
 class Encoder:
@@ -180,26 +159,6 @@ class Decoder:
         out["decoder.log_sigma"] = self.log_sigma
         return out
 
-    def _feature_parts(self):
-        """(checkpoint name, fused tensor, index) of each per-feature head
-        tensor, in schema order."""
-        for feat in self.schema.features:
-            cols = self.columns[feat.name]
-            prefix = f"decoder.{'real' if feat.kind == REAL else 'cat'}.{feat.name}"
-            yield f"{prefix}.W", self.W, (slice(None), cols)
-            yield f"{prefix}.b", self.b, cols
-            if feat.kind == REAL:
-                yield f"{prefix}.log_sigma", self.log_sigma, cols
-
-    def feature_arrays(self) -> dict[str, np.ndarray]:
-        """The head split per feature under its checkpoint names, schema order."""
-        return {name: t.value[idx] for name, t, idx in self._feature_parts()}
-
-    def load_feature_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Inverse of :meth:`feature_arrays`: fill the fused head in place."""
-        for name, t, idx in self._feature_parts():
-            t.value[idx] = arrays[name]
-
 
 @dataclass
 class RvaeNetworks:
@@ -215,25 +174,6 @@ class RvaeNetworks:
         if self.pi_encoder is not None:
             out.update(self.pi_encoder.params())
         return out
-
-    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
-        """Parameter values under their checkpoint names: as :meth:`params`,
-        but with the decoder head split into per-feature tensors."""
-        dec = self.decoder
-        out = {}
-        for name, t in self.params().items():
-            if t is dec.W:
-                out.update(dec.feature_arrays())
-            elif t is not dec.b and t is not dec.log_sigma:
-                out[name] = t.value
-        return out
-
-    def load_checkpoint_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set every parameter from arrays named as :meth:`checkpoint_arrays` names them."""
-        for name, t in self.params().items():
-            if name in arrays:
-                t.value = arrays[name]
-        self.decoder.load_feature_arrays(arrays)
 
 
 def build_networks(schema: TableSchema, latent_dim: int, hidden_dim: int,
@@ -294,17 +234,19 @@ def pi_update(r, alpha):
 # outlier likelihoods
 # ---------------------------------------------------------------------------
 
-def outlier_logliks(components: OutlierComponents, schema: TableSchema,
+def outlier_logliks(real_scale: float, schema: TableSchema,
                     reals: np.ndarray, cats: np.ndarray) -> np.ndarray:
-    """(B, D) matrix of outlier-component log likelihoods, schema order."""
+    """(B, D) matrix of outlier-component log likelihoods, schema order: a
+    broad N(0, real_scale) for reals, uniform mass 1/C_d for categoricals."""
     n = reals.shape[0] if reals.size else cats.shape[0]
     out = np.empty((n, schema.n_features))
     for column, feat in enumerate(schema.features):
         kind, slot = schema.kind_index(column)
         if kind == REAL:
-            out[:, column] = components.log_lik_real(reals[:, slot])
+            out[:, column] = (-HALF_LOG_2PI - math.log(real_scale)
+                              - 0.5 * (reals[:, slot] / real_scale) ** 2)
         else:
-            out[:, column] = components.log_lik_cat(feat.cardinality)
+            out[:, column] = -math.log(feat.cardinality)
     return out
 
 

@@ -15,6 +15,7 @@ from .engine import Tensor
 from .errors import TrainingError
 
 ACTIVATIONS = ("relu", "identity")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 class Rng:
@@ -107,7 +108,7 @@ class DenseNet:
 
 @dataclass
 class AdamState:
-    """Adam hyperparameters plus flat parameter, gradient and moment buffers.
+    """Adam's step size, weight decay and flat parameter, gradient and moment buffers.
 
     :func:`init_adam` copies every parameter into the one float64 buffer
     ``flat`` and rebinds each parameter tensor's value to a view of it, so
@@ -118,9 +119,6 @@ class AdamState:
     """
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
     names: list[str] = field(default_factory=list)
@@ -133,18 +131,17 @@ class AdamState:
     finite: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
 
-def init_adam(params: dict[str, Tensor], lr: float = 0.001, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0) -> AdamState:
+def init_adam(params: dict[str, Tensor], lr: float = 0.001, weight_decay: float = 0.0) -> AdamState:
     """Fresh optimizer state; rebinds every parameter's value to a view of
     the state's flat buffer (the values themselves do not change)."""
     offsets = np.cumsum([0] + [p.value.size for p in params.values()]).tolist()
     flat = np.concatenate([p.value.ravel() for p in params.values()] + [np.zeros(0)])
     for p, start, stop in zip(params.values(), offsets[:-1], offsets[1:]):
         p.value = flat[start:stop].reshape(p.value.shape)
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay,
-                     names=list(params), offsets=offsets, flat=flat, grad=np.zeros_like(flat),
-                     m=np.zeros_like(flat), v=np.zeros_like(flat),
-                     scratch=np.zeros_like(flat), finite=np.zeros(flat.size, dtype=bool))
+    return AdamState(lr=lr, weight_decay=weight_decay, names=list(params), offsets=offsets,
+                     flat=flat, grad=np.zeros_like(flat), m=np.zeros_like(flat),
+                     v=np.zeros_like(flat), scratch=np.zeros_like(flat),
+                     finite=np.zeros(flat.size, dtype=bool))
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
@@ -178,15 +175,15 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     s = state.scratch
     if state.weight_decay != 0.0:
         g += np.multiply(state.weight_decay, state.flat, out=s)
-    state.m *= state.beta1
-    state.m += np.multiply(1.0 - state.beta1, g, out=s)
-    state.v *= state.beta2
-    np.multiply(1.0 - state.beta2, g, out=s)
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+    state.v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, g, out=s)
     state.v += np.multiply(s, g, out=s)
     # the gradient is spent, so its buffer takes the denominator
-    m_hat = np.divide(state.m, 1.0 - state.beta1 ** t, out=s)
-    denom = np.divide(state.v, 1.0 - state.beta2 ** t, out=g)
+    m_hat = np.divide(state.m, 1.0 - ADAM_BETA1 ** t, out=s)
+    denom = np.divide(state.v, 1.0 - ADAM_BETA2 ** t, out=g)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     state.flat -= np.divide(np.multiply(state.lr, m_hat, out=s), denom, out=s)
     return state

@@ -224,7 +224,7 @@ def _mean_gates(model: RvaeModel, reals: np.ndarray, cats: np.ndarray) -> np.nda
     mean: :func:`pi_update` of their clean over outlier log likelihood ratio."""
     head = _mean_head(model, reals, cats)
     ll_clean = clean_logliks_values(model.networks.decoder, head, reals, cats)
-    r = ll_clean - outlier_logliks(model.components, model.schema, reals, cats)
+    r = ll_clean - outlier_logliks(model.config.outlier_scale, model.schema, reals, cats)
     return pi_update(r, model.config.alpha)
 
 
@@ -235,7 +235,7 @@ def score(model: RvaeModel, table: MixedTable, rule: str) -> ScoreReport:
     Row scores sum the cells."""
     if rule not in SCORE_RULES:
         raise ConfigError(f"unknown scoring rule '{rule}' (choose from {SCORE_RULES})")
-    if rule == "pi" and not model.is_robust:
+    if rule == "pi" and not model.config.is_robust:
         raise ScoreRuleError("the pi rule needs a gated model; this checkpoint is a plain VAE")
     model.require_table(table)
     nets = model.networks
@@ -353,7 +353,7 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, ba
 def _check_chain(model: RvaeModel, table: MixedTable, gibbs_iters: int) -> None:
     if gibbs_iters < 1:
         raise ConfigError("the chain needs at least one iteration")
-    if not model.is_robust:
+    if not model.config.is_robust:
         raise ScoreRuleError("pseudo-Gibbs repair needs a gated model")
     model.require_table(table)
 
@@ -384,15 +384,17 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     """Pseudo-Gibbs with an inferred clean mask.
 
     Takes each observed cell's clean probability from one encoder and
-    decoder pass at the row's posterior mean, samples a clean/dirty mask
-    from them with ``base.derive(_MASK, chunk, 0)``, clamps clean cells to
-    their observed values for the whole chain, and starts dirty cells at
-    mean behaviour (zero for standardized reals, a zero embedding for
-    categoricals). The repair keeps the clean cells' observed values, with
-    one-hot simplexes, and gives dirty cells the mode of the chain's
-    round-mean readout. The chain runs only on rows with a dirty cell; a
-    chunk without one runs no chain. ``pi_override`` substitutes forced
-    clean probabilities for the gate pass, which then does not run.
+    decoder pass at the row's posterior mean: the closed-form gates of
+    :func:`_mean_gates`, for ``rvae-avi`` too, whose gate encoder only the
+    'pi' score reads. It samples a clean/dirty mask from them with
+    ``base.derive(_MASK, chunk, 0)``, clamps clean cells to their observed
+    values for the whole chain, and starts dirty cells at mean behaviour
+    (zero for standardized reals, a zero embedding for categoricals). The
+    repair keeps the clean cells' observed values, with one-hot simplexes,
+    and gives dirty cells the mode of the chain's round-mean readout. The
+    chain runs only on rows with a dirty cell; a chunk without one runs no
+    chain. ``pi_override`` substitutes forced clean probabilities for the
+    gate pass, which then does not run.
     """
     _check_chain(model, table, gibbs_iters)
     schema = model.schema

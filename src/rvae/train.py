@@ -11,22 +11,29 @@ the configured seed.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .container import read_container, write_container
+from .container import header_schema, read_container, write_container
 from .data import ColumnStats, MixedTable, TableSchema, require_same_schema
 from .errors import CheckpointError, ConfigError, TrainingError
-from .model import (OutlierComponents, RvaeNetworks, build_networks, forward_elbo_parts,
-                    gated_rows, outlier_logliks, pi_update)
+from .model import (RvaeNetworks, build_networks, forward_elbo_parts, gated_rows,
+                    outlier_logliks, pi_update)
 from .nn import Rng, adam_step, init_adam
 
 MODEL_KINDS = ("vae", "rvae-cvi", "rvae-avi")
 CHECKPOINT_FORMAT = "rvae-model"
+
+
+def _is_finite_number(value) -> bool:
+    """A finite int or float; a bool is not a number here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind '{self.model}' (choose from {MODEL_KINDS})")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_finite_number(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -100,27 +113,21 @@ class RvaeModel:
     schema: TableSchema
     config: TrainConfig
     stats: dict[str, ColumnStats]
-    components: OutlierComponents
-
-    @property
-    def is_robust(self) -> bool:
-        return self.config.is_robust
 
     def require_table(self, table: MixedTable) -> None:
         require_same_schema(self.schema, table.schema, context="model vs table")
 
 
-def batch_objective(model_nets: RvaeNetworks, schema: TableSchema, config: TrainConfig,
-                    components: OutlierComponents, reals: np.ndarray, cats: np.ndarray,
-                    eps: np.ndarray):
+def batch_objective(model: RvaeModel, reals: np.ndarray, cats: np.ndarray, eps: np.ndarray):
     """Per-row objective tensor and the pi values used (None for the VAE),
     one :func:`gated_rows` node for every model kind."""
-    x_enc, ll_clean, kl_z = forward_elbo_parts(model_nets, schema, reals, cats, eps)
+    nets, schema, config = model.networks, model.schema, model.config
+    x_enc, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
     if config.model == "vae":
         return gated_rows(ll_clean, kl_z)
-    ll_out = outlier_logliks(components, schema, reals, cats)
+    ll_out = outlier_logliks(config.outlier_scale, schema, reals, cats)
     if config.is_amortized:
-        gates = model_nets.pi_encoder.apply(x_enc, model_nets.embeddings.tables)
+        gates = nets.pi_encoder.apply(x_enc, nets.embeddings.tables)
     else:
         gates = pi_update(ll_clean.value - ll_out, config.alpha)
     return gated_rows(ll_clean, kl_z, ll_out, gates, config.alpha)
@@ -133,7 +140,8 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
     rng = Rng(config.seed)
     nets = build_networks(table.schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng, amortized=config.is_amortized)
-    components = OutlierComponents(real_scale=config.outlier_scale)
+    model = RvaeModel(networks=nets, schema=table.schema, config=config,
+                      stats=dict(table.stats))
     params = nets.params()
     opt = init_adam(params, lr=config.learning_rate, weight_decay=config.weight_decay)
     n = table.n_rows
@@ -147,8 +155,7 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
         for start in range(0, n, config.batch_size):
             idx = order[start: start + config.batch_size]
             eps = rng.normal((idx.size, config.latent_dim))
-            per_row, pi = batch_objective(nets, table.schema, config, components,
-                                          table.reals[idx], table.cats[idx], eps)
+            per_row, pi = batch_objective(model, table.reals[idx], table.cats[idx], eps)
             total = float(per_row.value.sum())
             if not np.isfinite(total):
                 raise TrainingError(
@@ -167,8 +174,6 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
             mean_pi=(pi_sum / pi_count) if pi_count else None,
             wall_time_s=time.perf_counter() - tic,
         ))
-    model = RvaeModel(networks=nets, schema=table.schema, config=config,
-                      stats=dict(table.stats), components=components)
     return model, log
 
 
@@ -177,7 +182,8 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
 # ---------------------------------------------------------------------------
 
 def save_model(model: RvaeModel, path) -> None:
-    """Write a checkpoint; the decoder head is stored as per-feature tensors."""
+    """Write a checkpoint: the header, then every parameter under its
+    :meth:`RvaeNetworks.params` name, in that order."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "tool_version": __version__,
@@ -185,7 +191,7 @@ def save_model(model: RvaeModel, path) -> None:
         "config": model.config.__dict__,
         "stats": {name: {"mean": st.mean, "std": st.std} for name, st in model.stats.items()},
     }
-    write_container(path, meta, model.networks.checkpoint_arrays())
+    write_container(path, meta, {name: t.value for name, t in model.networks.params().items()})
 
 
 def load_model(path, expected_schema: TableSchema | None = None) -> RvaeModel:
@@ -193,26 +199,34 @@ def load_model(path, expected_schema: TableSchema | None = None) -> RvaeModel:
     absent = [key for key in ("schema", "config", "stats") if key not in header]
     if absent:
         raise CheckpointError(f"{path}: header has no {absent} entry")
-    schema = TableSchema.from_json_obj(header["schema"])
+    schema = header_schema(path, header)
     if expected_schema is not None:
         require_same_schema(expected_schema, schema, context="checkpoint schema")
     try:
         config = TrainConfig(**header["config"])
-        stats = {name: ColumnStats(mean=entry["mean"], std=entry["std"])
-                 for name, entry in header["stats"].items()}
         config.validate()
-    except (TypeError, KeyError, AttributeError) as exc:
-        raise CheckpointError(f"{path}: malformed config or stats entry: {exc!r}") from exc
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: config: {exc}") from None
+    except TypeError as exc:
+        raise CheckpointError(f"{path}: malformed config entry: {exc!r}") from None
+    names, entries = [f.name for f in schema.real_features], header["stats"]
+    if not isinstance(entries, dict) or sorted(entries) != sorted(names):
+        raise CheckpointError(f"{path}: stats must hold one entry for each real feature {names}")
+    for name, entry in entries.items():
+        if not (isinstance(entry, dict) and _is_finite_number(entry.get("mean"))
+                and _is_finite_number(entry.get("std")) and entry["std"] > 0):
+            raise CheckpointError(f"{path}: stats for '{name}' need a finite mean and a finite "
+                                  f"positive std, got {entry!r}")
+    stats = {name: ColumnStats(mean=e["mean"], std=e["std"]) for name, e in entries.items()}
     nets = build_networks(schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=None, amortized=config.is_amortized)
-    expected = nets.checkpoint_arrays()
-    if set(expected) != set(tensors):
-        missing = sorted(set(expected) ^ set(tensors))
+    params = nets.params()
+    if set(params) != set(tensors):
+        missing = sorted(set(params) ^ set(tensors))
         raise CheckpointError(f"{path}: tensor manifest does not match architecture: {missing[:5]}")
-    for name, arr in expected.items():
-        if tensors[name].shape != arr.shape:
+    for name, t in params.items():
+        if tensors[name].shape != t.value.shape:
             raise CheckpointError(
-                f"{path}: tensor '{name}' has shape {tensors[name].shape}, expected {arr.shape}")
-    nets.load_checkpoint_arrays(tensors)
-    return RvaeModel(networks=nets, schema=schema, config=config, stats=stats,
-                     components=OutlierComponents(real_scale=config.outlier_scale))
+                f"{path}: tensor '{name}' has shape {tensors[name].shape}, expected {t.value.shape}")
+        t.value = tensors[name]
+    return RvaeModel(networks=nets, schema=schema, config=config, stats=stats)

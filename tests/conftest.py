@@ -6,11 +6,10 @@ import pytest
 from rvae import engine
 from rvae.container import read_container, write_container
 from rvae.data import FeatureSpec, MixedTable, TableSchema, encode_values
-from rvae.model import (HALF_LOG_2PI, LOG_SIGMA_MAX, LOG_SIGMA_MIN, OutlierComponents,
-                        build_networks, forward_elbo_parts, gated_rows, outlier_logliks,
-                        pi_update)
+from rvae.model import (HALF_LOG_2PI, LOG_SIGMA_MAX, LOG_SIGMA_MIN, build_networks,
+                        forward_elbo_parts, gated_rows, outlier_logliks, pi_update)
 from rvae.nn import Rng
-from rvae.train import TrainConfig, batch_objective
+from rvae.train import RvaeModel, TrainConfig, batch_objective
 
 import reference_tape as tape
 
@@ -75,11 +74,11 @@ def softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def gated_elbo(nets, schema, reals, cats, comps, pi, alpha, eps):
+def gated_elbo(nets, schema, reals, cats, scale, pi, alpha, eps):
     """The gated training objective per row, with the gates fixed to ``pi``:
     the constant-gate :func:`gated_rows` node that rvae-cvi trains through."""
     _, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
-    ll_out = outlier_logliks(comps, schema, reals, cats)
+    ll_out = outlier_logliks(scale, schema, reals, cats)
     return gated_rows(ll_clean, kl_z, ll_out, pi, alpha)[0]
 
 
@@ -88,7 +87,7 @@ def train_objective(nets, schema, reals, cats, eps, model, alpha=0.95):
     "rvae-avi"), built by :func:`rvae.train.batch_objective` as training
     builds it, with outlier scale 2."""
     config = TrainConfig(model=model, alpha=alpha)
-    return batch_objective(nets, schema, config, OutlierComponents(2.0), reals, cats, eps)[0]
+    return batch_objective(RvaeModel(nets, schema, config, stats={}), reals, cats, eps)[0]
 
 
 def kl_bernoulli_reference(pi, alpha):
@@ -102,7 +101,7 @@ def kl_bernoulli_reference(pi, alpha):
     return out
 
 
-def reference_objective(nets, schema, reals, cats, comps, alpha, eps, model):
+def reference_objective(nets, schema, reals, cats, scale, alpha, eps, model):
     """Per-row training objective and gates built from the reference tape's
     one-op nodes: the tape the fused objective node must reproduce bit for bit.
 
@@ -136,7 +135,7 @@ def reference_objective(nets, schema, reals, cats, comps, alpha, eps, model):
         axis=1), 0.5)
     if model == "vae":
         return tape.sub(tape.tsum(ll_clean, axis=1), kl_z), None
-    ll_out = outlier_logliks(comps, schema, reals, cats)
+    ll_out = outlier_logliks(scale, schema, reals, cats)
     if model == "rvae-avi":
         logits = nets.pi_encoder.apply(x, nets.embeddings.tables)
         pi_t = tape.sigmoid(logits)
@@ -208,3 +207,36 @@ def rewrite_tensors(src, dst, edit):
     header, tensors = read_container(src)
     edit(header, tensors)
     write_container(dst, header, tensors)
+
+
+def _set(value, *keys):
+    """A header edit that sets header[keys[0]]...[keys[-1]] to ``value``."""
+    def edit(header):
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = value
+    return edit
+
+
+# header edits that load_model must reject with a CheckpointError, each with
+# a fragment of the message, on a checkpoint of a mixture_table model (real
+# features x0, x1, ...)
+MALFORMED_CHECKPOINT_HEADERS = {
+    "std abc": (_set("abc", "stats", "x0", "std"), "stats for 'x0'"),
+    "std null": (_set(None, "stats", "x0", "std"), "stats for 'x0'"),
+    "std true": (_set(True, "stats", "x0", "std"), "stats for 'x0'"),
+    "std zero": (_set(0, "stats", "x0", "std"), "stats for 'x0'"),
+    "std negative": (_set(-1.0, "stats", "x0", "std"), "stats for 'x0'"),
+    "mean abc": (_set("abc", "stats", "x0", "mean"), "stats for 'x0'"),
+    "mean null": (_set(None, "stats", "x0", "mean"), "stats for 'x0'"),
+    "entry not an object": (_set(3.0, "stats", "x0"), "stats for 'x0'"),
+    "no entry for x0": (lambda h: h["stats"].pop("x0"), "one entry for each real feature"),
+    "entry for an unknown feature": (_set({"mean": 0.0, "std": 1.0}, "stats", "zz"),
+                                     "one entry for each real feature"),
+    "stats not an object": (_set([1, 2], "stats"), "one entry for each real feature"),
+    "hidden_dim 400.0": (_set(400.0, "config", "hidden_dim"), "hidden_dim must be an integer"),
+    "latent_dim true": (_set(True, "config", "latent_dim"), "latent_dim must be an integer"),
+    "alpha 1.5": (_set(1.5, "config", "alpha"), "alpha must lie in"),
+    "alpha text": (_set("0.9", "config", "alpha"), "alpha must be a finite number"),
+    "model gan": (_set("gan", "config", "model"), "unknown model kind"),
+}

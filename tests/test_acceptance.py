@@ -13,8 +13,8 @@ from rvae.corrupt import (GaussianNoise, NoiseSpec, TemperedCategorical,
                           make_scenario)
 from rvae.data import FeatureSpec, TableSchema, destandardize, standardize, write_table
 from rvae.metrics import average_precision, brier, evaluate, smse
-from rvae.model import (OutlierComponents, build_networks, forward_elbo_parts, kl_bernoulli,
-                        outlier_logliks, pi_update)
+from rvae.model import (build_networks, forward_elbo_parts, kl_bernoulli, outlier_logliks,
+                        pi_update)
 from rvae.nn import Rng
 from rvae.score_repair import repair_map, repair_one_stage, repair_two_stage, score
 from rvae.synthetic import mixture_table
@@ -74,7 +74,7 @@ def test_criterion_1_gradient_correctness():
     for i in range(20):
         amortized = i % 3 == 2
         schema, nets, reals, cats, eps, rng = draw_instance(1000 + i, amortized=amortized)
-        comps = OutlierComponents(2.0)
+        scale = 2.0
         alpha = float(rng.uniform() * 0.8 + 0.1)
         pi = rng.uniform((reals.shape[0] if reals.size else cats.shape[0],
                           schema.n_features)) * 0.8 + 0.1
@@ -83,7 +83,7 @@ def test_criterion_1_gradient_correctness():
             "vae": lambda: train_objective(nets, schema, reals, cats, eps, "vae"),
             "gated": lambda: (train_objective(nets, schema, reals, cats, eps, "rvae-avi", alpha)
                               if amortized else
-                              gated_elbo(nets, schema, reals, cats, comps, pi, alpha, eps)),
+                              gated_elbo(nets, schema, reals, cats, scale, pi, alpha, eps)),
         }
         params = nets.params()
         for objective in objectives.values():
@@ -107,18 +107,18 @@ def test_criterion_2_coordinate_optimality():
     alphas = (0.2, 0.5, 0.95)
     for i in range(100):
         schema, nets, reals, cats, eps, rng = draw_instance(2000 + i, rows=1)
-        comps = OutlierComponents(2.0)
+        scale = 2.0
         alpha = alphas[i % 3]
         _, ll_clean, _ = forward_elbo_parts(nets, schema, reals, cats, eps)
-        r = ll_clean.value - outlier_logliks(comps, schema, reals, cats)
+        r = ll_clean.value - outlier_logliks(scale, schema, reals, cats)
         pi_hat = pi_update(r, alpha)
-        base = float(gated_elbo(nets, schema, reals, cats, comps, pi_hat, alpha, eps).value.sum())
+        base = float(gated_elbo(nets, schema, reals, cats, scale, pi_hat, alpha, eps).value.sum())
         for col in range(schema.n_features):
             for delta in (0.01, 0.1):
                 for sign in (1.0, -1.0):
                     pert = pi_hat.copy()
                     pert[0, col] = np.clip(pert[0, col] + sign * delta, 0.0, 1.0)
-                    value = float(gated_elbo(nets, schema, reals, cats, comps, pert,
+                    value = float(gated_elbo(nets, schema, reals, cats, scale, pert,
                                              alpha, eps).value.sum())
                     worst = max(worst, value - base)
     elapsed = time.perf_counter() - tic

@@ -12,7 +12,7 @@ from rvae.errors import ConfigError
 from rvae.synthetic import mixture_table
 from rvae.train import TrainConfig
 
-from conftest import rewrite_header, rewrite_tensors
+from conftest import MALFORMED_CHECKPOINT_HEADERS, rewrite_header, rewrite_tensors
 
 TRAIN_FAST = ["--epochs", "4", "--hidden", "32", "--latent", "4", "--embedding", "8",
               "--batch", "64"]
@@ -253,6 +253,20 @@ def test_checkpoint_with_unknown_config_key_exits_3(workspace, small_checkpoint,
                    lambda h: h["config"].update(dropout=0.5))
     assert score_with(workspace, tmp_path / "bad.ckpt", tmp_path / "s.csv") == 3
     assert "dropout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "repair"])
+def test_malformed_checkpoint_header_exits_3_without_traceback(workspace, small_checkpoint,
+                                                                tmp_path, capsys, command):
+    # an exception that escaped main() would fail this test with its traceback
+    extra = ["--rule", "pi"] if command == "score" else ["--method", "two-stage"]
+    for case, (edit, message) in MALFORMED_CHECKPOINT_HEADERS.items():
+        rewrite_header(small_checkpoint, tmp_path / "bad.ckpt", edit)
+        assert run([command, "--input", workspace / "clean.csv", "--checkpoint",
+                    tmp_path / "bad.ckpt", *extra, "--out", tmp_path / "out"]) == 3, case
+        err = capsys.readouterr().err
+        assert message in err and str(tmp_path / "bad.ckpt") in err, case
+        assert "Traceback" not in err, case
 
 
 def test_checkpoint_shape_disagreeing_with_nbytes_exits_3(workspace, small_checkpoint,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ def test_write_table_matches_csv_writer_bytes(tmp_path, schema):
     reals = table.reals.copy()
     if reals.shape[1]:
         reals[0, 0], reals[1, 0] = -0.0, 1e-300  # repr edge cases
-    table = table.with_values(reals=reals)
+    table = replace(table, reals=reals)
     write_table(table, tmp_path / "new.csv")
     csv_writer_table(table, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from rvae import engine
 from rvae.data import FeatureSpec, MixedTable, TableSchema
-from rvae.model import (OutlierComponents, build_networks, clean_logliks_values,
-                        decode_values, encode_values, forward_elbo_parts, kl_bernoulli,
-                        outlier_logliks, pi_update)
+from rvae.model import (build_networks, clean_logliks_values, decode_values, encode_values,
+                        forward_elbo_parts, kl_bernoulli, outlier_logliks, pi_update)
 from rvae.nn import Rng
 from rvae.score_repair import score
 from rvae.train import MODEL_KINDS, RvaeModel, TrainConfig, batch_objective
@@ -68,10 +67,10 @@ def test_log_lik_clean_mode_at_decoded_mean():
 
 
 def test_log_lik_outlier_values():
-    comps = OutlierComponents(real_scale=2.0)
+    scale = 2.0
     schema = TableSchema((FeatureSpec("a", "real"),
                           FeatureSpec("b", "categorical", tuple(str(i) for i in range(10)))))
-    values = outlier_logliks(comps, schema, np.array([[0.0]]), np.array([[3]]))
+    values = outlier_logliks(scale, schema, np.array([[0.0]]), np.array([[3]]))
     assert values[0, 0] == pytest.approx(-1.612085713764618, abs=1e-12)
     assert values[0, 1] == pytest.approx(-math.log(10), abs=1e-12)
 
@@ -79,16 +78,10 @@ def test_log_lik_outlier_values():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-50, 50))
 def test_log_lik_outlier_symmetric(x):
-    comps = OutlierComponents(real_scale=2.0)
+    scale = 2.0
     schema = TableSchema((FeatureSpec("a", "real"),))
-    assert (outlier_logliks(comps, schema, np.array([[x]]), NO_CATS)
-            == outlier_logliks(comps, schema, np.array([[-x]]), NO_CATS))
-
-
-def test_outlier_scale_must_exceed_one():
-    from rvae.errors import ConfigError
-    with pytest.raises(ConfigError):
-        OutlierComponents(real_scale=1.0)
+    assert (outlier_logliks(scale, schema, np.array([[x]]), NO_CATS)
+            == outlier_logliks(scale, schema, np.array([[-x]]), NO_CATS))
 
 
 # -- KL terms ----------------------------------------------------------------
@@ -212,12 +205,12 @@ def test_elbo_vae_structural_limit():
 
 def test_elbo_rvae_with_unit_gates_matches_vae(mixed_schema):
     nets = tiny_networks(mixed_schema, seed=9)
-    comps = OutlierComponents(2.0)
+    scale = 2.0
     reals, cats = random_batch(mixed_schema, 3, seed=10)
     eps = Rng(11).normal((3, 3))
     alpha = 0.95
     pi = np.ones((3, 4))
-    gated = gated_elbo(nets, mixed_schema, reals, cats, comps, pi, alpha, eps)
+    gated = gated_elbo(nets, mixed_schema, reals, cats, scale, pi, alpha, eps)
     plain = train_objective(nets, mixed_schema, reals, cats, eps, "vae")
     offset = 4 * kl_bernoulli(1.0, alpha)
     np.testing.assert_allclose(gated.value, plain.value - offset, atol=1e-12)
@@ -225,11 +218,11 @@ def test_elbo_rvae_with_unit_gates_matches_vae(mixed_schema):
 
 def test_zero_gate_kills_decoder_head_gradient(mixed_schema):
     nets = tiny_networks(mixed_schema, seed=12)
-    comps = OutlierComponents(2.0)
+    scale = 2.0
     reals, cats = random_batch(mixed_schema, 1, seed=13)
     eps = Rng(14).normal((1, 3))
     pi = np.array([[1.0, 1.0, 0.0, 1.0]])  # gate off feature "c" (real head)
-    loss = neg(tmean(gated_elbo(nets, mixed_schema, reals, cats, comps, pi, 0.95, eps)))
+    loss = neg(tmean(gated_elbo(nets, mixed_schema, reals, cats, scale, pi, 0.95, eps)))
     loss.backward(1.0)
     dec = nets.decoder
     c, a = dec.columns["c"], dec.columns["a"]
@@ -242,13 +235,13 @@ def test_zero_gate_kills_decoder_head_gradient(mixed_schema):
 def probe_coordinate_optimality(schema, seed, alpha, deltas=(0.01, 0.1)):
     """Max ELBO improvement over single-cell perturbations of the closed-form gates."""
     nets = tiny_networks(schema, seed=seed)
-    comps = OutlierComponents(2.0)
+    scale = 2.0
     reals, cats = random_batch(schema, 2, seed=seed + 1)
     eps = Rng(seed + 2).normal((2, 3))
     _, ll_clean, _ = forward_elbo_parts(nets, schema, reals, cats, eps)
-    r = ll_clean.value - outlier_logliks(comps, schema, reals, cats)
+    r = ll_clean.value - outlier_logliks(scale, schema, reals, cats)
     pi_hat = pi_update(r, alpha)
-    base = gated_elbo(nets, schema, reals, cats, comps, pi_hat, alpha, eps).value.sum()
+    base = gated_elbo(nets, schema, reals, cats, scale, pi_hat, alpha, eps).value.sum()
     worst = -np.inf
     for row in range(pi_hat.shape[0]):
         for col in range(pi_hat.shape[1]):
@@ -256,7 +249,7 @@ def probe_coordinate_optimality(schema, seed, alpha, deltas=(0.01, 0.1)):
                 for sign in (1.0, -1.0):
                     pert = pi_hat.copy()
                     pert[row, col] = np.clip(pert[row, col] + sign * delta, 0.0, 1.0)
-                    value = gated_elbo(nets, schema, reals, cats, comps, pert, alpha,
+                    value = gated_elbo(nets, schema, reals, cats, scale, pert, alpha,
                                        eps).value.sum()
                     worst = max(worst, value - base)
     return worst
@@ -272,12 +265,12 @@ def test_gate_update_is_coordinate_optimal(mixed_schema):
 def test_elbo_gradients_match_finite_differences(mixed_schema):
     reals, cats = random_batch(mixed_schema, 2, seed=20)
     eps = Rng(21).normal((2, 3))
-    comps = OutlierComponents(2.0)
+    scale = 2.0
     pi = Rng(22).uniform((2, 4)) * 0.8 + 0.1
 
     cases = {
         "vae": lambda nets: train_objective(nets, mixed_schema, reals, cats, eps, "vae"),
-        "rvae": lambda nets: gated_elbo(nets, mixed_schema, reals, cats, comps, pi, 0.9, eps),
+        "rvae": lambda nets: gated_elbo(nets, mixed_schema, reals, cats, scale, pi, 0.9, eps),
         "avi": lambda nets: train_objective(nets, mixed_schema, reals, cats, eps, "rvae-avi",
                                             alpha=0.9),
     }
@@ -319,7 +312,7 @@ def test_value_paths_match_tape(mixed_schema):
     # score's nll cells are the training pass at eps = 0
     model = RvaeModel(networks=nets, schema=mixed_schema,
                       config=TrainConfig(latent_dim=3, hidden_dim=8, embedding_dim=4),
-                      stats={}, components=OutlierComponents(2.0))
+                      stats={})
     table = MixedTable(schema=mixed_schema, reals=reals, cats=cats, stats=None)
     np.testing.assert_array_equal(score(model, table, "nll").cell_scores, -ll_tape.value)
 
@@ -329,15 +322,14 @@ def test_forward_passes_leave_no_reference_cycles(mixed_schema):
     # tape, activations included, alive until the cycle collector runs
     nets = tiny_networks(mixed_schema, seed=32, amortized=True)
     reals, cats = random_batch(mixed_schema, 4, seed=33)
-    comps = OutlierComponents(2.0)
     x = encode_values(mixed_schema, reals, cats)
     gc.collect()
     gc.disable()
     try:
         for model in MODEL_KINDS:
             config = TrainConfig(model=model, alpha=0.9)
-            per_row, _ = batch_objective(nets, mixed_schema, config, comps, reals, cats,
-                                         np.zeros((4, 3)))
+            per_row, _ = batch_objective(RvaeModel(nets, mixed_schema, config, stats={}),
+                                         reals, cats, np.zeros((4, 3)))
             per_row.backward(np.full(4, -1.0 / 4))
         mu, _ = nets.encoder.latent_values(x, nets.embeddings)
         clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, reals, cats)
@@ -391,7 +383,7 @@ def test_fused_objective_matches_generic_tape_bit_for_bit(model, layout):
     n, latent = 9, 3
     reals, cats = random_batch(schema, n, seed=40)
     reals[0] = 7.0  # an outlying row drives its gates towards 0
-    comps = OutlierComponents(2.0)
+    scale = 2.0
     eps = Rng(41).normal((n, latent))
     nets = tiny_networks(schema, seed=42, latent=latent, amortized=model == "rvae-avi")
     # push one encoder log std above and one below the clip range, and one
@@ -414,9 +406,10 @@ def test_fused_objective_matches_generic_tape_bit_for_bit(model, layout):
                                    for name, t in params.items()}
 
     # the fused side is seeded as train() seeds it, the tape runs the loss nodes
-    fused = run(lambda: batch_objective(nets, schema, config, comps, reals, cats, eps),
+    fused = run(lambda: batch_objective(RvaeModel(nets, schema, config, stats={}),
+                                        reals, cats, eps),
                 lambda per_row: per_row.backward(np.full(n, -1.0 / n)))
-    tape = run(lambda: reference_objective(nets, schema, reals, cats, comps, config.alpha,
+    tape = run(lambda: reference_objective(nets, schema, reals, cats, scale, config.alpha,
                                            eps, model),
                lambda per_row: neg(tmean(per_row)).backward(1.0))
     np.testing.assert_array_equal(fused[0], tape[0])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,10 +40,8 @@ def identity_real_model(stats_mean=10.0, stats_std=2.0):
     nets = build_networks(schema, latent_dim=1, hidden_dim=2, embedding_dim=2, rng=None)
     wire_identity_autoencoder(nets)
     config = TrainConfig(model="rvae-cvi", latent_dim=1, hidden_dim=2, embedding_dim=2)
-    from rvae.model import OutlierComponents
     return RvaeModel(networks=nets, schema=schema, config=config,
-                     stats={"a": ColumnStats(mean=stats_mean, std=stats_std)},
-                     components=OutlierComponents(2.0))
+                     stats={"a": ColumnStats(mean=stats_mean, std=stats_std)})
 
 
 def categorical_bias_model(bias):
@@ -53,9 +52,7 @@ def categorical_bias_model(bias):
     nets.decoder.W.value = np.zeros_like(nets.decoder.W.value)
     nets.decoder.b.value = np.asarray(bias, dtype=float)
     config = TrainConfig(model="rvae-cvi", latent_dim=2, hidden_dim=3, embedding_dim=4)
-    from rvae.model import OutlierComponents
-    return RvaeModel(networks=nets, schema=schema, config=config, stats={},
-                     components=OutlierComponents(2.0))
+    return RvaeModel(networks=nets, schema=schema, config=config, stats={})
 
 
 # -- scoring -----------------------------------------------------------------
@@ -106,7 +103,7 @@ def test_nll_score_rises_with_injected_noise(trained):
         base = score(model, table, "nll").cell_scores
         reals = table.reals.copy()
         reals[row, col] += 5.0  # +5 sigma in standardized units
-        bumped = table.with_values(reals=reals)
+        bumped = replace(table, reals=reals)
         bumped_scores = score(model, bumped, "nll").cell_scores
         assert bumped_scores[row, col] > base[row, col]
 
@@ -280,7 +277,7 @@ def test_two_stage_forced_dirty_matches_mean_start_chain(trained):
     all_dirty = np.zeros((table.n_rows, model.schema.n_features), dtype=bool)
     reals, _ = _run_chain(model, table.reals, table.cats, Rng(12), 0, 2,
                           np.ones(table.n_rows, dtype=bool), all_dirty)
-    expected = destandardize(table.with_values(reals=reals)).reals
+    expected = destandardize(replace(table, reals=reals)).reals
     np.testing.assert_array_equal(result.table.reals, expected)
 
 
@@ -399,7 +396,7 @@ def reference_gates(model, obs_r, obs_c):
     schema, nets = model.schema, model.networks
     mu, _ = nets.encoder.latent_values(encode_values(schema, obs_r, obs_c), nets.embeddings)
     ll = clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, obs_r, obs_c)
-    return pi_update(ll - outlier_logliks(model.components, schema, obs_r, obs_c),
+    return pi_update(ll - outlier_logliks(model.config.outlier_scale, schema, obs_r, obs_c),
                      model.config.alpha)
 
 
@@ -453,14 +450,14 @@ def test_chains_replay_numpy_seeded_per_call_draws(trained, long_table):
 
     one = repair_one_stage(model, table, gibbs_iters=3, seed=21)
     np.testing.assert_array_equal(
-        one.table.reals, destandardize(table.with_values(reals=one_r)).reals)
+        one.table.reals, destandardize(replace(table, reals=one_r)).reals)
     for j, feat in enumerate(model.schema.cat_features):
         np.testing.assert_array_equal(one.simplexes[feat.name], one_p[feat.name])
         np.testing.assert_array_equal(one.table.cats[:, j], np.argmax(one_p[feat.name], axis=1))
 
     two = repair_two_stage(model, table, gibbs_iters=3, seed=21)
     np.testing.assert_array_equal(two.table.reals,
-                                  destandardize(table.with_values(reals=reals)).reals)
+                                  destandardize(replace(table, reals=reals)).reals)
     np.testing.assert_array_equal(two.table.cats, cats)
     for name, probs in simplexes.items():
         np.testing.assert_array_equal(two.simplexes[name], probs)
@@ -498,20 +495,19 @@ def test_scores_and_gates_read_the_head_without_decoding(trained, long_table, mo
 @pytest.mark.parametrize("kind", ["vae", "rvae-cvi", "rvae-avi"])
 def test_scores_and_map_repair_draw_nothing(trained, kind, monkeypatch):
     import rvae.score_repair as sr
-    from rvae.model import OutlierComponents
 
     table = trained[1]
     config = TrainConfig(model=kind, hidden_dim=16, latent_dim=3, embedding_dim=4)
     nets = build_networks(table.schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=Rng(7), amortized=config.is_amortized)
     model = RvaeModel(networks=nets, schema=table.schema, config=config,
-                      stats=dict(table.stats), components=OutlierComponents(2.0))
+                      stats=dict(table.stats))
 
     def no_stream(*args, **kwargs):
         raise AssertionError("a posterior-mean readout made a random stream")
 
     monkeypatch.setattr(sr, "Rng", no_stream)
-    for rule in ("nll", "pi") if model.is_robust else ("nll",):
+    for rule in ("nll", "pi") if model.config.is_robust else ("nll",):
         assert score(model, table, rule).cell_scores.shape == (table.n_rows, table.schema.n_features)
     assert repair_map(model, table).table.n_rows == table.n_rows
 
@@ -554,11 +550,38 @@ def test_two_stage_runs_the_chain_on_rows_with_a_dirty_cell(trained, long_table,
     assert calls == []
 
 
+def test_avi_two_stage_masks_with_the_closed_form_gates(trained, long_table, monkeypatch):
+    """rvae-avi's two-stage draws its clean mask, as rvae-cvi's does, from the
+    closed-form gates at each row's posterior mean, not from the gate encoder
+    that score's pi rule reads."""
+    import rvae.score_repair as sr
+
+    model, _ = train(trained[1], TrainConfig(model="rvae-avi", epochs=5, hidden_dim=16,
+                                             latent_dim=3, embedding_dim=4, batch_size=100,
+                                             seed=0))
+    table, calls = long_table, []
+
+    def recording_chain(model, obs_reals, obs_cats, base, chunk, iters, active, clean=None):
+        calls.append((active, clean))
+        return run_chain(model, obs_reals, obs_cats, base, chunk, iters, active, clean)
+
+    run_chain = sr._run_chain
+    monkeypatch.setattr(sr, "_run_chain", recording_chain)
+    repair_two_stage(model, table, gibbs_iters=2, seed=9)
+    encoder_pi = np.exp(-score(model, table, "pi").cell_scores)
+    assert len(calls) == len(chunks(table.n_rows))
+    for (active, clean), (chunk, rows) in zip(calls, chunks(table.n_rows)):
+        expected = reference_clean_mask(model, table.reals[rows], table.cats[rows], 9, chunk)
+        np.testing.assert_array_equal(active, ~expected.all(axis=1))
+        np.testing.assert_array_equal(clean, expected[active])
+        u = numpy_stream(9, MASK, chunk, 0).random(expected.shape)
+        assert not np.array_equal(u < encoder_pi[rows], expected)
+
+
 def test_two_stage_matches_a_full_chunk_chain_at_readme_shapes():
     """An untrained model at the README's widths, where OpenBLAS may pick
     another kernel for the few rows the chain runs on: the restricted chain
     must still give every row the draws of the full-chunk chain."""
-    from rvae.model import OutlierComponents
 
     dirty, _ = make_scenario(mixture_table(1300, seed=4), 0.20, NOISE, seed=4)
     table = standardize(dirty)
@@ -566,7 +589,7 @@ def test_two_stage_matches_a_full_chunk_chain_at_readme_shapes():
     nets = build_networks(table.schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=Rng(4))
     model = RvaeModel(networks=nets, schema=table.schema, config=config,
-                      stats=dict(table.stats), components=OutlierComponents(2.0))
+                      stats=dict(table.stats))
     _, (reals, cats, simplexes) = reference_chains(model, table, 3, seed=8,
                                                    dirty_rows_only=False)
 
@@ -601,7 +624,7 @@ def test_sampled_latents_replay_numpy_seeded_draws(trained, long_table):
     decoded = sampled_latent_decode(model, table, 13)
     result = repair_one_stage(model, table, gibbs_iters=1, seed=13)
     np.testing.assert_array_equal(
-        result.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+        result.table.reals, destandardize(replace(table, reals=decoded.real_means)).reals)
     other = repair_one_stage(model, table, gibbs_iters=1, seed=14)
     assert not np.array_equal(other.table.reals, result.table.reals)
 
@@ -614,7 +637,7 @@ def test_one_stage_t1_is_sample_then_reconstruct(trained, long_table):
     decoded = sampled_latent_decode(model, table, 13)
     result = repair_one_stage(model, table, gibbs_iters=1, seed=13)
     np.testing.assert_array_equal(
-        result.table.reals, destandardize(table.with_values(reals=decoded.real_means)).reals)
+        result.table.reals, destandardize(replace(table, reals=decoded.real_means)).reals)
     for j, feat in enumerate(model.schema.cat_features):
         np.testing.assert_array_equal(result.simplexes[feat.name], decoded.cat_probs[feat.name])
         np.testing.assert_array_equal(result.table.cats[:, j],

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,13 @@ from rvae.corrupt import GaussianNoise, NoiseSpec, TemperedCategorical, make_sce
 from rvae.data import FeatureSpec, MixedTable, TableSchema, standardize
 from rvae.errors import (CheckpointError, ConfigError, SchemaMismatchError,
                          TrainingError)
-from rvae.model import OutlierComponents
 from rvae.nn import Rng
 from rvae.score_repair import score
 from rvae.synthetic import mixture_table
-from rvae.train import TrainConfig, batch_objective, load_model, save_model, train
+from rvae.train import RvaeModel, TrainConfig, batch_objective, load_model, save_model, train
 
-from conftest import gated_elbo, random_batch, softmax, tiny_networks
+from conftest import (MALFORMED_CHECKPOINT_HEADERS, gated_elbo, random_batch, rewrite_header,
+                      tiny_networks)
 
 TINY = dict(epochs=25, hidden_dim=64, latent_dim=6, embedding_dim=12, batch_size=100)
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
@@ -35,7 +37,15 @@ def test_config_validation():
         TrainConfig(model="tree").validate()
     with pytest.raises(ConfigError, match="outlier scale"):
         TrainConfig(outlier_scale=1.0).validate()
+    for key, value in (("hidden_dim", 400.0), ("latent_dim", True), ("seed", np.int64(1))):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            TrainConfig(**{key: value}).validate()
+    for key, value in (("alpha", True), ("learning_rate", "0.1"), ("weight_decay", math.nan),
+                       ("outlier_scale", math.inf)):
+        with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+            TrainConfig(**{key: value}).validate()
     TrainConfig().validate()
+    TrainConfig(learning_rate=1, alpha=np.float64(0.5)).validate()
 
 
 def test_train_requires_standardized_table():
@@ -91,12 +101,13 @@ def test_training_is_bit_deterministic(model):
 def test_avi_and_cvi_share_the_objective(mixed_schema):
     # with the gate encoder's outputs as constant gates, per-batch losses agree
     nets = tiny_networks(mixed_schema, seed=21, amortized=True)
-    comps = OutlierComponents(2.0)
+    scale = 2.0
     reals, cats = random_batch(mixed_schema, 6, seed=22)
     eps = Rng(23).normal((6, 3))
     config = TrainConfig(model="rvae-avi", alpha=0.9)
-    avi_row, avi_pi = batch_objective(nets, mixed_schema, config, comps, reals, cats, eps)
-    pinned_row = gated_elbo(nets, mixed_schema, reals, cats, comps, avi_pi, 0.9, eps)
+    model = RvaeModel(nets, mixed_schema, config, stats={})
+    avi_row, avi_pi = batch_objective(model, reals, cats, eps)
+    pinned_row = gated_elbo(nets, mixed_schema, reals, cats, scale, avi_pi, 0.9, eps)
     np.testing.assert_allclose(avi_row.value, pinned_row.value, atol=1e-9)
 
 
@@ -209,8 +220,8 @@ def test_checkpoint_schema_mismatch(tmp_path, trained_model, real_schema):
 
 
 def per_feature_checkpoint(path, schema, seed):
-    """Write a checkpoint by hand in the per-feature tensor layout; returns
-    the tensors in the order written."""
+    """Write a checkpoint by hand in the per-feature tensor layout that
+    checkpoints used to store the decoder head in."""
     from conftest import tiny_networks
     from rvae.container import write_container
 
@@ -233,40 +244,35 @@ def per_feature_checkpoint(path, schema, seed):
             "config": config.__dict__,
             "stats": {f.name: {"mean": 1.0, "std": 2.0} for f in schema.real_features}}
     write_container(path, meta, tensors)
-    return tensors
 
 
-def test_per_feature_checkpoint_loads_and_decodes_identically(tmp_path, mixed_schema):
-    from rvae.model import decode_values
-
-    tensors = per_feature_checkpoint(tmp_path / "legacy.ckpt", mixed_schema, seed=40)
-    decoder = load_model(tmp_path / "legacy.ckpt").networks.decoder
-    z = Rng(42).normal((6, 3))
-    decoded = decode_values(decoder, z)
-    h = np.maximum(z @ tensors["decoder.trunk.W0"] + tensors["decoder.trunk.b0"], 0.0)
-    for j, feat in enumerate(mixed_schema.real_features):
-        prefix = f"decoder.real.{feat.name}"
-        np.testing.assert_allclose(decoded.real_means[:, j],
-                                   (h @ tensors[f"{prefix}.W"] + tensors[f"{prefix}.b"])[:, 0],
-                                   rtol=1e-13, atol=1e-13)
-        assert decoded.real_stds[j] == np.exp(tensors[f"{prefix}.log_sigma"][0])
-    for feat in mixed_schema.cat_features:
-        prefix = f"decoder.cat.{feat.name}"
-        np.testing.assert_allclose(decoded.cat_probs[feat.name],
-                                   softmax(h @ tensors[f"{prefix}.W"] + tensors[f"{prefix}.b"],
-                                           axis=1), rtol=1e-13, atol=1e-13)
+def test_per_feature_checkpoint_is_rejected(tmp_path, mixed_schema):
+    per_feature_checkpoint(tmp_path / "legacy.ckpt", mixed_schema, seed=40)
+    with pytest.raises(CheckpointError, match="tensor manifest does not match architecture"):
+        load_model(tmp_path / "legacy.ckpt")
 
 
-def test_save_model_keeps_the_per_feature_layout(tmp_path, mixed_schema):
+def test_checkpoint_holds_the_parameters_under_their_names_in_order(tmp_path, trained_model):
     from rvae.container import read_container
 
-    tensors = per_feature_checkpoint(tmp_path / "legacy.ckpt", mixed_schema, seed=43)
-    save_model(load_model(tmp_path / "legacy.ckpt"), tmp_path / "resaved.ckpt")
-    _, written = read_container(tmp_path / "resaved.ckpt")
-    assert list(written) == list(tensors)
-    for name, arr in tensors.items():
-        assert written[name].shape == arr.shape, name
-        np.testing.assert_array_equal(written[name], arr, err_msg=name)
+    _, model = trained_model
+    save_model(model, tmp_path / "model.ckpt")
+    _, written = read_container(tmp_path / "model.ckpt")
+    params = model.networks.params()
+    assert list(written) == list(params)
+    for name, t in params.items():
+        np.testing.assert_array_equal(written[name], t.value, err_msg=name)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINT_HEADERS))
+def test_malformed_checkpoint_header_is_a_checkpoint_error(tmp_path, trained_model, case):
+    _, model = trained_model
+    edit, message = MALFORMED_CHECKPOINT_HEADERS[case]
+    save_model(model, tmp_path / "model.ckpt")
+    rewrite_header(tmp_path / "model.ckpt", tmp_path / "bad.ckpt", edit)
+    with pytest.raises(CheckpointError, match=message) as info:
+        load_model(tmp_path / "bad.ckpt")
+    assert str(tmp_path / "bad.ckpt") in str(info.value)
 
 
 def test_model_rejects_foreign_table(trained_model, real_schema):
