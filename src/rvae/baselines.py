@@ -234,7 +234,7 @@ def marginal_score(model: MarginalModel, table: MixedTable) -> ScoreReport:
     schema = table.schema
     cells = np.empty((table.n_rows, schema.n_features))
     for column, feat in enumerate(schema.features):
-        kind, slot = schema.kind_index(column)
+        kind, slot = schema.slots[column]
         if kind == REAL:
             cells[:, column] = -model.gmms[feat.name].log_pdf(table.reals[:, slot])
         else:
@@ -257,7 +257,7 @@ def marginal_repair(model: MarginalModel, table: MixedTable, mask: np.ndarray) -
     cats = table.cats.copy()
     simplexes = {}
     for column, feat in enumerate(schema.features):
-        kind, slot = schema.kind_index(column)
+        kind, slot = schema.slots[column]
         flagged = np.nonzero(mask[:, column])[0]
         if kind == REAL:
             if flagged.size:

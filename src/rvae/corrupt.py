@@ -303,7 +303,7 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
     # a draw that overflows is reported below as a config error, not a warning
     with np.errstate(over="ignore"):
         for row, column in zip(*np.nonzero(mask)):
-            kind, slot = table.schema.kind_index(column)
+            kind, slot = table.schema.slots[column]
             if kind == REAL:
                 if noise.real is None:
                     raise ConfigError(f"mask hit real feature '{table.schema.features[column].name}' "

@@ -6,7 +6,10 @@ standardization transform (mean, std mapping raw to current values) so
 repairs can be reported back in original units.
 
 External formats:
-  * data CSV: RFC-4180 style, UTF-8, first row is the header;
+  * data CSV: UTF-8, first row is the header, RFC-4180 quoting (``"``,
+    doubled inside a quoted field), LF, CRLF or CR line ends, no blank
+    lines; real cells are decimal floats (ASCII digits, no digit-group
+    underscores), categorical cells are labels, none empty or with a NUL;
   * schema JSON: an array, in column order, of
     ``{"name": ..., "kind": "real"}`` or
     ``{"name": ..., "kind": "categorical", "categories": [...]}``.
@@ -18,7 +21,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
-from itertools import chain
+from functools import cached_property
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +84,11 @@ class TableSchema:
     def cat_features(self) -> list[FeatureSpec]:
         return [f for f in self.features if f.kind == CATEGORICAL]
 
-    def kind_index(self, column: int) -> tuple[str, int]:
-        """Map a schema column to ("real", i) or ("categorical", j) storage slots."""
-        kind = self.features[column].kind
-        own = [i for i, f in enumerate(self.features) if f.kind == kind]
-        return kind, own.index(column)
+    @cached_property
+    def slots(self) -> tuple[tuple[str, int], ...]:
+        """Each schema column's storage slot: ("real", i) or ("categorical", j)."""
+        counters = {REAL: count(), CATEGORICAL: count()}
+        return tuple((f.kind, next(counters[f.kind])) for f in self.features)
 
     def to_json_obj(self) -> list[dict]:
         out = []
@@ -178,26 +182,6 @@ def load_csv(csv_path, schema_path) -> MixedTable:
     return read_table(csv_path, schema)
 
 
-def read_csv(path) -> tuple[list[str] | None, list[list[str]]]:
-    """Tokenize a CSV file (RFC-4180 quoting, LF or CRLF line ends) into its
-    header and data rows; the header is None for an empty file."""
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            return next(reader, None), list(reader)
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
-
-
-def csv_columns(rows: list[list[str]], width: int) -> list[list[str]]:
-    """Transpose data rows into ``width`` columns; ValueError if a row has
-    another number of fields."""
-    if set(map(len, rows)) - {width}:
-        raise ValueError("a row has the wrong number of fields")
-    flat = list(chain.from_iterable(rows))
-    return [flat[i::width] for i in range(width)]
-
-
 def csv_field(text: str) -> str:
     """``text`` as csv.writer's default dialect writes it inside a row."""
     if not text:
@@ -232,36 +216,60 @@ WRITE_BLOCK_ROWS = 4096
 def read_table(csv_path, schema: TableSchema) -> MixedTable:
     """Parse a CSV against a schema; all errors report row and column."""
     path = Path(csv_path)
-    header, rows = read_csv(path)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            data = fh.read()
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if header is None:
         raise DataFormatError(f"{path}: empty file")
     if header != schema.names:
         raise DataFormatError(f"{path}: header {header} does not match schema columns {schema.names}")
-    if not rows:
-        raise DataFormatError(f"{path}: no rows")
-    n = len(rows)
-    reals = np.empty((n, len(schema.real_features)))
-    cats = np.empty((n, len(schema.cat_features)), dtype=np.int64)
+    if not data.lstrip("\r\n"):  # np.loadtxt warns on a data section of blank lines
+        raise DataFormatError(_first_bad_cell(path, schema, data) or f"{path}: no rows")
+    width = 1 + max((len(c) for f in schema.cat_features for c in f.categories), default=0)
+    dtype = [(f"c{i}", "f8" if f.kind == REAL else f"U{width}") for i, f in enumerate(schema.features)]
     try:
-        columns = csv_columns(rows, schema.n_features)
-        if any("" in col for col in columns):
-            raise ValueError
-        i_real = i_cat = 0
-        for feat, col in zip(schema.features, columns):
-            if feat.kind == REAL:
-                reals[:, i_real] = np.fromiter(map(float, col), np.float64, n)
-                i_real += 1
-            else:
-                lookup = {label: i for i, label in enumerate(feat.categories)}
-                cats[:, i_cat] = np.fromiter(map(lookup.__getitem__, col), np.int64, n)
-                i_cat += 1
-    except (ValueError, KeyError):
-        raise DataFormatError(_first_bad_cell(path, schema, rows)) from None
+        cells = np.loadtxt(io.StringIO(data, newline=""), dtype=dtype, delimiter=",", quotechar='"',
+                           comments=None, ndmin=1)
+    except ValueError:
+        raise DataFormatError(_first_bad_cell(path, schema, data) or f"{path}: malformed table") from None
+    reals = np.empty((len(cells), len(schema.real_features)))
+    cats = np.empty((len(cells), len(schema.cat_features)), dtype=np.int64)
+    for column, (feat, (kind, slot)) in enumerate(zip(schema.features, schema.slots)):
+        values = cells[f"c{column}"]
+        if kind == REAL:
+            reals[:, slot] = values
+            continue
+        # "" leads with index -1, so an empty cell is missing; a label with a NUL
+        # is left out, as its U-array copy would lose trailing NULs
+        known = sorted((label, i) for i, label in enumerate(feat.categories) if "\x00" not in label)
+        keys, index = np.array([""] + [k for k, _ in known]), np.array([-1] + [i for _, i in known])
+        at = np.searchsorted(keys, values).clip(max=len(keys) - 1)
+        cats[:, slot] = np.where(keys[at] == values, index[at], -1)
+    # np.loadtxt skips blank lines, strips \x1c-\x1f around numbers and drops a
+    # label's trailing NULs: csv.reader checks tables with fewer rows than line
+    # ends (blank lines or quoted line breaks) or with those characters. The
+    # line ends are every LF and every CR not before an LF; the pad byte gives
+    # a final CR a byte to look at.
+    codes = np.frombuffer(data.encode() + b" ", np.uint8)
+    line_ends = (np.count_nonzero(codes == 10)
+                 + np.count_nonzero(codes[np.flatnonzero(codes == 13) + 1] != 10))
+    lax = (len(cells) != line_ends + (data[-1] not in "\r\n")
+           or any(c in data for c in "\x00\x1c\x1d\x1e\x1f"))
+    if ((cats < 0).any() or lax) and (error := _first_bad_cell(path, schema, data)):
+        raise DataFormatError(error)
     return MixedTable(schema=schema, reals=reals, cats=cats, stats=None)
 
 
-def _first_bad_cell(path, schema: TableSchema, rows: list[list[str]]) -> str:
-    """The error for the first malformed row or cell, in file order."""
+def _first_bad_cell(path, schema: TableSchema, data: str) -> str | None:
+    """The error for the first malformed row or cell of the data section, in
+    file order, or None if every cell is well formed."""
+    try:
+        rows = list(csv.reader(io.StringIO(data, newline="")))
+    except csv.Error as exc:
+        return f"{path}: {exc}"
     for r, row in enumerate(rows):
         if len(row) != schema.n_features:
             return f"{path}: row {r} has {len(row)} cells, expected {schema.n_features}"
@@ -270,13 +278,15 @@ def _first_bad_cell(path, schema: TableSchema, rows: list[list[str]]) -> str:
             if text == "":
                 return f"{where}: missing values are not supported"
             if feat.kind == REAL:
-                try:
+                try:  # float() also takes digit-group underscores and non-ASCII digits
+                    if "_" in text or not text.strip().isascii():
+                        raise ValueError
                     float(text)
                 except ValueError:
                     return f"{where}: non-numeric value '{text}'"
-            elif text not in feat.categories:
+            elif "\x00" in text or text not in feat.categories:
                 return f"{where}: unknown category '{text}'"
-    return f"{path}: malformed table"
+    return None
 
 
 def write_table(table: MixedTable, csv_path) -> None:

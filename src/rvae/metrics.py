@@ -163,7 +163,7 @@ def _evaluate_repair(record: CorruptionRecord, dirty: MixedTable, repair, report
         rows, truth = record.column(column)
         if rows.size == 0:
             continue
-        kind, slot = schema.kind_index(column)
+        kind, slot = schema.slots[column]
         if kind == REAL:
             st = stats[feat.name]
             truth_std = (truth - st.mean) / st.std

@@ -96,10 +96,7 @@ class Decoder:
         self.log_sigma = Tensor(np.zeros(self.n_real))
         # per-cell likelihoods come out reals first, then one column per
         # categorical; this reorders them into schema order (None: no-op)
-        order = []
-        for column in range(schema.n_features):
-            kind, slot = schema.kind_index(column)
-            order.append(slot if kind == REAL else self.n_real + slot)
+        order = [slot if kind == REAL else self.n_real + slot for kind, slot in schema.slots]
         self.schema_order = None if order == sorted(order) else np.array(order)
         self.inverse_order = None if self.schema_order is None else np.argsort(order)
 
@@ -241,7 +238,7 @@ def outlier_logliks(real_scale: float, schema: TableSchema,
     n = reals.shape[0] if reals.size else cats.shape[0]
     out = np.empty((n, schema.n_features))
     for column, feat in enumerate(schema.features):
-        kind, slot = schema.kind_index(column)
+        kind, slot = schema.slots[column]
         if kind == REAL:
             out[:, column] = (-HALF_LOG_2PI - math.log(real_scale)
                               - 0.5 * (reals[:, slot] / real_scale) ** 2)

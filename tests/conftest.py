@@ -50,7 +50,7 @@ def restore_clean(record, dirty):
     reals, cats = dirty.reals.copy(), dirty.cats.copy()
     for column in range(dirty.schema.n_features):
         rows, values = record.column(column)
-        kind, slot = dirty.schema.kind_index(column)
+        kind, slot = dirty.schema.slots[column]
         (reals if kind == "real" else cats)[rows, slot] = values
     return reals, cats
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,28 @@ def test_missing_input_is_io_error(workspace):
     assert run(argv) == 3
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines.insert(3, ""), "row 2 has 0 cells"),
+    (lambda lines: lines.append(""), "row 160 has 0 cells"),
+    (lambda lines: lines.insert(3, "   "), "row 2 has 1 cells"),
+    (lambda lines: lines.__setitem__(2, lines[2] + "\x00"), "row 1, column"),
+    (lambda lines: lines.__setitem__(2, "1_000" + lines[2][lines[2].index(","):]),
+     "non-numeric value '1_000'"),
+    (lambda lines: lines.__setitem__(2, "\u0661" + lines[2][lines[2].index(","):]),
+     "non-numeric value"),
+])
+def test_malformed_table_exits_3(workspace, tmp_path, capsys, edit, message):
+    lines = (workspace / "clean.csv").read_text(encoding="utf-8").split("\n")[:-1]
+    edit(lines)
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = corrupt_args(workspace)
+    argv[argv.index("--input") + 1] = tmp_path / "bad.csv"
+    argv[argv.index("--out-dirty") + 1] = tmp_path / "dirty.csv"
+    argv[argv.index("--out-record") + 1] = tmp_path / "record.rvae"
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
+
+
 # -- pipeline ------------------------------------------------------------------
 
 def test_full_pipeline(workspace):
@@ -186,9 +209,9 @@ def test_manifests_written_with_matching_digests(workspace):
     assert manifest["seed"] == 5
     assert manifest["tool_version"]
     for path, digest in manifest["outputs"].items():
-        assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
     for path, digest in manifest["inputs"].items():
-        assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
 
 def test_corrupt_same_seed_byte_identical(workspace, tmp_path):

@@ -156,7 +156,7 @@ def test_make_scenario_only_masked_cells_differ(mixed_schema):
     dirty, record = make_scenario(table, 0.2, NOISE, seed=3)
     diff = np.zeros_like(record.mask)
     for column in range(table.schema.n_features):
-        kind, slot = table.schema.kind_index(column)
+        kind, slot = table.schema.slots[column]
         if kind == "real":
             diff[:, column] = dirty.reals[:, slot] != table.reals[:, slot]
         else:
@@ -201,7 +201,7 @@ def test_record_file_round_trip(tmp_path, mixed_schema):
     for column in range(mixed_schema.n_features):
         rows, values = loaded.column(column)
         np.testing.assert_array_equal(rows, np.flatnonzero(record.mask[:, column]))
-        kind, slot = mixed_schema.kind_index(column)
+        kind, slot = mixed_schema.slots[column]
         clean = table.reals[:, slot] if kind == "real" else table.cats[:, slot]
         np.testing.assert_array_equal(values, clean[rows])
     assert loaded.seed == record.seed
@@ -225,7 +225,7 @@ def test_record_export_writes_the_text_form(tmp_path, mixed_schema):
     # row-major cells; categorical originals are written as integers
     expected = []
     for r, c in zip(*np.nonzero(record.mask)):
-        kind, slot = mixed_schema.kind_index(c)
+        kind, slot = mixed_schema.slots[c]
         value = float(table.reals[r, slot]) if kind == "real" else int(table.cats[r, slot])
         expected.append(f"{r},{c},{value!r}")
     assert lines[2:] == expected

@@ -1,11 +1,14 @@
+import csv
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rvae import data
 from rvae.data import (EmbeddingBank, FeatureSpec, MixedTable,
                        TableSchema, apply_stats, destandardize, encode_values,
                        encoded_dim, load_csv, read_table,
@@ -304,3 +307,204 @@ def test_read_table_rejects_undecodable_bytes(tmp_path):
     csv_path.write_bytes(b"age,color\n1.0,r\xffd\n")
     with pytest.raises(DataFormatError):
         load_csv(csv_path, schema_path)
+
+
+# -- reader contract -----------------------------------------------------------
+
+def load_text(tmp_path, text, schema_obj=MIXED_SCHEMA_OBJ):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may reach the caller
+        return load_csv(*write_inputs(tmp_path, text, schema_obj))
+
+
+@pytest.mark.parametrize("text, row", [
+    ("age,color\n1.0,red\n\n2.0,blue\n", 1),
+    ("age,color\r\n1.0,red\r\n\r\n2.0,blue\r\n", 1),
+    ("age,color\r1.0,red\r\r2.0,blue\r", 1),
+    ("age,color\n1.0,red\r\n\n2.0,blue\n", 1),
+    ("age,color\n1.0,red\r2.0,blue\n\r\n", 2),
+    ("age,color\n1.0,red\n2.0,blue\n\n", 2),
+    ("age,color\n\n1.0,red\n", 0),
+    ("age,color\n\n", 0),
+    ("age,color\r\n\r\n\r\n", 0),
+])
+def test_blank_line_is_a_row_of_no_cells(tmp_path, text, row):
+    with pytest.raises(DataFormatError, match=rf"row {row} has 0 cells, expected 2"):
+        load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "  \t "])
+def test_whitespace_only_line_is_rejected(tmp_path, blank):
+    with pytest.raises(DataFormatError, match=r"row 1 has 1 cells, expected 2"):
+        load_text(tmp_path, f"age,color\n1.0,red\n{blank}\n2.0,blue\n")
+    one_real = [{"name": "x", "kind": "real"}]
+    with pytest.raises(DataFormatError, match=r"row 1, column 'x': non-numeric"):
+        load_text(tmp_path, f"x\n1.0\n{blank}\n2.0\n", one_real)
+
+
+@pytest.mark.parametrize("text", ["age,color\n", "age,color\r\n", "age,color"])
+def test_header_only_file_has_no_rows_and_no_warning(tmp_path, text):
+    with pytest.raises(DataFormatError, match="no rows"):
+        load_text(tmp_path, text)
+
+
+NUL_SCHEMA_OBJ = [
+    {"name": "age", "kind": "real"},
+    {"name": "color", "kind": "categorical", "categories": ["red", "blue", "k1\x00", ""]},
+]
+
+
+@pytest.mark.parametrize("cells, column", [
+    ("1.0\x00,red", "age"), ("\x001.0,red", "age"),
+    ("1.0,red\x00", "color"), ("1.0,\x00red", "color"), ("1.0,re\x00d", "color"),
+    ("1.0,\x00", "color"), ("1.0,k1\x00", "color"), ('1.0,"red\x00"', "color"),
+])
+def test_nul_in_any_cell_is_rejected(tmp_path, cells, column):
+    # a numpy U array drops trailing NULs: k1\x00 must not load as k1 or fall through
+    for schema_obj in (MIXED_SCHEMA_OBJ, NUL_SCHEMA_OBJ):
+        with pytest.raises(DataFormatError, match=rf"row 1, column '{column}'"):
+            load_text(tmp_path, f"age,color\n2.0,blue\n{cells}\n", schema_obj)
+
+
+def test_label_that_differs_by_a_trailing_nul_is_unknown(tmp_path):
+    with pytest.raises(DataFormatError, match=r"row 0, column 'color': unknown category 'k1'"):
+        load_text(tmp_path, "age,color\n1.0,k1\n", NUL_SCHEMA_OBJ)
+
+
+@pytest.mark.parametrize("label", ["redd", "red ", " red", "red\x1c", "blue" * 50, "bluered"])
+def test_label_with_extra_characters_is_rejected(tmp_path, label):
+    with pytest.raises(DataFormatError, match=r"row 0, column 'color': unknown category"):
+        load_text(tmp_path, f"age,color\n1.0,{label}\n")
+
+
+@pytest.mark.parametrize("cell", ["", '""'])
+def test_empty_categorical_cell_is_missing_even_when_declared(tmp_path, cell):
+    with pytest.raises(DataFormatError, match=r"row 1, column 'color': missing values"):
+        load_text(tmp_path, f"age,color\n1.0,red\n2.0,{cell}\n", NUL_SCHEMA_OBJ[:1] + [
+            {"name": "color", "kind": "categorical", "categories": ["red", ""]}])
+
+
+BREAK_SCHEMA = TableSchema((
+    FeatureSpec("x", "real"),
+    FeatureSpec("c", "categorical", ("a,b", 'say "hi"', "two\nlines", "\n\n", "cr\r", "\r\n",
+                                     "\x1c", "plain")),
+))
+
+
+def test_labels_with_commas_quotes_and_line_breaks_round_trip(tmp_path):
+    table = random_table(BREAK_SCHEMA, 40, seed=6)
+    assert set(table.cats[:, 0]) == set(range(BREAK_SCHEMA.features[1].cardinality))
+    write_table(table, tmp_path / "t.csv")
+    back = read_table(tmp_path / "t.csv", BREAK_SCHEMA)
+    np.testing.assert_array_equal(back.reals, table.reals)
+    np.testing.assert_array_equal(back.cats, table.cats)
+
+
+@pytest.mark.parametrize("end", ["\r", "\n", "\r\n"])
+def test_every_line_end_loads(tmp_path, end):
+    table = load_text(tmp_path, end.join(["age,color", "1.5,red", "2.5,blue", ""]))
+    np.testing.assert_array_equal(table.reals[:, 0], [1.5, 2.5])
+    np.testing.assert_array_equal(table.cats[:, 0], [0, 1])
+    unterminated = load_text(tmp_path, end.join(["age,color", "1.5,red", "2.5,blue"]))
+    np.testing.assert_array_equal(unterminated.reals, table.reals)
+
+
+@pytest.mark.parametrize("text", ["1_000", "1_0.5", "1e1_0", "١", "1.٥", "٣e2", "１"])
+def test_underscores_and_non_ascii_digits_are_not_numbers(tmp_path, text):
+    float(text)  # Python's float() takes each of these
+    with pytest.raises(DataFormatError, match=rf"row 1, column 'age': non-numeric value '{text}'"):
+        load_text(tmp_path, f"age,color\n1.0,red\n{text},blue\n")
+
+
+@pytest.mark.parametrize("text", ["\x1c1.5", "1.5\x1d", "\x1e1.5\x1f"])
+def test_separator_controls_do_not_pad_numbers(tmp_path, text):
+    float(text.strip("\x1c\x1d\x1e\x1f"))  # np.loadtxt strips them, float() does not
+    with pytest.raises(DataFormatError, match=r"row 0, column 'age': non-numeric value"):
+        load_text(tmp_path, f"age,color\n{text},red\n")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\n", "\r"])
+def test_well_formed_table_skips_the_csv_check(tmp_path, monkeypatch, mixed_schema, end):
+    table = random_table(mixed_schema, 30, seed=2)
+    write_table(table, tmp_path / "t.csv")
+    text = (tmp_path / "t.csv").read_bytes().decode("utf-8")
+    (tmp_path / "t.csv").write_text(text.replace("\r\n", end), encoding="utf-8", newline="")
+    monkeypatch.setattr(data, "_first_bad_cell", None)  # calling it would raise TypeError
+    back = read_table(tmp_path / "t.csv", mixed_schema)
+    np.testing.assert_array_equal(back.reals, table.reals)
+    np.testing.assert_array_equal(back.cats, table.cats)
+
+
+def test_real_cells_load_bit_for_bit_as_float_reads_them(tmp_path):
+    rng = np.random.default_rng(19)
+    values = rng.integers(0, 2 ** 63, 3000, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)] * rng.choice([-1.0, 1.0], values.size)[np.isfinite(values)]
+    texts = [repr(v) for v in values.tolist()]
+    texts += [f"{v:.17g}" for v in values[:500].tolist()] + [f"{v:.6e}" for v in values[:500].tolist()]
+    texts += [f"{v:.4f}" for v in rng.normal(0, 1e3, 500).tolist()]
+    texts += ["5e-324", "-0.0", "0", "1e-400", "1.7976931348623157e308", "+.5", "1.", " 2.5 ",
+              "\xa03 ", "\t4\x0b", "1E5", '"6.25"', "2.4703282292062328e-324"]
+    (tmp_path / "r.csv").write_text("x\n" + "\n".join(texts) + "\n", encoding="utf-8")
+    table = read_table(tmp_path / "r.csv", TableSchema((FeatureSpec("x", "real"),)))
+    expected = np.array([float(t.strip('"')) for t in texts])
+    assert table.reals[:, 0].tobytes() == expected.tobytes()
+
+
+def csv_reference(path, schema):
+    """What read_table must load, written cell by cell with csv.reader and
+    float(): (reals, cats), or None where it must raise DataFormatError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if len(rows) < 2 or rows[0] != schema.names:
+        return None
+    reals, cats = [], []
+    for row in rows[1:]:
+        if len(row) != schema.n_features:
+            return None
+        for feat, text in zip(schema.features, row):
+            if feat.kind == "real":
+                if "_" in text or not text.strip().isascii():
+                    return None
+                try:
+                    reals.append(float(text))
+                except ValueError:
+                    return None
+            elif text == "" or "\x00" in text or text not in feat.categories:
+                return None
+            else:
+                cats.append(feat.categories.index(text))
+    n = len(rows) - 1
+    reals = np.array(reals).reshape(n, len(schema.real_features))
+    if not np.isfinite(reals).all():
+        return None
+    return reals, np.array(cats, dtype=np.int64).reshape(n, len(schema.cat_features))
+
+
+FUZZ_SCHEMAS = [
+    TableSchema((FeatureSpec("x", "real"), FeatureSpec("c", "categorical", (
+        "k", "k1", 'a"', "k,1", "k\n", "", " k", "\x1c", "k\x00", "\n\n")))),
+    TableSchema((FeatureSpec("c", "categorical", ("k", "", " ", "\r", '"')),)),
+    TableSchema((FeatureSpec("x", "real"), FeatureSpec("y", "real"))),
+]
+FUZZ_PIECES = [",", '"', "\n", "\r", "\r\n", " ", "\x00", "1", ".", "e", "_", "-", "\xa0", "١",
+               "k", "a", "inf", "\x1c", "\x1f", "\t", "1.5", "k,1", "k1", '"k\n"', "2.5e-3"]
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, len(FUZZ_SCHEMAS) - 1), st.sampled_from(["\n", "\r\n", "\r"]),
+       st.lists(st.sampled_from(FUZZ_PIECES), max_size=24))
+def test_read_table_agrees_with_the_csv_reference(tmp_path, which, end, pieces):
+    schema = FUZZ_SCHEMAS[which]
+    path = tmp_path / "fuzz.csv"
+    path.write_text(",".join(schema.names) + end + "".join(pieces), encoding="utf-8", newline="")
+    expected = csv_reference(path, schema)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            with pytest.raises(DataFormatError):
+                read_table(path, schema)
+            return
+        table = read_table(path, schema)
+    assert table.reals.tobytes() == expected[0].tobytes()
+    np.testing.assert_array_equal(table.cats, expected[1])

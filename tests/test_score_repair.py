@@ -358,7 +358,7 @@ def reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk, active=None)
     if active is None:
         active = np.ones(n, dtype=bool)
     obs_r, obs_c = obs_r[active], obs_c[active]
-    slots = [schema.kind_index(c) for c in range(schema.n_features)]
+    slots = list(schema.slots)
     st_r, st_c, zero_mask = obs_r.copy(), obs_c.copy(), None
     if clean is not None:
         clean = clean[active]
@@ -425,7 +425,7 @@ def reference_chains(model, table, iters, seed, dirty_rows_only=True):
         run = ~clean.all(axis=1) if dirty_rows_only else np.ones(obs_r.shape[0], dtype=bool)
         means, probs = reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk, run)
         reals, cats, simplexes = obs_r.copy(), obs_c.copy(), {}
-        for c, (kind, slot) in enumerate(schema.kind_index(c) for c in range(schema.n_features)):
+        for c, (kind, slot) in enumerate(schema.slots):
             dirty = ~clean[run, c]
             take = np.flatnonzero(run)[dirty]
             if kind == "real":
