@@ -90,8 +90,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(primary_out, command: str, config: dict, seed, inputs, outputs,
-                    wall_time_s: float) -> None:
+def _write_manifest(command: str, wall_time_s: float, primary_out, config: dict, seed, inputs,
+                    outputs) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -113,11 +113,11 @@ def _recipe_config(args, **extra) -> TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns what its run manifest records, the primary
+# output, config, seed, inputs and outputs
 # ---------------------------------------------------------------------------
 
-def cmd_corrupt(args) -> None:
-    tic = time.perf_counter()
+def cmd_corrupt(args) -> tuple:
     if not 0.0 < args.rows <= 1.0:
         raise ConfigError("row fraction must be positive (and at most 1)")
     schema = TableSchema.load(args.schema)
@@ -126,14 +126,11 @@ def cmd_corrupt(args) -> None:
     dirty, record = make_scenario(table, args.rows, noise, args.seed, feat_frac=args.features)
     write_table(dirty, args.out_dirty)
     record.save(args.out_record)
-    _write_manifest(args.out_dirty, "corrupt",
-                    {"rows": args.rows, "features": args.features, "noise": args.noise},
-                    args.seed, [args.input, args.schema], [args.out_dirty, args.out_record],
-                    time.perf_counter() - tic)
+    return (args.out_dirty, {"rows": args.rows, "features": args.features, "noise": args.noise},
+            args.seed, [args.input, args.schema], [args.out_dirty, args.out_record])
 
 
-def cmd_train(args) -> None:
-    tic = time.perf_counter()
+def cmd_train(args) -> tuple:
     config = _recipe_config(args, model=args.model, outlier_scale=args.s, weight_decay=args.l2)
     config.validate()
     schema = TableSchema.load(args.schema)
@@ -142,24 +139,18 @@ def cmd_train(args) -> None:
     save_model(model, args.out)
     log_path = str(args.out) + ".trainlog.csv"
     log.save_csv(log_path)
-    _write_manifest(args.out, "train", config.__dict__, args.seed,
-                    [args.input, args.schema], [args.out, log_path],
-                    time.perf_counter() - tic)
+    return args.out, config.__dict__, args.seed, [args.input, args.schema], [args.out, log_path]
 
 
-def cmd_score(args) -> None:
-    tic = time.perf_counter()
+def cmd_score(args) -> tuple:
     model = load_model(args.checkpoint)
     table = apply_stats(read_table(args.input, model.schema), model.stats)
     report = score(model, table, args.rule)
     report.save(args.out, model.schema)
-    _write_manifest(args.out, "score", {"rule": args.rule},
-                    None, [args.input, args.checkpoint], [args.out],
-                    time.perf_counter() - tic)
+    return args.out, {"rule": args.rule}, None, [args.input, args.checkpoint], [args.out]
 
 
-def cmd_repair(args) -> None:
-    tic = time.perf_counter()
+def cmd_repair(args) -> tuple:
     model = load_model(args.checkpoint)
     table = apply_stats(read_table(args.input, model.schema), model.stats)
     if args.method == "map":
@@ -170,15 +161,12 @@ def cmd_repair(args) -> None:
         result = repair_two_stage(model, table, gibbs_iters=args.gibbs_iters, seed=args.seed)
     simplex_path = args.out_simplexes or (str(args.out) + ".simplexes")
     result.save(args.out, simplex_path)
-    _write_manifest(args.out, "repair",
-                    {"method": args.method, "gibbs_iters": args.gibbs_iters},
-                    None if args.method == "map" else args.seed,
-                    [args.input, args.checkpoint], [args.out, simplex_path],
-                    time.perf_counter() - tic)
+    return (args.out, {"method": args.method, "gibbs_iters": args.gibbs_iters},
+            None if args.method == "map" else args.seed,
+            [args.input, args.checkpoint], [args.out, simplex_path])
 
 
-def cmd_evaluate(args) -> None:
-    tic = time.perf_counter()
+def cmd_evaluate(args) -> tuple:
     schema = TableSchema.load(args.schema)
     dirty = read_table(args.dirty, schema)
     record = CorruptionRecord.load(args.record)
@@ -209,14 +197,12 @@ def cmd_evaluate(args) -> None:
     if args.csv_out:
         result.flatten_csv(args.csv_out)
         outputs.append(args.csv_out)
-    _write_manifest(args.out, "evaluate", {"scores": bool(args.scores),
-                                           "repaired": bool(args.repaired)},
-                    None, inputs, outputs, time.perf_counter() - tic)
+    return (args.out, {"scores": bool(args.scores), "repaired": bool(args.repaired)},
+            None, inputs, outputs)
 
 
-def cmd_export(args) -> None:
+def cmd_export(args) -> tuple:
     """Write a score, simplex or corruption-record artifact as CSV."""
-    tic = time.perf_counter()
     header, tensors = read_container(args.input)
     kind = header.get("format")
     if kind == RECORD_FORMAT:
@@ -231,14 +217,12 @@ def cmd_export(args) -> None:
     else:
         raise DataFormatError(f"{args.input}: holds '{kind}', not a score, simplex or "
                               "corruption-record artifact")
-    _write_manifest(args.out, "export", {"format": kind}, None, [args.input], [args.out],
-                    time.perf_counter() - tic)
+    return args.out, {"format": kind}, None, [args.input], [args.out]
 
 
-def cmd_experiment(args) -> None:
+def cmd_experiment(args) -> tuple:
     """Sweep the row-corruption fractions and tabulate detection/repair
     metrics for the gated model, the plain VAE, and the marginal baseline."""
-    tic = time.perf_counter()
     config = _recipe_config(args)
     config.validate()
     if args.max_gmm_components < 1:
@@ -270,11 +254,9 @@ def cmd_experiment(args) -> None:
                                  + ["" if v is None else repr(v) for v in metrics]))
     aggregate = out_dir / "aggregate.csv"
     aggregate.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_manifest(aggregate, "experiment",
-                    {"noise": args.noise, "epochs": args.epochs, "hidden": args.hidden,
-                     "s": TrainConfig.outlier_scale},
-                    args.seed, [args.input, args.schema], [aggregate],
-                    time.perf_counter() - tic)
+    return (aggregate, {"noise": args.noise, "epochs": args.epochs, "hidden": args.hidden,
+                        "s": TrainConfig.outlier_scale},
+            args.seed, [args.input, args.schema], [aggregate])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +352,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"seed must be >= 0, got {args.seed}")
-        args.fn(args)
+        tic = time.perf_counter()
+        record = args.fn(args)
+        _write_manifest(args.command, time.perf_counter() - tic, *record)
     except ConfigError as exc:
         print(f"rvae: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -282,8 +282,8 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
     if table.is_standardized:
         raise ConfigError("corruption operates on raw (pre-standardization) tables")
     n, d = table.n_rows, table.schema.n_features
-    is_real = np.array([f.kind == REAL for f in table.schema.features])
-    cat_columns = tuple(np.flatnonzero(~is_real).tolist())
+    real_cols, cat_cols = table.schema.kind_columns
+    cat_columns = tuple(cat_cols.tolist())
     if row_frac == 0.0:
         return table, CorruptionRecord(mask=np.zeros((n, d), dtype=bool), originals=np.zeros(0),
                                        categorical_columns=cat_columns, seed=seed,
@@ -291,7 +291,7 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
     rng = Rng(seed)
     mask = select_cells(n, d, row_frac, feat_frac, rng)
     clean = np.empty((n, d))
-    clean[:, is_real], clean[:, ~is_real] = table.reals, table.cats
+    clean[:, real_cols], clean[:, cat_cols] = table.reals, table.cats
     sigma_hat = table.reals.std(axis=0) if table.reals.size else np.zeros(0)
     marginals = []
     for j, feat in enumerate(table.schema.cat_features):
@@ -316,7 +316,7 @@ def make_scenario(table: MixedTable, row_frac: float, noise: NoiseSpec, seed: in
                 cats[row, slot] = corrupt_categorical(int(cats[row, slot]), noise.cat.beta,
                                                       marginals[slot], rng)
     # finite parameters can still draw values that overflow to inf
-    if not np.all(np.isfinite(reals[mask[:, is_real]])):
+    if not np.all(np.isfinite(reals[mask[:, real_cols]])):
         raise ConfigError(f"real noise {noise.real} drew values too large for float64")
     dirty = replace(table, reals=reals, cats=cats)
     record = CorruptionRecord(mask=mask, originals=clean[mask], categorical_columns=cat_columns,

@@ -90,6 +90,12 @@ class TableSchema:
         counters = {REAL: count(), CATEGORICAL: count()}
         return tuple((f.kind, next(counters[f.kind])) for f in self.features)
 
+    @cached_property
+    def kind_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The schema columns of the real features and of the categorical ones."""
+        is_real = np.array([f.kind == REAL for f in self.features])
+        return np.flatnonzero(is_real), np.flatnonzero(~is_real)
+
     def to_json_obj(self) -> list[dict]:
         out = []
         for f in self.features:
@@ -298,15 +304,9 @@ def write_table(table: MixedTable, csv_path) -> None:
         for start in range(0, table.n_rows, WRITE_BLOCK_ROWS):
             reals = table.reals[start:start + WRITE_BLOCK_ROWS].T.tolist()
             cats = table.cats[start:start + WRITE_BLOCK_ROWS].T.tolist()
-            columns, i_real, i_cat = [], 0, 0
-            for feat in schema.features:
-                if feat.kind == REAL:
-                    columns.append(list(map(repr, reals[i_real])))
-                    i_real += 1
-                else:
-                    columns.append(list(map(labels[i_cat].__getitem__, cats[i_cat])))
-                    i_cat += 1
-            yield columns
+            yield [list(map(repr, reals[slot])) if kind == REAL
+                   else list(map(labels[slot].__getitem__, cats[slot]))
+                   for kind, slot in schema.slots]
 
     write_csv(csv_path, schema.names, blocks())
 

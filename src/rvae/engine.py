@@ -387,14 +387,10 @@ def _block_exp(x: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray,
     return shifted, e, np.add.reduceat(e, starts, axis=1)
 
 
-def block_softmax(x: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise softmax within consecutive column blocks of a 2-D array.
-
-    Returns :func:`_block_exp`'s shifted values and block sums, and the
-    probabilities.
-    """
-    shifted, e, sums = _block_exp(x, sizes)
-    return shifted, sums, e / np.repeat(sums, sizes, axis=1)
+def block_softmax(x: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Row-wise softmax within consecutive column blocks of a 2-D array."""
+    _, e, sums = _block_exp(x, sizes)
+    return e / np.repeat(sums, sizes, axis=1)
 
 
 def block_log_probs(x: np.ndarray, sizes: list[int], idx: np.ndarray):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .data import REAL, EmbeddingBank, TableSchema, encode_values
+from .data import EmbeddingBank, TableSchema, encode_values
 from .engine import Tensor
 from .nn import DenseNet, Rng
 
@@ -96,9 +96,9 @@ class Decoder:
         self.log_sigma = Tensor(np.zeros(self.n_real))
         # per-cell likelihoods come out reals first, then one column per
         # categorical; this reorders them into schema order (None: no-op)
-        order = [slot if kind == REAL else self.n_real + slot for kind, slot in schema.slots]
-        self.schema_order = None if order == sorted(order) else np.array(order)
-        self.inverse_order = None if self.schema_order is None else np.argsort(order)
+        inverse = np.concatenate(schema.kind_columns)
+        self.inverse_order = None if (np.diff(inverse) > 0).all() else inverse
+        self.schema_order = None if self.inverse_order is None else np.argsort(inverse)
 
     def head(self, z: Tensor | np.ndarray) -> Tensor:
         """The fused head at latents z: real means, then each categorical's logits."""
@@ -236,14 +236,10 @@ def outlier_logliks(real_scale: float, schema: TableSchema,
     """(B, D) matrix of outlier-component log likelihoods, schema order: a
     broad N(0, real_scale) for reals, uniform mass 1/C_d for categoricals."""
     n = reals.shape[0] if reals.size else cats.shape[0]
+    real_cols, cat_cols = schema.kind_columns
     out = np.empty((n, schema.n_features))
-    for column, feat in enumerate(schema.features):
-        kind, slot = schema.slots[column]
-        if kind == REAL:
-            out[:, column] = (-HALF_LOG_2PI - math.log(real_scale)
-                              - 0.5 * (reals[:, slot] / real_scale) ** 2)
-        else:
-            out[:, column] = -math.log(feat.cardinality)
+    out[:, real_cols] = -HALF_LOG_2PI - math.log(real_scale) - 0.5 * (reals / real_scale) ** 2
+    out[:, cat_cols] = [-math.log(f.cardinality) for f in schema.cat_features]
     return out
 
 
@@ -317,10 +313,9 @@ def gated_rows(ll_clean: Tensor, kl_z: Tensor, ll_out: np.ndarray | None = None,
 
 @dataclass
 class DecodedValues:
-    head: np.ndarray                  # (B, n_real + sum C_d), :meth:`Decoder.head`'s value
-    real_means: np.ndarray            # (B, n_real)
-    real_stds: np.ndarray             # (n_real,)
-    cat_probs: dict[str, np.ndarray]  # name -> (B, C_d)
+    real_means: np.ndarray  # (B, n_real)
+    real_stds: np.ndarray   # (n_real,)
+    cat_probs: np.ndarray   # (B, sum C_d), one softmax block per categorical, as in the head
 
 
 def decode_values(decoder: Decoder, z: np.ndarray) -> DecodedValues:
@@ -329,13 +324,10 @@ def decode_values(decoder: Decoder, z: np.ndarray) -> DecodedValues:
     head = decoder.head(z).value
     n_real = decoder.n_real
     stds = np.exp(np.clip(decoder.log_sigma.value, LOG_SIGMA_MIN, LOG_SIGMA_MAX))
-    probs = {}
+    probs = head[:, n_real:]
     if decoder.cat_sizes:
-        _, _, p = engine.block_softmax(head[:, n_real:], decoder.cat_sizes)
-        starts = np.cumsum([0] + decoder.cat_sizes)
-        probs = {f.name: p[:, s:e]
-                 for f, s, e in zip(decoder.schema.cat_features, starts, starts[1:])}
-    return DecodedValues(head=head, real_means=head[:, :n_real], real_stds=stds, cat_probs=probs)
+        probs = engine.block_softmax(probs, decoder.cat_sizes)
+    return DecodedValues(real_means=head[:, :n_real], real_stds=stds, cat_probs=probs)
 
 
 def clean_logliks_values(decoder: Decoder, head: np.ndarray,

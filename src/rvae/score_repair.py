@@ -9,6 +9,12 @@ r's draws are row r % CHUNK_ROWS of that block and depend only on (seed,
 tag, row, round). ``CHUNK_ROWS`` is therefore part of the seeded contract:
 a table's first rows get the same draws whatever rows follow them.
 
+Category probabilities stay in the decoder head's layout, one (rows, C_d)
+softmax block per categorical side by side, through the chains and the
+chunk joins; :func:`_assemble_repair` alone splits them into
+:attr:`RepairResult.simplexes`, the per-feature dict that artifacts,
+metrics and baselines read.
+
 Only the draws are exact. A product's row count is the chunk's, and in
 two-stage's chain the number of the chunk's rows with a dirty cell, and
 OpenBLAS may take another kernel for few rows. So a prefix's last chunk
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import header_schema, read_container, require_tensors, write_container
-from .data import (CATEGORICAL, REAL, WRITE_BLOCK_ROWS, MixedTable, TableSchema, csv_field,
-                   destandardize, require_same_schema, write_csv, write_table)
+from .data import (WRITE_BLOCK_ROWS, MixedTable, TableSchema, csv_field, destandardize,
+                   require_same_schema, write_csv, write_table)
 from .engine import stable_sigmoid
 from .errors import ConfigError, DataFormatError, ScoreRuleError
 from .model import clean_logliks_values, decode_values, encode_values, outlier_logliks, pi_update
@@ -186,20 +192,13 @@ def _map_chunks(n: int, fn) -> tuple:
     """Run ``fn(chunk, rows)`` on consecutive blocks of ``CHUNK_ROWS`` rows,
     chunk = 0, 1, ..., and join its outputs.
 
-    ``fn`` returns a tuple of (rows, ...) arrays or dicts of them; each
-    element comes back concatenated along the rows (per key for dicts).
-    Fixed blocks bound the memory that a block's encoded input and
-    activations take, whatever the table's length.
+    ``fn`` returns a tuple of (rows, ...) arrays; each element comes back
+    concatenated along the rows. Fixed blocks bound the memory that a
+    block's encoded input and activations take, whatever the table's length.
     """
     parts = [fn(start // CHUNK_ROWS, np.arange(start, min(start + CHUNK_ROWS, n)))
              for start in range(0, max(n, 1), CHUNK_ROWS)]
-
-    def join(pieces):
-        if isinstance(pieces[0], dict):
-            return {key: np.concatenate([p[key] for p in pieces], axis=0) for key in pieces[0]}
-        return np.concatenate(pieces, axis=0)
-
-    return tuple(join(pieces) for pieces in zip(*parts))
+    return tuple(np.concatenate(pieces, axis=0) for pieces in zip(*parts))
 
 
 def _pi_cell_scores(pi: np.ndarray) -> np.ndarray:
@@ -255,20 +254,26 @@ def score(model: RvaeModel, table: MixedTable, rule: str) -> ScoreReport:
     return ScoreReport(rule=rule, cell_scores=cells, row_scores=cells.sum(axis=1))
 
 
-def _modes(schema: TableSchema, probs: dict[str, np.ndarray], n: int) -> np.ndarray:
-    """Highest-probability category per categorical of n rows, ties to the
-    lowest index."""
-    cats = np.empty((n, len(schema.cat_features)), dtype=np.int64)
-    for j, feat in enumerate(schema.cat_features):
-        cats[:, j] = np.argmax(probs[feat.name], axis=1)
-    return cats
+def _blocks(schema: TableSchema) -> list[slice]:
+    """Each categorical's columns among the (rows, sum C_d) probability blocks."""
+    ends = np.cumsum([f.cardinality for f in schema.cat_features]).tolist()
+    return [slice(end - f.cardinality, end) for f, end in zip(schema.cat_features, ends)]
 
 
-def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, cat_idx: np.ndarray,
-                     simplexes: dict[str, np.ndarray], method: str) -> RepairResult:
-    std_table = MixedTable(schema=model.schema, reals=reals_std, cats=cat_idx,
-                           stats=dict(model.stats))
-    return RepairResult(table=destandardize(std_table), simplexes=simplexes, method=method)
+def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, probs: np.ndarray,
+                     method: str) -> RepairResult:
+    """The repair of standardized reals and (N, sum C_d) category
+    probabilities: each categorical takes its block's highest-probability
+    category, ties to the lowest index, and its block as its simplex. The
+    only place where the blocks become the per-feature simplexes dict."""
+    schema = model.schema
+    blocks = _blocks(schema)
+    cats = np.empty((probs.shape[0], len(blocks)), dtype=np.int64)
+    for j, block in enumerate(blocks):
+        cats[:, j] = np.argmax(probs[:, block], axis=1)
+    std_table = MixedTable(schema=schema, reals=reals_std, cats=cats, stats=dict(model.stats))
+    return RepairResult(table=destandardize(std_table), method=method,
+                        simplexes={f.name: probs[:, b] for f, b in zip(schema.cat_features, blocks)})
 
 
 def repair_map(model: RvaeModel, table: MixedTable) -> RepairResult:
@@ -280,11 +285,9 @@ def repair_map(model: RvaeModel, table: MixedTable) -> RepairResult:
     def chunk_repair(chunk: int, rows: np.ndarray):
         decoded = decode_values(model.networks.decoder,
                                 _mean_latents(model, table.reals[rows], table.cats[rows]))
-        probs = decoded.cat_probs
-        return decoded.real_means, _modes(model.schema, probs, rows.size), probs
+        return decoded.real_means, decoded.cat_probs
 
-    reals, cats, simplexes = _map_chunks(table.n_rows, chunk_repair)
-    return _assemble_repair(model, reals, cats, simplexes, "map")
+    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_repair), "map")
 
 
 def _sample_categories(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -292,15 +295,9 @@ def _sample_categories(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.clip((cum < u[:, None]).sum(axis=1), 0, probs.shape[1] - 1).astype(np.int64)
 
 
-def _split_by_kind(schema: TableSchema, mask: np.ndarray):
-    """A (B, D) schema-order mask as its real and its categorical columns."""
-    kinds = np.array([f.kind for f in schema.features])
-    return mask[:, kinds == REAL], mask[:, kinds == CATEGORICAL]
-
-
 def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, base: Rng,
                chunk: int, iters: int, active: np.ndarray, clean: np.ndarray | None = None
-               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-Gibbs rounds from the observed rows: z ~ q(z | x), then x ~ p(x | z).
 
     The chain runs on the rows of the chunk that the boolean mask
@@ -317,14 +314,16 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, ba
 
     Returns the mean over the rounds of the decoded real means and category
     probabilities at each round's sampled latent, a Rao-Blackwellised
-    readout of the chain: (B, n_real) reals and a dict of (B, C_d) simplexes.
+    readout of the chain: (B, n_real) reals and (B, sum C_d) probability
+    blocks.
     """
     schema, nets = model.schema, model.networks
     k = model.config.latent_dim
     width = k + obs_reals.shape[1]
     reals, cats, zero_mask = obs_reals, obs_cats, None
     if clean is not None:
-        keep_reals, keep_cats = _split_by_kind(schema, clean)
+        real_cols, cat_cols = schema.kind_columns
+        keep_reals, keep_cats = clean[:, real_cols], clean[:, cat_cols]
         reals, zero_mask = np.where(keep_reals, obs_reals, 0.0), ~keep_cats
     # a chain over the whole chunk takes its draw blocks as they are, uncopied
     take = slice(None) if active.all() else active
@@ -341,13 +340,12 @@ def _run_chain(model: RvaeModel, obs_reals: np.ndarray, obs_cats: np.ndarray, ba
         u = base.derive(_UNIFORM, chunk, it).uniform((active.size, obs_cats.shape[1]))[take]
         reals = decoded.real_means + decoded.real_stds * eps[:, k:]
         cats = np.empty_like(obs_cats)
-        for j, feat in enumerate(schema.cat_features):
-            cats[:, j] = _sample_categories(decoded.cat_probs[feat.name], u[:, j])
+        for j, block in enumerate(_blocks(schema)):
+            cats[:, j] = _sample_categories(decoded.cat_probs[:, block], u[:, j])
         if clean is not None:
             reals = np.where(keep_reals, obs_reals, reals)
             cats = np.where(keep_cats, obs_cats, cats)
-    return np.mean(means, axis=0), {f.name: np.mean([p[f.name] for p in probs], axis=0)
-                                    for f in schema.cat_features}
+    return np.mean(means, axis=0), np.mean(probs, axis=0)
 
 
 def _check_chain(model: RvaeModel, table: MixedTable, gibbs_iters: int) -> None:
@@ -371,16 +369,14 @@ def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     base = Rng(seed)
 
     def chunk_chain(chunk: int, rows: np.ndarray):
-        reals, probs = _run_chain(model, table.reals[rows], table.cats[rows], base, chunk,
-                                  gibbs_iters, np.ones(rows.size, dtype=bool))
-        return reals, _modes(model.schema, probs, rows.size), probs
+        return _run_chain(model, table.reals[rows], table.cats[rows], base, chunk,
+                          gibbs_iters, np.ones(rows.size, dtype=bool))
 
-    reals, cats, simplexes = _map_chunks(table.n_rows, chunk_chain)
-    return _assemble_repair(model, reals, cats, simplexes, "one-stage")
+    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_chain), "one-stage")
 
 
 def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
-                     seed: int = 0, pi_override: np.ndarray | float | None = None) -> RepairResult:
+                     seed: int = 0) -> RepairResult:
     """Pseudo-Gibbs with an inferred clean mask.
 
     Takes each observed cell's clean probability from one encoder and
@@ -393,36 +389,29 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     repair keeps the clean cells' observed values, with one-hot simplexes,
     and gives dirty cells the mode of the chain's round-mean readout. The
     chain runs only on rows with a dirty cell; a chunk without one runs no
-    chain. ``pi_override`` substitutes forced clean probabilities for the
-    gate pass, which then does not run.
+    chain.
     """
     _check_chain(model, table, gibbs_iters)
     schema = model.schema
+    real_cols, cat_cols = schema.kind_columns
     base = Rng(seed)
 
     def chunk_chain(chunk: int, rows: np.ndarray):
         obs_reals, obs_cats = table.reals[rows], table.cats[rows]
         u = base.derive(_MASK, chunk, 0).uniform((rows.size, schema.n_features))
-        clean = u < (_mean_gates(model, obs_reals, obs_cats) if pi_override is None
-                     else pi_override)
-        # the chain fills the rows with a dirty cell; every other row keeps
-        # all its cells, so the clamp below fills it
+        clean = u < _mean_gates(model, obs_reals, obs_cats)
+        # every cell starts at its observed value, a categorical as a one-hot
+        # block; the chain runs on the rows with a dirty cell and fills those cells
+        start = encode_values(schema, obs_reals, obs_cats)
+        reals, probs = start[:, :obs_reals.shape[1]], start[:, obs_reals.shape[1]:]
         active = ~clean.all(axis=1)
-        reals, cats = np.empty_like(obs_reals), np.empty_like(obs_cats)
-        probs = {f.name: np.empty((rows.size, f.cardinality)) for f in schema.cat_features}
         if active.any():
             chain_reals, chain_probs = _run_chain(model, obs_reals[active], obs_cats[active],
                                                   base, chunk, gibbs_iters, active, clean[active])
-            reals[active] = chain_reals
-            cats[active] = _modes(schema, chain_probs, active.sum())
-            for name, chain in chain_probs.items():
-                probs[name][active] = chain
-        keep_reals, keep_cats = _split_by_kind(schema, clean)
-        for j, feat in enumerate(schema.cat_features):
-            keep = keep_cats[:, j]
-            probs[feat.name][keep] = np.eye(feat.cardinality)[obs_cats[keep, j]]
-        return (np.where(keep_reals, obs_reals, reals),
-                np.where(keep_cats, obs_cats, cats), probs)
+            dirty = ~clean[active]
+            reals[active] = np.where(dirty[:, real_cols], chain_reals, reals[active])
+            dirty_blocks = np.repeat(dirty[:, cat_cols], model.networks.decoder.cat_sizes, axis=1)
+            probs[active] = np.where(dirty_blocks, chain_probs, probs[active])
+        return reals, probs
 
-    reals, cats, simplexes = _map_chunks(table.n_rows, chunk_chain)
-    return _assemble_repair(model, reals, cats, simplexes, "two-stage")
+    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_chain), "two-stage")

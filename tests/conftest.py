@@ -1,9 +1,10 @@
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from rvae import engine
+from rvae import engine, score_repair
 from rvae.container import read_container, write_container
 from rvae.data import FeatureSpec, MixedTable, TableSchema, encode_values
 from rvae.model import (HALF_LOG_2PI, LOG_SIGMA_MAX, LOG_SIGMA_MIN, build_networks,
@@ -53,6 +54,25 @@ def restore_clean(record, dirty):
         kind, slot = dirty.schema.slots[column]
         (reals if kind == "real" else cats)[rows, slot] = values
     return reals, cats
+
+
+def per_feature(schema, probs):
+    """(B, sum C_d) category probability blocks as a dict of (B, C_d)
+    arrays, one per categorical, cut at the block offsets."""
+    ends = np.cumsum([f.cardinality for f in schema.cat_features])
+    return {f.name: probs[:, end - f.cardinality:end] for f, end in zip(schema.cat_features, ends)}
+
+
+@contextmanager
+def forced_gates(pi):
+    """Within the block, two-stage repair's gate pass gives every cell the
+    clean probability ``pi``."""
+    def gates(model, reals, cats):
+        return np.full((reals.shape[0], model.schema.n_features), pi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(score_repair, "_mean_gates", gates)
+        yield
 
 
 def tiny_networks(schema, seed, latent=3, hidden=8, emb=4, amortized=False):

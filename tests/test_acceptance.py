@@ -20,8 +20,8 @@ from rvae.score_repair import repair_map, repair_one_stage, repair_two_stage, sc
 from rvae.synthetic import mixture_table
 from rvae.train import TrainConfig, train
 
-from conftest import (assert_grads_close, finite_difference, gated_elbo, kl_gaussian,
-                      restore_clean, train_objective)
+from conftest import (assert_grads_close, finite_difference, forced_gates, gated_elbo,
+                      kl_gaussian, restore_clean, train_objective)
 from reference_tape import neg, tmean
 
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
@@ -312,8 +312,8 @@ def chain_ratios(runs, repair) -> list[float]:
 
 def test_criterion_8_pseudo_gibbs_contract(chain_runs):
     first = chain_runs[0]
-    forced = repair_two_stage(first["model"], first["std"], gibbs_iters=5,
-                              seed=0, pi_override=1.0)
+    with forced_gates(1.0):
+        forced = repair_two_stage(first["model"], first["std"], gibbs_iters=5, seed=0)
     observed = destandardize(first["std"])
     np.testing.assert_array_equal(forced.table.reals, observed.reals)
     np.testing.assert_array_equal(forced.table.cats, observed.cats)

@@ -93,6 +93,11 @@ def test_schema_json_round_trip(tmp_path, mixed_schema):
     assert TableSchema.load(path) == mixed_schema
 
 
+def test_kind_columns_split_an_interleaved_schema(mixed_schema):
+    real_cols, cat_cols = mixed_schema.kind_columns
+    assert (real_cols.tolist(), cat_cols.tolist()) == ([0, 2], [1, 3])
+
+
 def test_schema_validation():
     with pytest.raises(DataFormatError, match="duplicate feature names"):
         TableSchema((FeatureSpec("a", "real"), FeatureSpec("a", "real")))

@@ -15,8 +15,8 @@ from rvae.score_repair import score
 from rvae.train import MODEL_KINDS, RvaeModel, TrainConfig, batch_objective
 
 from conftest import (assert_grads_close, finite_difference, gated_elbo, kl_gaussian,
-                      random_batch, reference_objective, tiny_networks, train_objective,
-                      wire_identity_autoencoder)
+                      per_feature, random_batch, reference_objective, tiny_networks,
+                      train_objective, wire_identity_autoencoder)
 from reference_tape import add, neg, tmean
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -82,6 +82,21 @@ def test_log_lik_outlier_symmetric(x):
     schema = TableSchema((FeatureSpec("a", "real"),))
     assert (outlier_logliks(scale, schema, np.array([[x]]), NO_CATS)
             == outlier_logliks(scale, schema, np.array([[-x]]), NO_CATS))
+
+
+def test_outlier_logliks_match_the_per_column_expression(mixed_schema):
+    # real and categorical columns alternate, at a scale other than the default
+    scale = 3.7
+    reals, cats = random_batch(mixed_schema, 6, seed=5)
+    reals = reals * 4.0
+    values = outlier_logliks(scale, mixed_schema, reals, cats)
+    for column, feat in enumerate(mixed_schema.features):
+        kind, slot = mixed_schema.slots[column]
+        if kind == "real":
+            expected = -HALF_LOG_2PI - math.log(scale) - 0.5 * (reals[:, slot] / scale) ** 2
+        else:
+            expected = np.full(6, -math.log(feat.cardinality))
+        np.testing.assert_array_equal(values[:, column], expected, err_msg=feat.name)
 
 
 # -- KL terms ----------------------------------------------------------------
@@ -297,17 +312,17 @@ def test_value_paths_match_tape(mixed_schema):
     mu, _ = nets.encoder.latent_values(x_t, nets.embeddings)
     dec = nets.decoder
     decoded = decode_values(dec, mu)
-    np.testing.assert_array_equal(clean_logliks_values(dec, decoded.head, reals, cats),
+    np.testing.assert_array_equal(clean_logliks_values(dec, dec.head(mu).value, reals, cats),
                                   ll_tape.value)
     head = add(engine.matmul(dec.trunk.apply(mu), dec.W), dec.b)
-    np.testing.assert_array_equal(decoded.head, head.value)
+    np.testing.assert_array_equal(dec.head(mu).value, head.value)
     np.testing.assert_array_equal(decoded.real_means, head.value[:, :dec.n_real])
+    probs = per_feature(mixed_schema, decoded.cat_probs)
     for feat in mixed_schema.cat_features:
         cols = dec.columns[feat.name]
         tape_probs = np.exp(engine.log_softmax(engine.slice_cols(head, cols.start,
                                                                  cols.stop)).value)
-        np.testing.assert_allclose(tape_probs, decoded.cat_probs[feat.name], atol=1e-12,
-                                   err_msg=feat.name)
+        np.testing.assert_allclose(tape_probs, probs[feat.name], atol=1e-12, err_msg=feat.name)
 
     # score's nll cells are the training pass at eps = 0
     model = RvaeModel(networks=nets, schema=mixed_schema,
@@ -332,7 +347,8 @@ def test_forward_passes_leave_no_reference_cycles(mixed_schema):
                                          reals, cats, np.zeros((4, 3)))
             per_row.backward(np.full(4, -1.0 / 4))
         mu, _ = nets.encoder.latent_values(x, nets.embeddings)
-        clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, reals, cats)
+        decode_values(nets.decoder, mu)
+        clean_logliks_values(nets.decoder, nets.decoder.head(mu).value, reals, cats)
         del per_row
         assert gc.collect() == 0
     finally:

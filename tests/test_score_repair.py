@@ -17,7 +17,8 @@ from rvae.score_repair import (RepairResult, ScoreReport, _pi_cell_scores, _run_
 from rvae.synthetic import mixture_table
 from rvae.train import RvaeModel, TrainConfig, train
 
-from conftest import rewrite_tensors, wire_identity_autoencoder
+from conftest import (forced_gates, per_feature, random_table, rewrite_tensors,
+                      wire_identity_autoencoder)
 
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
 
@@ -258,7 +259,8 @@ def test_one_stage_reproducible(trained):
 
 def test_two_stage_forced_clean_returns_observed(trained):
     model, table, _ = trained
-    result = repair_two_stage(model, table, gibbs_iters=5, seed=11, pi_override=1.0)
+    with forced_gates(1.0):
+        result = repair_two_stage(model, table, gibbs_iters=5, seed=11)
     observed = destandardize(table)
     np.testing.assert_array_equal(result.table.reals, observed.reals)
     np.testing.assert_array_equal(result.table.cats, observed.cats)
@@ -270,7 +272,8 @@ def test_two_stage_forced_clean_returns_observed(trained):
 
 def test_two_stage_forced_dirty_matches_mean_start_chain(trained):
     model, table, _ = trained
-    result = repair_two_stage(model, table, gibbs_iters=2, seed=12, pi_override=0.0)
+    with forced_gates(0.0):
+        result = repair_two_stage(model, table, gibbs_iters=2, seed=12)
 
     # replicate: every cell dirty, so a 2-round chain from mean behaviour
     # (zero reals, zeroed embeddings) over the table's one chunk
@@ -279,21 +282,6 @@ def test_two_stage_forced_dirty_matches_mean_start_chain(trained):
                           np.ones(table.n_rows, dtype=bool), all_dirty)
     expected = destandardize(replace(table, reals=reals)).reals
     np.testing.assert_array_equal(result.table.reals, expected)
-
-
-def test_forced_gates_skip_the_gate_pass(trained, monkeypatch):
-    import rvae.score_repair as sr
-
-    def not_called(*args, **kwargs):
-        raise AssertionError("the gate pass ran although the gates were forced")
-
-    model, table, _ = trained
-    expected = repair_two_stage(model, table, gibbs_iters=2, seed=3, pi_override=0.5)
-    for name in ("clean_logliks_values", "outlier_logliks", "pi_update"):
-        monkeypatch.setattr(sr, name, not_called)
-    result = repair_two_stage(model, table, gibbs_iters=2, seed=3, pi_override=0.5)
-    np.testing.assert_array_equal(result.table.reals, expected.table.reals)
-    np.testing.assert_array_equal(result.table.cats, expected.table.cats)
 
 
 def test_load_simplexes_round_trip(tmp_path, trained):
@@ -342,8 +330,9 @@ def reference_round(model, reals, cats, zero_mask, eps, u):
     decoded = decode_values(nets.decoder, mu + sig * eps[:, :k])
     new_reals = decoded.real_means + decoded.real_stds * eps[:, k:]
     new_cats = cats.copy()
+    probs = per_feature(schema, decoded.cat_probs)
     for j, feat in enumerate(schema.cat_features if u is not None else []):
-        cum = np.cumsum(decoded.cat_probs[feat.name], axis=1)
+        cum = np.cumsum(probs[feat.name], axis=1)
         new_cats[:, j] = np.clip((cum < u[:, j:j + 1]).sum(axis=1), 0, feat.cardinality - 1)
     return new_reals, new_cats, decoded
 
@@ -380,22 +369,22 @@ def reference_chain(model, obs_r, obs_c, clean, iters, seed, chunk, active=None)
                 st_r[keep, slot] = obs_r[keep, slot]
             else:
                 st_c[keep, slot] = obs_c[keep, slot]
+        probs = per_feature(schema, decoded.cat_probs)
         if it == 0:
-            total_r, total_p = decoded.real_means, dict(decoded.cat_probs)
+            total_r, total_p = decoded.real_means, probs
         else:
             total_r = total_r + decoded.real_means
-            total_p = {name: total_p[name] + p for name, p in decoded.cat_probs.items()}
+            total_p = {name: total_p[name] + p for name, p in probs.items()}
     return total_r / iters, {name: p / iters for name, p in total_p.items()}
 
 
 def reference_gates(model, obs_r, obs_c):
     """The cells' clean probabilities at each row's posterior mean."""
-    from rvae.model import (clean_logliks_values, decode_values, encode_values,
-                            outlier_logliks, pi_update)
+    from rvae.model import clean_logliks_values, encode_values, outlier_logliks, pi_update
 
     schema, nets = model.schema, model.networks
     mu, _ = nets.encoder.latent_values(encode_values(schema, obs_r, obs_c), nets.embeddings)
-    ll = clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head, obs_r, obs_c)
+    ll = clean_logliks_values(nets.decoder, nets.decoder.head(mu).value, obs_r, obs_c)
     return pi_update(ll - outlier_logliks(model.config.outlier_scale, schema, obs_r, obs_c),
                      model.config.alpha)
 
@@ -463,6 +452,36 @@ def test_chains_replay_numpy_seeded_per_call_draws(trained, long_table):
         np.testing.assert_array_equal(two.simplexes[name], probs)
 
 
+def test_chains_on_an_interleaved_schema_replay_the_reference(mixed_schema):
+    # real and categorical columns alternate, so the clean mask's split by
+    # kind and the simplexes' block offsets differ from the schema's columns
+    table = standardize(random_table(mixed_schema, 700, seed=40))
+    config = TrainConfig(model="rvae-cvi", hidden_dim=16, latent_dim=3, embedding_dim=4)
+    nets = build_networks(mixed_schema, config.latent_dim, config.hidden_dim,
+                          config.embedding_dim, rng=Rng(41))
+    model = RvaeModel(networks=nets, schema=mixed_schema, config=config,
+                      stats=dict(table.stats))
+    (one_r, one_p), (reals, cats, simplexes) = reference_chains(model, table, 3, seed=42)
+
+    one = repair_one_stage(model, table, gibbs_iters=3, seed=42)
+    np.testing.assert_array_equal(one.table.reals,
+                                  destandardize(replace(table, reals=one_r)).reals)
+    for j, feat in enumerate(mixed_schema.cat_features):
+        np.testing.assert_array_equal(one.simplexes[feat.name], one_p[feat.name])
+        np.testing.assert_array_equal(one.table.cats[:, j], np.argmax(one_p[feat.name], axis=1))
+
+    two = repair_two_stage(model, table, gibbs_iters=3, seed=42)
+    np.testing.assert_array_equal(two.table.reals,
+                                  destandardize(replace(table, reals=reals)).reals)
+    np.testing.assert_array_equal(two.table.cats, cats)
+    for name, probs in simplexes.items():
+        np.testing.assert_array_equal(two.simplexes[name], probs)
+    # both kinds of cell were sampled clean and dirty, and some rows stayed clean
+    clean = reference_clean_mask(model, table.reals[:CHUNK], table.cats[:CHUNK], 42, 0)
+    assert 0 < clean.all(axis=1).sum() < CHUNK
+    assert all(0 < clean[:, c].sum() < CHUNK for c in range(mixed_schema.n_features))
+
+
 def test_pi_scores_are_two_stage_gates(trained, long_table):
     model, table = trained[0], long_table
     expected = np.concatenate([
@@ -472,7 +491,7 @@ def test_pi_scores_are_two_stage_gates(trained, long_table):
 
 
 def test_scores_and_gates_read_the_head_without_decoding(trained, long_table, monkeypatch):
-    # the same bytes as decode_values(...).head, with no category probabilities built
+    # the bytes of the head that decode_values reads, with no category probabilities built
     import rvae.score_repair as sr
     from rvae.model import clean_logliks_values, decode_values, encode_values
 
@@ -481,8 +500,7 @@ def test_scores_and_gates_read_the_head_without_decoding(trained, long_table, mo
     for _, rows in chunks(table.n_rows):
         r, c = table.reals[rows], table.cats[rows]
         mu, _ = nets.encoder.latent_values(encode_values(model.schema, r, c), nets.embeddings)
-        pieces.append(-clean_logliks_values(nets.decoder, decode_values(nets.decoder, mu).head,
-                                            r, c))
+        pieces.append(-clean_logliks_values(nets.decoder, nets.decoder.head(mu).value, r, c))
     calls = []
     monkeypatch.setattr(sr, "decode_values", lambda *a: calls.append(1) or decode_values(*a))
     np.testing.assert_array_equal(score(model, table, "nll").cell_scores, np.concatenate(pieces))
@@ -546,7 +564,8 @@ def test_two_stage_runs_the_chain_on_rows_with_a_dirty_cell(trained, long_table,
 
     # a chunk with no dirty row runs no chain at all
     calls.clear()
-    repair_two_stage(model, table, gibbs_iters=2, seed=9, pi_override=1.0)
+    with forced_gates(1.0):
+        repair_two_stage(model, table, gibbs_iters=2, seed=9)
     assert calls == []
 
 
@@ -638,10 +657,11 @@ def test_one_stage_t1_is_sample_then_reconstruct(trained, long_table):
     result = repair_one_stage(model, table, gibbs_iters=1, seed=13)
     np.testing.assert_array_equal(
         result.table.reals, destandardize(replace(table, reals=decoded.real_means)).reals)
+    probs = per_feature(model.schema, decoded.cat_probs)
     for j, feat in enumerate(model.schema.cat_features):
-        np.testing.assert_array_equal(result.simplexes[feat.name], decoded.cat_probs[feat.name])
+        np.testing.assert_array_equal(result.simplexes[feat.name], probs[feat.name])
         np.testing.assert_array_equal(result.table.cats[:, j],
-                                      np.argmax(decoded.cat_probs[feat.name], axis=1))
+                                      np.argmax(probs[feat.name], axis=1))
 
 
 SEEDED_RUNS = {

@@ -12,8 +12,8 @@ from rvae.score_repair import score
 from rvae.synthetic import mixture_table
 from rvae.train import RvaeModel, TrainConfig, batch_objective, load_model, save_model, train
 
-from conftest import (MALFORMED_CHECKPOINT_HEADERS, gated_elbo, random_batch, rewrite_header,
-                      tiny_networks)
+from conftest import (MALFORMED_CHECKPOINT_HEADERS, forced_gates, gated_elbo, random_batch,
+                      rewrite_header, tiny_networks)
 
 TINY = dict(epochs=25, hidden_dim=64, latent_dim=6, embedding_dim=12, batch_size=100)
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
@@ -128,7 +128,8 @@ def test_all_categorical_table_trains_scores_repairs():
 
     result = repair_map(model, table)
     assert set(result.simplexes) == {"c0", "c1"}
-    forced = repair_two_stage(model, table, gibbs_iters=2, seed=8, pi_override=1.0)
+    with forced_gates(1.0):
+        forced = repair_two_stage(model, table, gibbs_iters=2, seed=8)
     np.testing.assert_array_equal(forced.table.cats, cats)
 
 
