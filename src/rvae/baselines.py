@@ -272,5 +272,5 @@ def marginal_repair(model: MarginalModel, table: MixedTable, mask: np.ndarray) -
                 probs[flagged] = freq
             simplexes[feat.name] = probs
     repaired = destandardize(replace(table, reals=reals, cats=cats))
-    return RepairResult(table=repaired, simplexes=simplexes, method="marginal")
+    return RepairResult(table=repaired, simplexes=simplexes)
 

@@ -167,6 +167,8 @@ def cmd_repair(args) -> tuple:
 
 
 def cmd_evaluate(args) -> tuple:
+    if args.simplexes and not args.repaired:
+        raise ConfigError("--simplexes needs --repaired")
     schema = TableSchema.load(args.schema)
     dirty = read_table(args.dirty, schema)
     record = CorruptionRecord.load(args.record)
@@ -182,7 +184,7 @@ def cmd_evaluate(args) -> tuple:
                      if args.simplexes else
                      {f.name: np.eye(f.cardinality)[repaired_table.cats[:, j]]
                       for j, f in enumerate(schema.cat_features)})
-        repair = RepairResult(table=repaired_table, simplexes=simplexes, method="loaded")
+        repair = RepairResult(table=repaired_table, simplexes=simplexes)
         inputs.append(args.repaired)
         if args.simplexes:
             inputs.append(args.simplexes)
@@ -193,12 +195,8 @@ def cmd_evaluate(args) -> tuple:
                                 "row_fraction": record.row_fraction,
                                 "feat_fraction": record.feat_fraction})
     result.save(args.out)
-    outputs = [args.out]
-    if args.csv_out:
-        result.flatten_csv(args.csv_out)
-        outputs.append(args.csv_out)
     return (args.out, {"scores": bool(args.scores), "repaired": bool(args.repaired)},
-            None, inputs, outputs)
+            None, inputs, [args.out])
 
 
 def cmd_export(args) -> tuple:
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repaired", default=None)
     p.add_argument("--simplexes", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--csv-out", default=None)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("export", help="write a score, simplex or record artifact as CSV")

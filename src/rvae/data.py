@@ -131,18 +131,24 @@ class TableSchema:
         Path(path).write_text(json.dumps(self.to_json_obj(), indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class ColumnStats:
-    """Affine transform from raw to current values: current = (raw - mean) / std."""
-
-    mean: float
-    std: float
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+@dataclass(frozen=True)
+class ColumnStats:
+    """Affine transform from raw to current values of every real column,
+    current = (raw - mean) / std: ``mean`` and ``std`` are read-only
+    (n_real,) float64 arrays in real-feature order."""
+
+    mean: np.ndarray
+    std: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean", _freeze(np.asarray(self.mean, dtype=np.float64)))
+        object.__setattr__(self, "std", _freeze(np.asarray(self.std, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ class MixedTable:
     schema: TableSchema
     reals: np.ndarray  # (N, n_real) float64
     cats: np.ndarray   # (N, n_cat) int64
-    stats: dict[str, ColumnStats] | None = None
+    stats: ColumnStats | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "reals", _freeze(np.asarray(self.reals, dtype=np.float64)))
@@ -167,12 +173,11 @@ class MixedTable:
             col = self.cats[:, j]
             if col.size and (col.min() < 0 or col.max() >= feat.cardinality):
                 raise DataFormatError(f"categorical index out of range in feature '{feat.name}'")
-        if self.stats is not None:
-            for feat in self.schema.real_features:
-                if feat.name not in self.stats:
-                    raise DataFormatError(f"missing standardization stats for '{feat.name}'")
-                if not self.stats[feat.name].std > 0:
-                    raise DataFormatError(f"non-positive std in stats for '{feat.name}'")
+        stats = self.stats
+        if stats is not None and not (stats.mean.shape == stats.std.shape == (n_real,)
+                                      and np.all(stats.std > 0)):
+            raise DataFormatError(f"standardization stats need a mean and a positive std for each "
+                                  f"of the {n_real} real features")
 
     @property
     def n_rows(self) -> int:
@@ -312,57 +317,36 @@ def write_table(table: MixedTable, csv_path) -> None:
 
 
 def standardize(table: MixedTable) -> MixedTable:
-    """Shift/scale every real column to empirical mean 0 and std 1.
-
-    Uses the population (1/N) standard deviation. Composes with any
-    transform the table already carries, so re-standardizing is a no-op up
-    to float rounding and de-standardization always recovers raw units.
-    """
-    if not table.schema.real_features:
-        return replace(table, stats={})
-    means = table.reals.mean(axis=0)
-    stds = table.reals.std(axis=0)
-    new_stats = {}
-    for j, feat in enumerate(table.schema.real_features):
-        if stds[j] <= 0.0:
-            raise DataFormatError(f"feature '{feat.name}' is constant; cannot standardize")
-        old = table.stats.get(feat.name) if table.stats else None
-        if old is None:
-            new_stats[feat.name] = ColumnStats(mean=float(means[j]), std=float(stds[j]))
-        else:
-            new_stats[feat.name] = ColumnStats(mean=float(old.mean + means[j] * old.std),
-                                               std=float(old.std * stds[j]))
-    values = (table.reals - means) / stds
-    return replace(table, reals=values, stats=new_stats)
+    """Shift/scale every real column of a raw table to empirical mean 0 and
+    std 1, using the population (1/N) standard deviation."""
+    if table.stats is not None:
+        raise DataFormatError("standardize expects a raw (unstandardized) table")
+    mean, std = table.reals.mean(axis=0), table.reals.std(axis=0)
+    constant = np.flatnonzero(std <= 0.0)
+    if constant.size:
+        name = table.schema.real_features[constant[0]].name
+        raise DataFormatError(f"feature '{name}' is constant; cannot standardize")
+    return replace(table, reals=(table.reals - mean) / std, stats=ColumnStats(mean, std))
 
 
-def apply_stats(table: MixedTable, stats: dict[str, ColumnStats]) -> MixedTable:
+def apply_stats(table: MixedTable, stats: ColumnStats) -> MixedTable:
     """Standardize a raw table with a previously computed transform."""
     if table.stats is not None:
         raise DataFormatError("apply_stats expects a raw (unstandardized) table")
-    values = table.reals.copy()
-    for j, feat in enumerate(table.schema.real_features):
-        st = stats[feat.name]
-        values[:, j] = (values[:, j] - st.mean) / st.std
-    return replace(table, reals=values, stats=dict(stats))
+    return replace(table, reals=(table.reals - stats.mean) / stats.std, stats=stats)
 
 
 def destandardize(table: MixedTable) -> MixedTable:
     """Map a standardized table back to raw units."""
     if table.stats is None:
         return table
-    values = table.reals.copy()
-    for j, feat in enumerate(table.schema.real_features):
-        st = table.stats[feat.name]
-        values[:, j] = values[:, j] * st.std + st.mean
-    return replace(table, reals=values, stats=None)
+    return replace(table, reals=table.reals * table.stats.std + table.stats.mean, stats=None)
 
 
 class EmbeddingBank:
     """Learnable unit-norm embedding rows, one matrix per categorical feature."""
 
     def __init__(self, schema: TableSchema, dim: int, rng: Rng | None = None):
-        self.dim = dim
         self.tensors: dict[str, Tensor] = {}
         for feat in schema.cat_features:
             if rng is None:

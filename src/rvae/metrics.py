@@ -80,7 +80,7 @@ def brier(truth_onehots, simplexes) -> float:
 
 @dataclass
 class EvalReport:
-    """Metric bundle for one scenario; serializes to JSON and flat CSV."""
+    """Metric bundle for one scenario; serializes to JSON."""
 
     row_avpr: float | None = None
     cell_avpr: dict[str, float] = field(default_factory=dict)
@@ -98,17 +98,6 @@ class EvalReport:
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
-
-    def flatten_csv(self, path) -> None:
-        lines = ["metric,feature,value"]
-        for metric, per_feature, summary in (("", {}, "row_avpr"),
-                                             ("cell_avpr", self.cell_avpr, "cell_avpr_macro"),
-                                             ("smse", self.smse_per_feature, "smse_real_avg"),
-                                             ("brier", self.brier_per_feature, "brier_cat_avg")):
-            lines += [f"{metric},{name},{v!r}" for name, v in per_feature.items()]
-            if getattr(self, summary) is not None:
-                lines.append(f"{summary},,{getattr(self, summary)!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def evaluate(record: CorruptionRecord, dirty: MixedTable, scores=None, repair=None,
@@ -154,10 +143,13 @@ def evaluate(record: CorruptionRecord, dirty: MixedTable, scores=None, repair=No
 
 def _evaluate_repair(record: CorruptionRecord, dirty: MixedTable, repair, report: EvalReport) -> None:
     schema = dirty.schema
-    stats = standardize(dirty).stats if schema.real_features else {}
+    stats = standardize(dirty).stats
     repaired_table = repair.table
     if repaired_table.is_standardized:
         raise DataFormatError("repaired tables are expected in raw units")
+    if repaired_table.n_rows != dirty.n_rows:
+        raise SchemaMismatchError(f"the repaired table has {repaired_table.n_rows} rows, "
+                                  f"the dirty table {dirty.n_rows}")
     smse_values = {}
     for column, feat in enumerate(schema.features):
         rows, truth = record.column(column)
@@ -165,9 +157,9 @@ def _evaluate_repair(record: CorruptionRecord, dirty: MixedTable, repair, report
             continue
         kind, slot = schema.slots[column]
         if kind == REAL:
-            st = stats[feat.name]
-            truth_std = (truth - st.mean) / st.std
-            fixed_std = (repaired_table.reals[rows, slot] - st.mean) / st.std
+            mean, std = stats.mean[slot], stats.std[slot]
+            truth_std = (truth - mean) / std
+            fixed_std = (repaired_table.reals[rows, slot] - mean) / std
             smse_values[feat.name] = smse(truth_std, fixed_std)
         else:
             if not np.all((truth >= 0) & (truth < feat.cardinality)):

@@ -122,7 +122,6 @@ class RepairResult:
 
     table: MixedTable
     simplexes: dict[str, np.ndarray]
-    method: str
 
     def __post_init__(self):
         _check_simplexes(self.simplexes)
@@ -260,8 +259,7 @@ def _blocks(schema: TableSchema) -> list[slice]:
     return [slice(end - f.cardinality, end) for f, end in zip(schema.cat_features, ends)]
 
 
-def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, probs: np.ndarray,
-                     method: str) -> RepairResult:
+def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, probs: np.ndarray) -> RepairResult:
     """The repair of standardized reals and (N, sum C_d) category
     probabilities: each categorical takes its block's highest-probability
     category, ties to the lowest index, and its block as its simplex. The
@@ -271,8 +269,8 @@ def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, probs: np.ndarray,
     cats = np.empty((probs.shape[0], len(blocks)), dtype=np.int64)
     for j, block in enumerate(blocks):
         cats[:, j] = np.argmax(probs[:, block], axis=1)
-    std_table = MixedTable(schema=schema, reals=reals_std, cats=cats, stats=dict(model.stats))
-    return RepairResult(table=destandardize(std_table), method=method,
+    std_table = MixedTable(schema=schema, reals=reals_std, cats=cats, stats=model.stats)
+    return RepairResult(table=destandardize(std_table),
                         simplexes={f.name: probs[:, b] for f, b in zip(schema.cat_features, blocks)})
 
 
@@ -287,7 +285,7 @@ def repair_map(model: RvaeModel, table: MixedTable) -> RepairResult:
                                 _mean_latents(model, table.reals[rows], table.cats[rows]))
         return decoded.real_means, decoded.cat_probs
 
-    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_repair), "map")
+    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_repair))
 
 
 def _sample_categories(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -372,7 +370,7 @@ def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
         return _run_chain(model, table.reals[rows], table.cats[rows], base, chunk,
                           gibbs_iters, np.ones(rows.size, dtype=bool))
 
-    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_chain), "one-stage")
+    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_chain))
 
 
 def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
@@ -414,4 +412,4 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
             probs[active] = np.where(dirty_blocks, chain_probs, probs[active])
         return reals, probs
 
-    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_chain), "two-stage")
+    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_chain))

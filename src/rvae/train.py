@@ -112,7 +112,7 @@ class RvaeModel:
     networks: RvaeNetworks
     schema: TableSchema
     config: TrainConfig
-    stats: dict[str, ColumnStats]
+    stats: ColumnStats
 
     def require_table(self, table: MixedTable) -> None:
         require_same_schema(self.schema, table.schema, context="model vs table")
@@ -141,7 +141,7 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
     nets = build_networks(table.schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng, amortized=config.is_amortized)
     model = RvaeModel(networks=nets, schema=table.schema, config=config,
-                      stats=dict(table.stats))
+                      stats=table.stats)
     params = nets.params()
     opt = init_adam(params, lr=config.learning_rate, weight_decay=config.weight_decay)
     n = table.n_rows
@@ -189,7 +189,8 @@ def save_model(model: RvaeModel, path) -> None:
         "tool_version": __version__,
         "schema": model.schema.to_json_obj(),
         "config": model.config.__dict__,
-        "stats": {name: {"mean": st.mean, "std": st.std} for name, st in model.stats.items()},
+        "stats": {f.name: {"mean": m, "std": s} for f, m, s in zip(
+            model.schema.real_features, model.stats.mean.tolist(), model.stats.std.tolist())},
     }
     write_container(path, meta, {name: t.value for name, t in model.networks.params().items()})
 
@@ -217,7 +218,8 @@ def load_model(path, expected_schema: TableSchema | None = None) -> RvaeModel:
                 and _is_finite_number(entry.get("std")) and entry["std"] > 0):
             raise CheckpointError(f"{path}: stats for '{name}' need a finite mean and a finite "
                                   f"positive std, got {entry!r}")
-    stats = {name: ColumnStats(mean=e["mean"], std=e["std"]) for name, e in entries.items()}
+    stats = ColumnStats(mean=[entries[name]["mean"] for name in names],
+                        std=[entries[name]["std"] for name in names])
     nets = build_networks(schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=None, amortized=config.is_amortized)
     params = nets.params()

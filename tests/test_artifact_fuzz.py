@@ -39,7 +39,7 @@ def artifacts(tmp_path_factory):
     ScoreReport("pi", cells, cells.sum(axis=1)).save(root / "scores", schema)
     simplexes = {f.name: np.eye(f.cardinality)[table.cats[:, j]]
                  for j, f in enumerate(schema.cat_features)}
-    RepairResult(table, simplexes, "map").save(root / "repaired.csv", root / "simplexes")
+    RepairResult(table, simplexes).save(root / "repaired.csv", root / "simplexes")
     noise = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
     make_scenario(table, 0.5, noise, seed=2, feat_frac=0.4)[1].save(root / "record")
     model, _ = train(standardize(table), TrainConfig(epochs=1, batch_size=N_ROWS, hidden_dim=4,

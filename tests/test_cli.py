@@ -194,11 +194,10 @@ def test_full_pipeline(workspace):
                 "--schema", ws / "schema.json", "--scores", ws / "scores.csv",
                 "--repaired", ws / "repaired.csv",
                 "--simplexes", str(ws / "repaired.csv") + ".simplexes",
-                "--out", ws / "eval.json", "--csv-out", ws / "eval.csv"]) == 0
+                "--out", ws / "eval.json"]) == 0
     report = json.loads((ws / "eval.json").read_text())
     assert 0.0 <= report["row_avpr"] <= 1.0
     assert report["smse_real_avg"] is not None
-    assert (ws / "eval.csv").exists()
 
 
 def test_manifests_written_with_matching_digests(workspace):
@@ -484,6 +483,28 @@ def test_artifact_for_another_schema_exits_5(workspace, repaired, tmp_path, caps
                        lambda p: rewrite_header(p, p, relabel))
     assert evaluate_with(workspace, repaired, **{artifact: bad}) == 5
     assert "schema mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [lambda lines: lines[:-1], lambda lines: lines + lines[-1:]],
+                         ids=["shorter", "longer"])
+def test_repaired_table_of_another_length_exits_5(workspace, repaired, tmp_path, capsys, edit):
+    lines = (repaired / "repaired.csv").read_bytes().splitlines(keepends=True)
+    (tmp_path / "repaired.csv").write_bytes(b"".join(edit(lines)))
+    assert run(["evaluate", "--record", repaired / "record.csv", "--dirty", repaired / "dirty.csv",
+                "--schema", workspace / "schema.json", "--repaired", tmp_path / "repaired.csv",
+                "--out", tmp_path / "eval.json"]) == 5
+    err = capsys.readouterr().err
+    assert "the repaired table has" in err and "the dirty table 160" in err
+    assert "Traceback" not in err
+
+
+def test_simplexes_without_a_repaired_table_exit_2(workspace, repaired, tmp_path, capsys):
+    assert run(["evaluate", "--record", repaired / "record.csv", "--dirty", repaired / "dirty.csv",
+                "--schema", workspace / "schema.json", "--simplexes", repaired / "simplexes.csv",
+                "--out", tmp_path / "eval.json"]) == 2
+    err = capsys.readouterr().err
+    assert "--simplexes needs --repaired" in err and "Traceback" not in err
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_export_writes_each_artifact_as_csv(repaired, tmp_path, capsys):

@@ -151,7 +151,7 @@ def test_evaluate_random_scores_near_base_rate():
 def test_evaluate_identity_repair_gives_noise_energy_ratio():
     schema, dirty, record = build_case(seed=5)
     simplexes = {"c0": np.eye(3)[dirty.cats[:, 0]]}
-    repair = RepairResult(table=dirty, simplexes=simplexes, method="map")
+    repair = RepairResult(table=dirty, simplexes=simplexes)
     report = evaluate(record, dirty, repair=repair)
     # truth got shifted by exactly -1 raw; repairs keep the dirty value
     from rvae.data import standardize
@@ -161,10 +161,10 @@ def test_evaluate_identity_repair_gives_noise_energy_ratio():
         rows = np.nonzero(record.mask[:, col])[0]
         if rows.size == 0:
             continue
-        st = stats[name]
+        mean, std = stats.mean[col], stats.std[col]  # r0 and r1 lead the schema
         truth = dirty.reals[rows, col] - 1.0
-        t_std = (truth - st.mean) / st.std
-        noise_ratio = np.sum((1.0 / st.std) ** 2 * np.ones_like(t_std)) / np.sum(t_std ** 2)
+        t_std = (truth - mean) / std
+        noise_ratio = np.sum((1.0 / std) ** 2 * np.ones_like(t_std)) / np.sum(t_std ** 2)
         assert report.smse_per_feature[name] == pytest.approx(noise_ratio, rel=1e-9)
     # every clean category differs from the kept dirty one: the farthest one-hot
     assert report.brier_per_feature["c0"] == 1.0
@@ -177,8 +177,7 @@ def test_evaluate_rejects_a_clean_category_outside_the_feature(category):
     originals = record.originals.copy()
     originals[np.flatnonzero(cols == 2)[0]] = category
     record = replace(record, originals=originals)
-    repair = RepairResult(table=dirty, simplexes={"c0": np.eye(3)[dirty.cats[:, 0]]},
-                          method="map")
+    repair = RepairResult(table=dirty, simplexes={"c0": np.eye(3)[dirty.cats[:, 0]]})
     with pytest.raises(DataFormatError, match="outside its 3 categories"):
         evaluate(record, dirty, repair=repair)
 
@@ -230,5 +229,3 @@ def test_report_json_round_trip(tmp_path):
     path = tmp_path / "report.json"
     report.save(path)
     assert json.loads(path.read_text(encoding="utf-8")) == report.to_json_obj()
-    report.flatten_csv(tmp_path / "report.csv")
-    assert (tmp_path / "report.csv").read_text().startswith("metric,feature,value")

@@ -42,7 +42,7 @@ def identity_real_model(stats_mean=10.0, stats_std=2.0):
     wire_identity_autoencoder(nets)
     config = TrainConfig(model="rvae-cvi", latent_dim=1, hidden_dim=2, embedding_dim=2)
     return RvaeModel(networks=nets, schema=schema, config=config,
-                     stats={"a": ColumnStats(mean=stats_mean, std=stats_std)})
+                     stats=ColumnStats(mean=[stats_mean], std=[stats_std]))
 
 
 def categorical_bias_model(bias):
@@ -53,7 +53,8 @@ def categorical_bias_model(bias):
     nets.decoder.W.value = np.zeros_like(nets.decoder.W.value)
     nets.decoder.b.value = np.asarray(bias, dtype=float)
     config = TrainConfig(model="rvae-cvi", latent_dim=2, hidden_dim=3, embedding_dim=4)
-    return RvaeModel(networks=nets, schema=schema, config=config, stats={})
+    return RvaeModel(networks=nets, schema=schema, config=config,
+                     stats=ColumnStats(mean=[], std=[]))
 
 
 # -- scoring -----------------------------------------------------------------
@@ -191,7 +192,6 @@ def test_repair_map_identity_decoder_recovers_input():
     table = apply_stats(raw, model.stats)
     result = repair_map(model, table)
     np.testing.assert_allclose(result.table.reals, raw.reals, atol=1e-9)
-    assert result.method == "map"
     assert not result.table.is_standardized
 
 
@@ -229,7 +229,7 @@ def test_repair_result_rejects_non_finite_simplex_rows(row):
     schema = TableSchema((FeatureSpec("c", "categorical", ("x", "y")),))
     table = MixedTable(schema=schema, reals=np.zeros((1, 0)), cats=np.zeros((1, 1), dtype=np.int64))
     with pytest.raises(DataFormatError, match="non-finite"):
-        RepairResult(table=table, simplexes={"c": np.array([row])}, method="map")
+        RepairResult(table=table, simplexes={"c": np.array([row])})
 
 
 # -- pseudo-Gibbs chains -------------------------------------------------------
@@ -460,7 +460,7 @@ def test_chains_on_an_interleaved_schema_replay_the_reference(mixed_schema):
     nets = build_networks(mixed_schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=Rng(41))
     model = RvaeModel(networks=nets, schema=mixed_schema, config=config,
-                      stats=dict(table.stats))
+                      stats=table.stats)
     (one_r, one_p), (reals, cats, simplexes) = reference_chains(model, table, 3, seed=42)
 
     one = repair_one_stage(model, table, gibbs_iters=3, seed=42)
@@ -519,7 +519,7 @@ def test_scores_and_map_repair_draw_nothing(trained, kind, monkeypatch):
     nets = build_networks(table.schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=Rng(7), amortized=config.is_amortized)
     model = RvaeModel(networks=nets, schema=table.schema, config=config,
-                      stats=dict(table.stats))
+                      stats=table.stats)
 
     def no_stream(*args, **kwargs):
         raise AssertionError("a posterior-mean readout made a random stream")
@@ -608,7 +608,7 @@ def test_two_stage_matches_a_full_chunk_chain_at_readme_shapes():
     nets = build_networks(table.schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=Rng(4))
     model = RvaeModel(networks=nets, schema=table.schema, config=config,
-                      stats=dict(table.stats))
+                      stats=table.stats)
     _, (reals, cats, simplexes) = reference_chains(model, table, 3, seed=8,
                                                    dirty_rows_only=False)
 
@@ -717,7 +717,7 @@ def quoted_repair(n=7, seed=2):
         simplexes[feat.name] = probs
         cats[:, j] = np.argmax(probs, axis=1)
     table = MixedTable(schema=QUOTED_SCHEMA, reals=rng.normal(size=(n, 1)), cats=cats)
-    return RepairResult(table=table, simplexes=simplexes, method="map")
+    return RepairResult(table=table, simplexes=simplexes)
 
 
 def export(artifact, out):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rvae.corrupt import GaussianNoise, NoiseSpec, TemperedCategorical, make_scenario
-from rvae.data import FeatureSpec, MixedTable, TableSchema, standardize
+from rvae.data import FeatureSpec, MixedTable, TableSchema, apply_stats, standardize
 from rvae.errors import (CheckpointError, ConfigError, SchemaMismatchError,
                          TrainingError)
 from rvae.nn import Rng
@@ -13,7 +13,7 @@ from rvae.synthetic import mixture_table
 from rvae.train import RvaeModel, TrainConfig, batch_objective, load_model, save_model, train
 
 from conftest import (MALFORMED_CHECKPOINT_HEADERS, forced_gates, gated_elbo, random_batch,
-                      rewrite_header, tiny_networks)
+                      random_table, rewrite_header, tiny_networks)
 
 TINY = dict(epochs=25, hidden_dim=64, latent_dim=6, embedding_dim=12, batch_size=100)
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
@@ -169,11 +169,29 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, trained_model):
     for name, tensor in model.networks.params().items():
         np.testing.assert_array_equal(tensor.value, loaded.networks.params()[name].value)
     assert loaded.config == model.config
-    assert loaded.stats == model.stats
+    np.testing.assert_array_equal(loaded.stats.mean, model.stats.mean)
+    np.testing.assert_array_equal(loaded.stats.std, model.stats.std)
     a = score(model, table, "pi")
     b = score(loaded, table, "pi")
     np.testing.assert_array_equal(a.cell_scores, b.cell_scores)
 
+
+
+def test_checkpoint_keeps_the_stats_in_real_feature_order(tmp_path):
+    # the header stores the stats by name and comes back sorted by name, so a
+    # schema whose real names are not in that order, between categoricals,
+    # shows whether load_model rebuilds the arrays in real-feature order
+    schema = TableSchema((FeatureSpec("z", "real"), FeatureSpec("k", "categorical", ("p", "q")),
+                          FeatureSpec("c", "real"),
+                          FeatureSpec("b", "categorical", ("p", "q", "r")),
+                          FeatureSpec("a", "real")))
+    raw = random_table(schema, 120, seed=4)
+    raw = MixedTable(schema=schema, reals=raw.reals * [1.0, 10.0, 0.1] + [5.0, -30.0, 0.0],
+                     cats=raw.cats)
+    model, _ = train(standardize(raw), TrainConfig(**{**TINY, "epochs": 1}))
+    save_model(model, tmp_path / "model.ckpt")
+    loaded = load_model(tmp_path / "model.ckpt")
+    np.testing.assert_array_equal(apply_stats(raw, loaded.stats).reals, standardize(raw).reals)
 
 def test_checkpoint_bad_magic(tmp_path, trained_model):
     _, model = trained_model
