@@ -261,90 +261,111 @@ def cmd_experiment(args) -> tuple:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+REQUIRED = {"required": True}
+SEED = ("--seed", {"type": int, "default": 0})
+
+# the training recipe, shared by train and experiment
+RECIPE = (
+    ("--alpha", {"type": float, "default": TrainConfig.alpha}),
+    ("--epochs", {"type": int, "default": TrainConfig.epochs}),
+    ("--lr", {"type": float, "default": TrainConfig.learning_rate}),
+    ("--batch", {"type": int, "default": TrainConfig.batch_size}),
+    ("--latent", {"type": int, "default": TrainConfig.latent_dim}),
+    ("--hidden", {"type": int, "default": TrainConfig.hidden_dim}),
+    ("--embedding", {"type": int, "default": TrainConfig.embedding_dim}),
+)
+
+# each subcommand's function, help line and options, in the order --help lists them
+COMMANDS = {
+    "corrupt": (cmd_corrupt, "inject seeded noise and keep the ground truth", (
+        ("--input", REQUIRED),
+        ("--schema", REQUIRED),
+        ("--rows", {"type": float, "required": True, "help": "fraction of rows to corrupt"}),
+        ("--features", {"type": float, "default": 0.2,
+                        "help": "fraction of features per corrupted row"}),
+        ("--noise", {"required": True,
+                     "help": "e.g. gauss:5,cat:0 or gmix:-0.5,3,0.6,0.5,3,0.4,cat:0"}),
+        SEED,
+        ("--out-dirty", REQUIRED),
+        ("--out-record", REQUIRED),
+    )),
+    "train": (cmd_train, "train a model on a (possibly dirty) table", RECIPE + (
+        ("--input", REQUIRED),
+        ("--schema", REQUIRED),
+        ("--model", {"choices": ["vae", "rvae-cvi", "rvae-avi"], "default": "rvae-cvi"}),
+        ("--s", {"type": float, "default": TrainConfig.outlier_scale,
+                 "help": "outlier component scale"}),
+        ("--l2", {"type": float, "default": TrainConfig.weight_decay,
+                  "help": "optimizer-level weight decay"}),
+        SEED,
+        ("--out", REQUIRED),
+    )),
+    "score": (cmd_score, "per-cell and per-row outlier scores", (
+        ("--input", REQUIRED),
+        ("--checkpoint", REQUIRED),
+        ("--rule", {"choices": ["nll", "pi"], "required": True}),
+        ("--seed", {"type": int, "default": 0,
+                    "help": "accepted; the scores do not depend on it"}),
+        ("--out", REQUIRED),
+    )),
+    "repair": (cmd_repair, "impute a repaired table", (
+        ("--input", REQUIRED),
+        ("--checkpoint", REQUIRED),
+        ("--method", {"choices": ["map", "one-stage", "two-stage"], "default": "map"}),
+        ("--gibbs-iters", {"type": int, "default": 5}),
+        ("--seed", {"type": int, "default": 0,
+                    "help": "seeds the chains; a map repair does not depend on it"}),
+        ("--out", REQUIRED),
+        ("--out-simplexes", {"default": None}),
+    )),
+    "evaluate": (cmd_evaluate, "metrics against a corruption record", (
+        ("--record", REQUIRED),
+        ("--dirty", REQUIRED),
+        ("--schema", REQUIRED),
+        ("--scores", {"default": None}),
+        ("--repaired", {"default": None}),
+        ("--simplexes", {"default": None}),
+        ("--out", REQUIRED),
+    )),
+    "export": (cmd_export, "write a score, simplex or record artifact as CSV", (
+        ("--input", REQUIRED),
+        ("--out", REQUIRED),
+    )),
+    "experiment": (cmd_experiment, "sweep corruption levels, tabulate metrics", RECIPE + (
+        ("--input", REQUIRED),
+        ("--schema", REQUIRED),
+        ("--noise", {"default": "gauss:5,cat:0"}),
+        SEED,
+        ("--max-gmm-components", {"type": int, "default": 40}),
+        ("--out-dir", REQUIRED),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    A one-command parser names all commands in its usage line, so it prints
+    what the full parser prints for any arguments that start with ``command``.
+    """
     parser = argparse.ArgumentParser(prog="rvae",
                                      description="Detect and repair cell outliers in mixed-type tables.")
     parser.add_argument("--version", action="version", version=f"rvae {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # the training recipe, shared by train and experiment
-    recipe = argparse.ArgumentParser(add_help=False)
-    recipe.add_argument("--alpha", type=float, default=TrainConfig.alpha)
-    recipe.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    recipe.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
-    recipe.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    recipe.add_argument("--latent", type=int, default=TrainConfig.latent_dim)
-    recipe.add_argument("--hidden", type=int, default=TrainConfig.hidden_dim)
-    recipe.add_argument("--embedding", type=int, default=TrainConfig.embedding_dim)
-
-    p = sub.add_parser("corrupt", help="inject seeded noise and keep the ground truth")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--rows", type=float, required=True, help="fraction of rows to corrupt")
-    p.add_argument("--features", type=float, default=0.2, help="fraction of features per corrupted row")
-    p.add_argument("--noise", required=True, help="e.g. gauss:5,cat:0 or gmix:-0.5,3,0.6,0.5,3,0.4,cat:0")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dirty", required=True)
-    p.add_argument("--out-record", required=True)
-    p.set_defaults(fn=cmd_corrupt)
-
-    p = sub.add_parser("train", parents=[recipe], help="train a model on a (possibly dirty) table")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--model", choices=["vae", "rvae-cvi", "rvae-avi"], default="rvae-cvi")
-    p.add_argument("--s", type=float, default=TrainConfig.outlier_scale, help="outlier component scale")
-    p.add_argument("--l2", type=float, default=TrainConfig.weight_decay, help="optimizer-level weight decay")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("score", help="per-cell and per-row outlier scores")
-    p.add_argument("--input", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--rule", choices=["nll", "pi"], required=True)
-    p.add_argument("--seed", type=int, default=0, help="accepted; the scores do not depend on it")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_score)
-
-    p = sub.add_parser("repair", help="impute a repaired table")
-    p.add_argument("--input", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--method", choices=["map", "one-stage", "two-stage"], default="map")
-    p.add_argument("--gibbs-iters", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seeds the chains; a map repair does not depend on it")
-    p.add_argument("--out", required=True)
-    p.add_argument("--out-simplexes", default=None)
-    p.set_defaults(fn=cmd_repair)
-
-    p = sub.add_parser("evaluate", help="metrics against a corruption record")
-    p.add_argument("--record", required=True)
-    p.add_argument("--dirty", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--scores", default=None)
-    p.add_argument("--repaired", default=None)
-    p.add_argument("--simplexes", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_evaluate)
-
-    p = sub.add_parser("export", help="write a score, simplex or record artifact as CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_export)
-
-    p = sub.add_parser("experiment", parents=[recipe], help="sweep corruption levels, tabulate metrics")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--noise", default="gauss:5,cat:0")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-gmm-components", type=int, default=40)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(fn=cmd_experiment)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else [command]:
+        fn, help_line, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command's arguments reach only its own parser, so no other is built
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", 0) < 0:

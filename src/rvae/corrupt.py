@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -176,10 +177,16 @@ class CorruptionRecord:
     def n_cells(self) -> int:
         return int(self.mask.sum())
 
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and columns of the marked cells, read-only, in the
+        row-major order of ``originals``."""
+        return tuple(map(_freeze, np.nonzero(self.mask)))
+
     def column(self, column: int) -> tuple[np.ndarray, np.ndarray]:
         """The rows of the marked cells in ``column``, ascending, and their
         clean values."""
-        rows, cols = np.nonzero(self.mask)
+        rows, cols = self.cells
         here = cols == column
         return rows[here], self.originals[here]
 
@@ -191,7 +198,7 @@ class CorruptionRecord:
         """An artifact container: the marked cells as a (M, 2) tensor of
         (row, column) in row-major order and their original values, with the
         categorical columns that hold marked cells named in the header."""
-        rows, cols = np.nonzero(self.mask)
+        rows, cols = self.cells
         write_container(path, {**self._header(), "categorical_columns": sorted(
             {c for c in self.categorical_columns if self.mask[:, c].any()})},
             {"cells": np.column_stack([rows, cols]).astype(np.float64),
@@ -252,7 +259,7 @@ class CorruptionRecord:
         """Text form: a JSON header line, then a (row,column,original_value)
         CSV in row-major order, with categorical originals written as integers."""
         lines = [json.dumps(self._header()), RECORD_COLUMNS]
-        rows, cols = np.nonzero(self.mask)
+        rows, cols = self.cells
         is_cat = np.isin(cols, self.categorical_columns).tolist()
         values = [int(v) if cat else v for v, cat in zip(self.originals.tolist(), is_cat)]
         lines += map("{},{},{!r}".format, rows.tolist(), cols.tolist(), values)

@@ -316,9 +316,9 @@ def write_table(table: MixedTable, csv_path) -> None:
     write_csv(csv_path, schema.names, blocks())
 
 
-def standardize(table: MixedTable) -> MixedTable:
-    """Shift/scale every real column of a raw table to empirical mean 0 and
-    std 1, using the population (1/N) standard deviation."""
+def fit_stats(table: MixedTable) -> ColumnStats:
+    """The transform :func:`standardize` applies to a raw table: every real
+    column's empirical mean and population (1/N) standard deviation."""
     if table.stats is not None:
         raise DataFormatError("standardize expects a raw (unstandardized) table")
     mean, std = table.reals.mean(axis=0), table.reals.std(axis=0)
@@ -326,7 +326,14 @@ def standardize(table: MixedTable) -> MixedTable:
     if constant.size:
         name = table.schema.real_features[constant[0]].name
         raise DataFormatError(f"feature '{name}' is constant; cannot standardize")
-    return replace(table, reals=(table.reals - mean) / std, stats=ColumnStats(mean, std))
+    return ColumnStats(mean, std)
+
+
+def standardize(table: MixedTable) -> MixedTable:
+    """Shift/scale every real column of a raw table to empirical mean 0 and
+    std 1 (:func:`fit_stats`)."""
+    stats = fit_stats(table)
+    return replace(table, reals=(table.reals - stats.mean) / stats.std, stats=stats)
 
 
 def apply_stats(table: MixedTable, stats: ColumnStats) -> MixedTable:

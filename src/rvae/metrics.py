@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corrupt import CorruptionRecord
-from .data import REAL, MixedTable, standardize
+from .data import REAL, MixedTable, fit_stats
 from .errors import DataFormatError, SchemaMismatchError
 
 
@@ -36,7 +36,10 @@ def average_precision(scores, labels) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise ValueError("average precision undefined without positive labels")
-    order = np.argsort(-scores, kind="stable")
+    # numpy's default (unstable) sort is enough: the order inside a block of
+    # tied scores never reaches tp, precision or recall, which are read at the
+    # blocks' ends, so every order gives the same AP bit for bit
+    order = np.argsort(-scores)
     sorted_scores = scores[order]
     sorted_labels = labels[order]
     # indices where a threshold block ends (last occurrence of each score)
@@ -143,7 +146,7 @@ def evaluate(record: CorruptionRecord, dirty: MixedTable, scores=None, repair=No
 
 def _evaluate_repair(record: CorruptionRecord, dirty: MixedTable, repair, report: EvalReport) -> None:
     schema = dirty.schema
-    stats = standardize(dirty).stats
+    stats = fit_stats(dirty)
     repaired_table = repair.table
     if repaired_table.is_standardized:
         raise DataFormatError("repaired tables are expected in raw units")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .container import header_schema, read_container, write_container
-from .data import ColumnStats, MixedTable, TableSchema, require_same_schema
+from .data import ColumnStats, MixedTable, TableSchema, encoded_dim, require_same_schema
 from .errors import CheckpointError, ConfigError, TrainingError
 from .model import (RvaeNetworks, build_networks, forward_elbo_parts, gated_rows,
                     outlier_logliks, pi_update)
@@ -31,9 +31,13 @@ CHECKPOINT_FORMAT = "rvae-model"
 
 
 def _is_finite_number(value) -> bool:
-    """A finite int or float; a bool is not a number here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite int or float; a bool, or an int past float range, is not one here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -220,6 +224,15 @@ def load_model(path, expected_schema: TableSchema | None = None) -> RvaeModel:
                                   f"positive std, got {entry!r}")
     stats = ColumnStats(mean=[entries[name]["mean"] for name in names],
                         std=[entries[name]["std"] for name in names])
+    # the stored first layers bound the config's dims before networks of
+    # those sizes are allocated
+    for name, shape in (("encoder.W0", (encoded_dim(schema, config.embedding_dim),
+                                        config.hidden_dim)),
+                        ("decoder.trunk.W0", (config.latent_dim, config.hidden_dim))):
+        if name not in tensors or tensors[name].shape != shape:
+            got = f"shape {tensors[name].shape}" if name in tensors else "absent"
+            raise CheckpointError(f"{path}: tensor '{name}' does not fit the config's "
+                                  f"dimensions ({got})")
     nets = build_networks(schema, config.latent_dim, config.hidden_dim,
                           config.embedding_dim, rng=None, amortized=config.is_amortized)
     params = nets.params()

@@ -259,4 +259,13 @@ MALFORMED_CHECKPOINT_HEADERS = {
     "alpha 1.5": (_set(1.5, "config", "alpha"), "alpha must lie in"),
     "alpha text": (_set("0.9", "config", "alpha"), "alpha must be a finite number"),
     "model gan": (_set("gan", "config", "model"), "unknown model kind"),
+    "mean past float range": (_set(10 ** 400, "stats", "x0", "mean"), "stats for 'x0'"),
+    "alpha past float range": (_set(10 ** 400, "config", "alpha"),
+                               "alpha must be a finite number"),
+    "learning_rate past float range": (_set(10 ** 400, "config", "learning_rate"),
+                                       "learning_rate must be a finite number"),
+    "latent_dim past array size": (_set(10 ** 400, "config", "latent_dim"),
+                                   "tensor 'decoder.trunk.W0' does not fit the config's dimensions"),
+    "embedding_dim past array size": (_set(10 ** 30, "config", "embedding_dim"),
+                                      "tensor 'encoder.W0' does not fit the config's dimensions"),
 }

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rvae.cli import build_parser, main, parse_noise_spec
+from rvae.cli import COMMANDS, build_parser, main, parse_noise_spec
 from rvae.container import write_container
 from rvae.corrupt import (GaussianMixtureNoise, GaussianNoise, LaplaceNoise,
                           LogNormalNoise)
@@ -86,6 +87,35 @@ def test_repair_parser_accepts_gibbs_settings():
         ["repair", "--input", "a.csv", "--checkpoint", "m.ckpt", "--method", "two-stage",
          "--gibbs-iters", "5", "--out", "r.csv"])
     assert args.method == "two-stage" and args.gibbs_iters == 5
+
+
+def outcome(parse, argv, capsys):
+    """What a parse prints to stdout and stderr, and its exit code."""
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--help"] for command in COMMANDS),
+    ["--help"], ["--version"], [], ["bogus"],
+    ["--bogus", "score", "--input", "a.csv"],
+    ["score", "--rule", "maybe"], ["repair", "--gibbs-iters", "many"],
+    ["train", "--epochs", "1.5", "--input", "a.csv"], ["evaluate", "--record"],
+    # the main parser reports arguments that the command's parser leaves over
+    ["export", "--input", "a.rvae", "--out", "a.csv", "--version"],
+    ["score", "--input", "a.csv", "--checkpoint", "m.ckpt", "--rule", "pi", "--out", "s.rvae",
+     "--bogus"],
+], ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    # main builds the invoked command's parser alone; usage lines, help and
+    # errors must read as the parser of every command prints them
+    full = outcome(lambda a: build_parser().parse_args(a), argv, capsys)
+    assert full[2] in (0, 2) and (full[0] or full[1])
+    assert outcome(main, argv, capsys) == full
 
 
 def test_train_parser_weight_decay_sweep_value():
@@ -505,6 +535,24 @@ def test_simplexes_without_a_repaired_table_exit_2(workspace, repaired, tmp_path
     err = capsys.readouterr().err
     assert "--simplexes needs --repaired" in err and "Traceback" not in err
     assert not (tmp_path / "eval.json").exists()
+
+
+def test_evaluate_with_a_constant_real_column_exits_3(tmp_path, capsys):
+    # SMSE's units are the dirty reals' std, which a constant column lacks
+    table = mixture_table(100, seed=1)
+    reals = table.reals.copy()
+    reals[:, 0] = 2.5
+    write_table(replace(table, reals=reals), tmp_path / "clean.csv")
+    table.schema.save(tmp_path / "schema.json")
+    assert run(["corrupt", "--input", tmp_path / "clean.csv", "--schema", tmp_path / "schema.json",
+                "--rows", "0.2", "--noise", "gauss:5,cat:0", "--out-dirty", tmp_path / "dirty.csv",
+                "--out-record", tmp_path / "record.rvae"]) == 0
+    assert run(["evaluate", "--record", tmp_path / "record.rvae", "--dirty", tmp_path / "dirty.csv",
+                "--schema", tmp_path / "schema.json", "--repaired", tmp_path / "dirty.csv",
+                "--out", tmp_path / "eval.json"]) == 3
+    err = capsys.readouterr().err
+    assert f"rvae: feature '{table.schema.real_features[0].name}' is constant; cannot standardize" in err
+    assert "Traceback" not in err and not (tmp_path / "eval.json").exists()
 
 
 def test_export_writes_each_artifact_as_csv(repaired, tmp_path, capsys):

@@ -72,6 +72,37 @@ def test_average_precision_invariant_to_monotone_transforms(seed):
     assert average_precision(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
 
 
+def stable_sort_ap(scores, labels):
+    """average_precision's steps with a stable descending sort: within a tie
+    block the rows keep their input order."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores, sorted_labels = scores[order], labels[order]
+    block_end = np.nonzero(np.append(sorted_scores[:-1] != sorted_scores[1:], True))[0]
+    tp = np.cumsum(sorted_labels)[block_end]
+    precision = tp / (block_end + 1.0)
+    recall = tp / labels.sum()
+    return float(np.sum((recall - np.concatenate([[0.0], recall[:-1]])) * precision))
+
+
+TIED_SCORES = st.sampled_from([0.0, -0.0, 0.25, -1.5, 3.0, 5e-324])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.one_of(TIED_SCORES, st.floats(-1e3, 1e3)), st.booleans()),
+                min_size=1, max_size=300),
+       st.data())
+def test_average_precision_is_exact_under_any_permutation(pairs, data):
+    # ties, signed zeros included, must not let the (unstable) sort's order
+    # inside a block reach the result
+    pairs.append((0.0, True))
+    scores, labels = (np.array(column) for column in zip(*pairs))
+    reference = stable_sort_ap(scores, labels)
+    assert average_precision(scores, labels) == reference
+    perm = np.array(data.draw(st.permutations(range(len(pairs)))))
+    assert average_precision(scores[perm], labels[perm]) == reference
+    assert average_precision(scores[::-1], labels[::-1]) == reference
+
+
 def test_smse_perfect_repair():
     assert smse([1.0, -2.0, 0.5], [1.0, -2.0, 0.5]) == 0.0
 
