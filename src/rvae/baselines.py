@@ -248,7 +248,9 @@ def marginal_repair(model: MarginalModel, table: MixedTable, mask: np.ndarray) -
     """Repair only the flagged cells: a real cell moves to the mean of the
     component most responsible for its observed value, a categorical cell
     to the modal category (frequency vector reported as its simplex).
-    Unflagged categorical cells report a one-hot at the observed value."""
+    Unflagged categorical cells report a one-hot at the observed value, and
+    unflagged real cells come back as their raw input values, bit for bit
+    (:func:`destandardize` with ``table`` as the source)."""
     model.require_table(table)
     schema = table.schema
     if mask.shape != (table.n_rows, schema.n_features):
@@ -271,6 +273,6 @@ def marginal_repair(model: MarginalModel, table: MixedTable, mask: np.ndarray) -
                 cats[flagged, slot] = int(np.argmax(freq))
                 probs[flagged] = freq
             simplexes[feat.name] = probs
-    repaired = destandardize(replace(table, reals=reals, cats=cats))
+    repaired = destandardize(replace(table, reals=reals, cats=cats), source=table)
     return RepairResult(table=repaired, simplexes=simplexes)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import count
 from pathlib import Path
@@ -153,12 +153,19 @@ class ColumnStats:
 
 @dataclass(frozen=True)
 class MixedTable:
-    """N rows of mixed-type cells, immutable after construction."""
+    """N rows of mixed-type cells, immutable after construction.
+
+    ``raw_reals`` is set on the tables :func:`standardize` and
+    :func:`apply_stats` make, to the raw reals they standardized, and is
+    None otherwise. It is no constructor argument, so ``replace`` leaves a
+    new table without it.
+    """
 
     schema: TableSchema
     reals: np.ndarray  # (N, n_real) float64
     cats: np.ndarray   # (N, n_cat) int64
     stats: ColumnStats | None = None
+    raw_reals: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "reals", _freeze(np.asarray(self.reals, dtype=np.float64)))
@@ -329,25 +336,42 @@ def fit_stats(table: MixedTable) -> ColumnStats:
     return ColumnStats(mean, std)
 
 
+def _standardized(table: MixedTable, stats: ColumnStats) -> MixedTable:
+    out = replace(table, reals=(table.reals - stats.mean) / stats.std, stats=stats)
+    object.__setattr__(out, "raw_reals", table.reals)
+    return out
+
+
 def standardize(table: MixedTable) -> MixedTable:
     """Shift/scale every real column of a raw table to empirical mean 0 and
     std 1 (:func:`fit_stats`)."""
-    stats = fit_stats(table)
-    return replace(table, reals=(table.reals - stats.mean) / stats.std, stats=stats)
+    return _standardized(table, fit_stats(table))
 
 
 def apply_stats(table: MixedTable, stats: ColumnStats) -> MixedTable:
     """Standardize a raw table with a previously computed transform."""
     if table.stats is not None:
         raise DataFormatError("apply_stats expects a raw (unstandardized) table")
-    return replace(table, reals=(table.reals - stats.mean) / stats.std, stats=stats)
+    return _standardized(table, stats)
 
 
-def destandardize(table: MixedTable) -> MixedTable:
-    """Map a standardized table back to raw units."""
+def destandardize(table: MixedTable, source: MixedTable | None = None) -> MixedTable:
+    """Map a standardized table back to raw units.
+
+    ``source`` (by default ``table`` itself) is the standardized table that
+    ``table``'s values were computed from. Where it holds its
+    :attr:`MixedTable.raw_reals`, every cell whose value equals source's is
+    written as source's raw value, bit for bit: ``(x - mean) / std * std +
+    mean`` can move a value by an ulp. Every other cell is ``x * std +
+    mean``.
+    """
     if table.stats is None:
         return table
-    return replace(table, reals=table.reals * table.stats.std + table.stats.mean, stats=None)
+    source = table if source is None else source
+    reals = table.reals * table.stats.std + table.stats.mean
+    if source.raw_reals is not None:
+        np.copyto(reals, source.raw_reals, where=table.reals == source.reals)
+    return replace(table, reals=reals, stats=None)
 
 
 class EmbeddingBank:

@@ -39,13 +39,20 @@ __all__ = [
 
 
 class Tensor:
-    """A node on the tape: value, accumulated gradient, backward closure."""
+    """A node on the tape: value, accumulated gradient, backward closure.
 
-    __slots__ = ("value", "grad", "_parents", "_bw")
+    ``grad_buffer`` is None, or an array of the value's shape that the
+    tensor's gradient is accumulated into: :func:`rvae.nn.init_adam` gives
+    each parameter its slice of the optimizer's flat gradient buffer, so
+    backward writes gradients where the update reads them.
+    """
+
+    __slots__ = ("value", "grad", "grad_buffer", "_parents", "_bw")
 
     def __init__(self, value, parents=(), bw=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self.grad_buffer: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = parents
         self._bw = bw
 
@@ -56,16 +63,37 @@ class Tensor:
     def _acc(self, g: np.ndarray) -> None:
         """Add one gradient contribution.
 
-        The first contribution becomes ``grad`` as is, without a copy, and
-        later ones rebind ``grad`` to ``grad + g``. A contribution whose
-        shape differs is broadcast to the value's shape first. Since no
-        gradient array is ever written in place, ``grad`` may share memory
-        with the contribution it came from (a view of the consumer's
-        gradient, or the same array): read it, never modify it.
+        Without a ``grad_buffer``, the first contribution becomes ``grad``
+        as is, without a copy, and later ones rebind ``grad`` to ``grad +
+        g``; since no such gradient array is ever written in place, ``grad``
+        may share memory with the contribution it came from (a view of the
+        consumer's gradient, or the same array): read it, never modify it.
+        With one, the first contribution is copied into the buffer, which
+        becomes ``grad``, and later ones are added to it in place; the sums
+        are the same, bit for bit. A contribution whose shape differs is
+        broadcast to the value's shape first.
         """
         if g.shape != self.value.shape:
             g = np.broadcast_to(g, self.value.shape)
-        self.grad = g if self.grad is None else self.grad + g
+        if self.grad is None:
+            if self.grad_buffer is None:
+                self.grad = g
+            else:
+                self.grad = self.grad_buffer
+                np.copyto(self.grad, g)
+        elif self.grad is self.grad_buffer:
+            self.grad += g
+        else:
+            self.grad = self.grad + g
+
+    def _acc_op(self, op, *args) -> None:
+        """``_acc(op(*args))`` for a numpy function ``op`` that takes ``out=``:
+        a first contribution to a tensor with a ``grad_buffer`` is written
+        straight into the buffer, with no temporary to copy."""
+        if self.grad is None and self.grad_buffer is not None:
+            self.grad = op(*args, out=self.grad_buffer)
+        else:
+            self._acc(op(*args))
 
     def backward(self, seed) -> None:
         """Run reverse-mode accumulation from this node.
@@ -73,7 +101,8 @@ class Tensor:
         `seed` is the upstream gradient, of this node's shape; it is copied,
         so the caller's array is never aliased. Gradients of every node
         reachable from here are reset first, so repeated calls do not
-        accumulate across tapes.
+        accumulate across tapes: a parameter's first contribution then
+        overwrites whatever its ``grad_buffer`` held.
         """
         seed = np.array(seed, dtype=np.float64)
         if seed.shape != self.value.shape:
@@ -208,8 +237,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     def bw(g):
         if relu:
             g = g * _relu_mask(val)
-        w._acc(x.value.T @ g)
-        b._acc(g.sum(axis=0))
+        w._acc_op(np.matmul, x.value.T, g)
+        b._acc_op(np.sum, g, 0)
         x._acc(g @ w.value.T)
 
     out._bw = bw
@@ -233,6 +262,22 @@ def _fold_weight(w: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
         parts.append(t @ w[row:row + t.shape[1]])
         row += t.shape[1]
     return np.concatenate(parts, axis=0)
+
+
+def _unfold_grad(d_folded: np.ndarray, tables: list[np.ndarray], shape: tuple[int, ...],
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The gradient of the weight :func:`_fold_weight` folded, from that of
+    the folded weight: the leading block as is, then ``table_j.T @`` each
+    table's block, written into ``out`` (a new array when None)."""
+    if out is None:
+        out = np.empty(shape)
+    row = col = shape[0] - sum(t.shape[1] for t in tables)
+    out[:row] = d_folded[:row]
+    for t in tables:
+        np.matmul(t.T, d_folded[col:col + t.shape[0]], out=out[row:row + t.shape[1]])
+        row += t.shape[1]
+        col += t.shape[0]
+    return out
 
 
 def onehot_dense(x: np.ndarray, w: Tensor, b: Tensor, tables: list[Tensor],
@@ -263,17 +308,13 @@ def onehot_dense(x: np.ndarray, w: Tensor, b: Tensor, tables: list[Tensor],
         if relu:
             g = g * _relu_mask(val)
         d_folded = x.T @ g
-        dw = np.empty_like(w.value)
+        w._acc_op(_unfold_grad, d_folded, values, w.shape)
         row = col = w.shape[0] - sum(v.shape[1] for v in values)
-        dw[:row] = d_folded[:row]
         for t, v in zip(tables, values):
-            block, w_j = d_folded[col:col + v.shape[0]], w.value[row:row + v.shape[1]]
-            dw[row:row + v.shape[1]] = v.T @ block
-            t._acc(block @ w_j.T)
+            t._acc_op(np.matmul, d_folded[col:col + v.shape[0]], w.value[row:row + v.shape[1]].T)
             row += v.shape[1]
             col += v.shape[0]
-        w._acc(dw)
-        b._acc(g.sum(axis=0))
+        b._acc_op(np.sum, g, 0)
 
     out._bw = bw
     return out

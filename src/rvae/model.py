@@ -199,16 +199,22 @@ def kl_bernoulli(pi, alpha):
     pi_arr = np.asarray(pi, dtype=np.float64)
     if np.any(pi_arr < 0.0) or np.any(pi_arr > 1.0):
         raise ValueError("pi must lie in [0, 1]")
+    out = _kl_bernoulli(pi_arr, alpha)
+    return float(out) if np.isscalar(pi) or np.ndim(pi) == 0 else out
+
+
+def _kl_bernoulli(pi: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`kl_bernoulli` of a float64 array of probabilities, unchecked."""
     # each log is taken only where its factor is positive, and stays 0 elsewhere
-    out = np.zeros_like(pi_arr)
-    np.log(pi_arr / alpha, out=out, where=pi_arr > 0.0)
-    out *= pi_arr
-    q = 1.0 - pi_arr
-    t2 = np.zeros_like(pi_arr)
+    out = np.zeros_like(pi)
+    np.log(pi / alpha, out=out, where=pi > 0.0)
+    out *= pi
+    q = 1.0 - pi
+    t2 = np.zeros_like(pi)
     np.log(q / (1.0 - alpha), out=t2, where=q > 0.0)
     t2 *= q
     out += t2
-    return float(out) if np.isscalar(pi) or np.ndim(pi) == 0 else out
+    return out
 
 
 def pi_update(r, alpha):
@@ -281,7 +287,8 @@ def gated_rows(ll_clean: Tensor, kl_z: Tensor, ll_out: np.ndarray | None = None,
         d2 = -np.logaddexp(0.0, w) - math.log(1.0 - alpha)   # log(1 - pi) - log(1 - alpha)
         kl_w = pi * d1 + (1.0 - pi) * d2
     elif pi is not None:
-        kl_w = kl_bernoulli(pi, alpha)
+        # constant gates come from pi_update, so they lie in [0, 1] already
+        kl_w = _kl_bernoulli(pi, alpha)
     val = llc.sum(axis=1) if pi is None else (llc * pi + (1.0 - pi) * ll_out).sum(axis=1)
     val -= kl_z.value
     if pi is not None:

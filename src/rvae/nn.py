@@ -6,6 +6,7 @@ network used by the models is checkable against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,10 +113,13 @@ class AdamState:
 
     :func:`init_adam` copies every parameter into the one float64 buffer
     ``flat`` and rebinds each parameter tensor's value to a view of it, so
-    one vectorised update moves all parameters. ``grad``, ``m``, ``v`` and
-    ``scratch`` are flat buffers of the same length, and ``finite`` a
-    boolean one, reused by every step; the parameter ``names[i]`` owns
-    ``flat[offsets[i]:offsets[i + 1]]``.
+    one vectorised update moves all parameters. It also makes each
+    parameter's ``grad_buffer`` the same slice of ``grad``, so backward
+    accumulates the gradients straight into the buffer that
+    :func:`adam_step` reads. ``m``, ``v`` and ``scratch`` are flat buffers
+    of the same length, and ``finite`` a boolean one, reused by every step;
+    the parameter ``names[i]`` owns ``flat[offsets[i]:offsets[i + 1]]`` and
+    ``grad[offsets[i]:offsets[i + 1]]``.
     """
 
     lr: float = 0.001
@@ -133,27 +137,36 @@ class AdamState:
 
 def init_adam(params: dict[str, Tensor], lr: float = 0.001, weight_decay: float = 0.0) -> AdamState:
     """Fresh optimizer state; rebinds every parameter's value to a view of
-    the state's flat buffer (the values themselves do not change)."""
+    the state's flat buffer (the values themselves do not change) and its
+    ``grad_buffer`` to a view of the gradient buffer, clearing its gradient."""
     offsets = np.cumsum([0] + [p.value.size for p in params.values()]).tolist()
     flat = np.concatenate([p.value.ravel() for p in params.values()] + [np.zeros(0)])
+    grad = np.zeros_like(flat)
     for p, start, stop in zip(params.values(), offsets[:-1], offsets[1:]):
         p.value = flat[start:stop].reshape(p.value.shape)
+        p.grad_buffer = grad[start:stop].reshape(p.value.shape)
+        p.grad = None
     return AdamState(lr=lr, weight_decay=weight_decay, names=list(params), offsets=offsets,
-                     flat=flat, grad=np.zeros_like(flat), m=np.zeros_like(flat),
-                     v=np.zeros_like(flat), scratch=np.zeros_like(flat),
-                     finite=np.zeros(flat.size, dtype=bool))
+                     flat=flat, grad=grad, m=np.zeros_like(flat), v=np.zeros_like(flat),
+                     scratch=np.zeros_like(flat), finite=np.zeros(flat.size, dtype=bool))
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, in place on the parameter tensors.
+def adam_step(params: dict[str, Tensor], state: AdamState) -> AdamState:
+    """One Adam update, in place on the parameter tensors, from the
+    gradients backward accumulated into ``state.grad``.
 
-    ``params`` must be the dict the state was initialised with. A missing
-    gradient counts as zero. L2 decay is applied as a gradient addition
-    weight_decay * param before the moment updates (the classic
-    optimizer-level weight decay). Each elementwise operation is the one
-    a per-parameter update makes, in the same order, so results match it
-    bit for bit. Every intermediate goes to the state's own buffers, so a
-    step allocates no array as long as the parameters.
+    ``params`` must be the dict the state was initialised with. A parameter
+    that no backward reached since the previous step (its ``grad`` is None)
+    counts as a zero gradient; the step clears every parameter's ``grad``,
+    so nothing carries over to the next one. L2 decay is applied as a
+    gradient addition weight_decay * param before the moment updates (the
+    classic optimizer-level weight decay). The bias corrections are folded
+    into the step size and epsilon (Kingma & Ba, "Adam", ICLR 2015, end of
+    section 2): ``theta -= a_t * m / (sqrt(v) + eps * sqrt(1 - b2^t))`` with
+    ``a_t = lr * sqrt(1 - b2^t) / (1 - b1^t)``, which equals the
+    bias-corrected update in exact arithmetic. Every intermediate goes to
+    the state's own buffers, so a step allocates no array as long as the
+    parameters.
     """
     if list(params) != state.names:
         raise ValueError("parameters differ from those the optimizer was initialised with")
@@ -162,16 +175,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
                                     state.offsets[1:]):
         if p.value.base is not state.flat:
             raise ValueError(f"parameter '{name}' is no longer a view of the optimizer buffer")
-        grad = grads.get(name)
-        if grad is not None and grad.shape != p.value.shape:
-            raise ValueError(f"gradient shape mismatch for '{name}'")
-        g[start:stop].reshape(p.value.shape)[...] = 0.0 if grad is None else grad
+        if p.grad is None:
+            g[start:stop] = 0.0
+        elif p.grad is not p.grad_buffer:
+            raise ValueError(f"the gradient of parameter '{name}' is not in the optimizer buffer")
+        p.grad = None
     if not np.isfinite(g, out=state.finite).all():
         for name, start, stop in zip(state.names, state.offsets[:-1], state.offsets[1:]):
             if not state.finite[start:stop].all():
                 raise TrainingError(f"non-finite gradient for parameter '{name}'")
     state.step_count += 1
     t = state.step_count
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2 ** t)
+    step_size = state.lr * root_c2 / (1.0 - ADAM_BETA1 ** t)
     s = state.scratch
     if state.weight_decay != 0.0:
         g += np.multiply(state.weight_decay, state.flat, out=s)
@@ -180,10 +196,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     state.v *= ADAM_BETA2
     np.multiply(1.0 - ADAM_BETA2, g, out=s)
     state.v += np.multiply(s, g, out=s)
-    # the gradient is spent, so its buffer takes the denominator
-    m_hat = np.divide(state.m, 1.0 - ADAM_BETA1 ** t, out=s)
-    denom = np.divide(state.v, 1.0 - ADAM_BETA2 ** t, out=g)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    state.flat -= np.divide(np.multiply(state.lr, m_hat, out=s), denom, out=s)
+    denom = np.sqrt(state.v, out=s)
+    denom += ADAM_EPS * root_c2
+    update = np.divide(state.m, denom, out=s)
+    update *= step_size
+    state.flat -= update
     return state

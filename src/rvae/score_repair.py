@@ -259,18 +259,21 @@ def _blocks(schema: TableSchema) -> list[slice]:
     return [slice(end - f.cardinality, end) for f, end in zip(schema.cat_features, ends)]
 
 
-def _assemble_repair(model: RvaeModel, reals_std: np.ndarray, probs: np.ndarray) -> RepairResult:
-    """The repair of standardized reals and (N, sum C_d) category
-    probabilities: each categorical takes its block's highest-probability
-    category, ties to the lowest index, and its block as its simplex. The
-    only place where the blocks become the per-feature simplexes dict."""
+def _assemble_repair(model: RvaeModel, table: MixedTable, reals_std: np.ndarray,
+                     probs: np.ndarray) -> RepairResult:
+    """The repair of ``table`` from standardized reals and (N, sum C_d)
+    category probabilities: each categorical takes its block's
+    highest-probability category, ties to the lowest index, and its block as
+    its simplex. A real cell the repair kept is written as its raw input
+    value (:func:`destandardize` with ``table`` as the source). The only
+    place where the blocks become the per-feature simplexes dict."""
     schema = model.schema
     blocks = _blocks(schema)
     cats = np.empty((probs.shape[0], len(blocks)), dtype=np.int64)
     for j, block in enumerate(blocks):
         cats[:, j] = np.argmax(probs[:, block], axis=1)
     std_table = MixedTable(schema=schema, reals=reals_std, cats=cats, stats=model.stats)
-    return RepairResult(table=destandardize(std_table),
+    return RepairResult(table=destandardize(std_table, source=table),
                         simplexes={f.name: probs[:, b] for f, b in zip(schema.cat_features, blocks)})
 
 
@@ -285,7 +288,7 @@ def repair_map(model: RvaeModel, table: MixedTable) -> RepairResult:
                                 _mean_latents(model, table.reals[rows], table.cats[rows]))
         return decoded.real_means, decoded.cat_probs
 
-    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_repair))
+    return _assemble_repair(model, table, *_map_chunks(table.n_rows, chunk_repair))
 
 
 def _sample_categories(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -370,7 +373,7 @@ def repair_one_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
         return _run_chain(model, table.reals[rows], table.cats[rows], base, chunk,
                           gibbs_iters, np.ones(rows.size, dtype=bool))
 
-    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_chain))
+    return _assemble_repair(model, table, *_map_chunks(table.n_rows, chunk_chain))
 
 
 def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
@@ -384,10 +387,10 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
     ``base.derive(_MASK, chunk, 0)``, clamps clean cells to their observed
     values for the whole chain, and starts dirty cells at mean behaviour
     (zero for standardized reals, a zero embedding for categoricals). The
-    repair keeps the clean cells' observed values, with one-hot simplexes,
-    and gives dirty cells the mode of the chain's round-mean readout. The
-    chain runs only on rows with a dirty cell; a chunk without one runs no
-    chain.
+    repair keeps the clean cells' observed values (a real cell's raw input
+    value, bit for bit), with one-hot simplexes, and gives dirty cells the
+    mode of the chain's round-mean readout. The chain runs only on rows with
+    a dirty cell; a chunk without one runs no chain.
     """
     _check_chain(model, table, gibbs_iters)
     schema = model.schema
@@ -412,4 +415,4 @@ def repair_two_stage(model: RvaeModel, table: MixedTable, gibbs_iters: int = 5,
             probs[active] = np.where(dirty_blocks, chain_probs, probs[active])
         return reals, probs
 
-    return _assemble_repair(model, *_map_chunks(table.n_rows, chunk_chain))
+    return _assemble_repair(model, table, *_map_chunks(table.n_rows, chunk_chain))

@@ -5,8 +5,11 @@ One training step: sample a mini-batch, draw one z sample per row,
 evaluate clean and outlier likelihoods, obtain the per-cell clean
 probabilities (1 for the VAE, closed form for rvae-cvi, gate encoder for
 rvae-avi), and take an Adam step on the negative per-row-mean objective,
-whose gradient seeds backward directly. Everything is deterministic under
-the configured seed.
+whose gradient seeds backward directly. Backward accumulates the parameter
+gradients straight into the optimizer's flat buffer (see
+:class:`rvae.nn.AdamState`), from which the step reads them. The outlier
+log likelihoods depend on nothing but the cells, so they are computed once
+per table. Everything is deterministic under the configured seed.
 """
 
 from __future__ import annotations
@@ -122,14 +125,17 @@ class RvaeModel:
         require_same_schema(self.schema, table.schema, context="model vs table")
 
 
-def batch_objective(model: RvaeModel, reals: np.ndarray, cats: np.ndarray, eps: np.ndarray):
+def batch_objective(model: RvaeModel, reals: np.ndarray, cats: np.ndarray, eps: np.ndarray,
+                    ll_out: np.ndarray | None = None):
     """Per-row objective tensor and the pi values used (None for the VAE),
-    one :func:`gated_rows` node for every model kind."""
+    one :func:`gated_rows` node for every model kind. ``ll_out`` holds the
+    rows' :func:`outlier_logliks` when the caller has them already."""
     nets, schema, config = model.networks, model.schema, model.config
     x_enc, ll_clean, kl_z = forward_elbo_parts(nets, schema, reals, cats, eps)
     if config.model == "vae":
         return gated_rows(ll_clean, kl_z)
-    ll_out = outlier_logliks(config.outlier_scale, schema, reals, cats)
+    if ll_out is None:
+        ll_out = outlier_logliks(config.outlier_scale, schema, reals, cats)
     if config.is_amortized:
         gates = nets.pi_encoder.apply(x_enc, nets.embeddings.tables)
     else:
@@ -149,6 +155,9 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
     params = nets.params()
     opt = init_adam(params, lr=config.learning_rate, weight_decay=config.weight_decay)
     n = table.n_rows
+    # each row's outlier log likelihoods depend on its cells alone
+    ll_out = (outlier_logliks(config.outlier_scale, table.schema, table.reals, table.cats)
+              if config.is_robust else None)
     log = TrainLog()
     for epoch in range(config.epochs):
         tic = time.perf_counter()
@@ -159,14 +168,15 @@ def train(table: MixedTable, config: TrainConfig) -> tuple[RvaeModel, TrainLog]:
         for start in range(0, n, config.batch_size):
             idx = order[start: start + config.batch_size]
             eps = rng.normal((idx.size, config.latent_dim))
-            per_row, pi = batch_objective(model, table.reals[idx], table.cats[idx], eps)
+            per_row, pi = batch_objective(model, table.reals[idx], table.cats[idx], eps,
+                                          None if ll_out is None else ll_out[idx])
             total = float(per_row.value.sum())
             if not np.isfinite(total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             # the gradient of the loss, -mean(per_row)
             per_row.backward(np.full(idx.size, -1.0 / idx.size))
-            adam_step(params, {name: t.grad for name, t in params.items()}, opt)
+            adam_step(params, opt)
             nets.embeddings.renormalize()
             elbo_sum += total
             if pi is not None:

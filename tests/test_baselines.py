@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from rvae import baselines
 from rvae.baselines import (BIC_PATIENCE, Gmm1D, MarginalModel, _kmeanspp_centers, fit_gmm_1d,
                             fit_gmm_bic, fit_marginals, marginal_repair, marginal_score)
-from rvae.data import FeatureSpec, MixedTable, TableSchema
+from rvae.data import FeatureSpec, MixedTable, TableSchema, destandardize, standardize
 from rvae.errors import ConfigError
 from rvae.nn import Rng
 
@@ -362,6 +363,21 @@ def test_marginal_repair_only_touches_flagged_cells(mixed_schema):
     untouched[5] = False
     np.testing.assert_array_equal(result.table.reals[untouched], table.reals[untouched])
     np.testing.assert_array_equal(result.table.cats, table.cats)
+
+
+def test_marginal_repair_writes_unflagged_reals_as_their_raw_input(mixed_schema):
+    # a standardized table's unflagged cells come back bit for bit, not
+    # through (x - mean) / std * std + mean
+    raw = random_table(mixed_schema, 200, seed=8)
+    table = standardize(raw)
+    model = fit_marginals(table, max_components=2, seed=8)
+    mask = np.zeros((200, 4), dtype=bool)
+    mask[::7, 0] = True
+    result = marginal_repair(model, table, mask)
+    kept = ~mask[:, table.schema.kind_columns[0]]
+    np.testing.assert_array_equal(result.table.reals[kept], raw.reals[kept])
+    round_trip = destandardize(replace(table, reals=table.reals)).reals
+    assert (round_trip[kept] != raw.reals[kept]).any()
 
 
 def test_fit_is_deterministic(mixed_schema):

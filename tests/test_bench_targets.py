@@ -2,25 +2,37 @@
 
 A hooked name that disappears makes ``bench/run.py --trace 1`` report
 fewer per-layer metrics (with an ``absent`` line) while still exiting 0.
-The engine exports only what the package runs or the tracer hooks.
+The engine exports only what the package runs or the tracer hooks, and
+``BENCHMARK.json`` is what ``bench/spec.py`` generates.
 """
 
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 from rvae import engine
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench_module("tracing")
+
+
+def test_benchmark_json_is_what_the_spec_generates():
+    # ``python3 bench/spec.py > BENCHMARK.json`` prints the dump and a newline
+    generated = json.dumps(load_bench_module("spec").benchmark_json(), indent=2) + "\n"
+    assert (ROOT / "BENCHMARK.json").read_text(encoding="utf-8") == generated
 
 
 def test_every_traced_name_resolves():

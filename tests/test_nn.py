@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvae import engine
 from rvae.engine import Tensor
 from rvae.errors import TrainingError
 from rvae.nn import DenseNet, Rng, adam_step, init_adam
@@ -99,11 +101,24 @@ def test_densenet_validates_layer_spec():
 
 # -- Adam -------------------------------------------------------------------
 
-def scalar_adam_reference(theta, g, lr, b1, b2, eps, steps=1):
+def accumulate(params, grads):
+    """Make ``grads`` the parameters' gradients, as one backward contribution each."""
+    for name, g in grads.items():
+        params[name]._acc(np.asarray(g, dtype=np.float64))
+
+
+def step(params, grads, state):
+    """One Adam step on the gradients ``grads`` (a missing one counts as zero)."""
+    accumulate(params, grads)
+    return adam_step(params, state)
+
+
+def scalar_adam_reference(theta, g, lr, b1, b2, eps, steps=1, weight_decay=0.0):
     m = v = 0.0
     for t in range(1, steps + 1):
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
+        g_t = g + weight_decay * theta
+        m = b1 * m + (1 - b1) * g_t
+        v = b2 * v + (1 - b2) * g_t * g_t
         theta = theta - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
     return theta
 
@@ -112,7 +127,7 @@ def test_adam_zero_gradient_is_identity():
     params = {"w": Tensor(np.array([1.0, -2.0, 3.0]))}
     state = init_adam(params, lr=0.01)
     before = params["w"].value.copy()
-    adam_step(params, {"w": np.zeros(3)}, state)
+    step(params, {"w": np.zeros(3)}, state)
     np.testing.assert_array_equal(params["w"].value, before)
     assert state.step_count == 1
 
@@ -121,7 +136,7 @@ def test_adam_single_step_matches_scalar_reference():
     g = 0.37
     params = {"w": Tensor(np.array([2.0]))}
     state = init_adam(params, lr=0.05)
-    adam_step(params, {"w": np.array([g])}, state)
+    step(params, {"w": np.array([g])}, state)
     expected = scalar_adam_reference(2.0, g, 0.05, 0.9, 0.999, 1e-8)
     np.testing.assert_allclose(params["w"].value, [expected], rtol=1e-12)
 
@@ -131,15 +146,29 @@ def test_adam_multiple_steps_match_scalar_reference():
     params = {"w": Tensor(np.array([0.5]))}
     state = init_adam(params, lr=0.01)
     for _ in range(7):
-        adam_step(params, {"w": np.array([g])}, state)
+        step(params, {"w": np.array([g])}, state)
     expected = scalar_adam_reference(0.5, g, 0.01, 0.9, 0.999, 1e-8, steps=7)
     np.testing.assert_allclose(params["w"].value, [expected], rtol=1e-10)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_folded_adam_matches_the_bias_corrected_reference_over_500_steps(weight_decay):
+    # the fold is exact in real arithmetic; in float64 it stays within rounding
+    g = np.array([0.37, -1.2, 3e-4, 25.0])
+    theta = np.array([2.0, 0.5, -1.0, 0.1])
+    params = {"w": Tensor(theta.copy())}
+    state = init_adam(params, lr=0.003, weight_decay=weight_decay)
+    for _ in range(500):
+        step(params, {"w": g}, state)
+    expected = [scalar_adam_reference(t0, g0, 0.003, 0.9, 0.999, 1e-8, steps=500,
+                                      weight_decay=weight_decay) for t0, g0 in zip(theta, g)]
+    np.testing.assert_allclose(params["w"].value, expected, rtol=1e-10)
 
 
 def test_adam_weight_decay_shrinks_parameters():
     params = {"w": Tensor(np.array([1.0, -1.0]))}
     state = init_adam(params, lr=0.001, weight_decay=0.1)
-    adam_step(params, {"w": np.zeros(2)}, state)
+    step(params, {"w": np.zeros(2)}, state)
     assert np.all(np.abs(params["w"].value) < 1.0)
 
 
@@ -147,7 +176,7 @@ def test_adam_rejects_non_finite_gradient_with_name():
     params = {"encoder.W0": Tensor(np.ones(2))}
     state = init_adam(params)
     with pytest.raises(TrainingError, match="encoder.W0"):
-        adam_step(params, {"encoder.W0": np.array([1.0, np.nan])}, state)
+        step(params, {"encoder.W0": np.array([1.0, np.nan])}, state)
 
 
 def test_adam_names_a_non_finite_gradient_in_a_later_parameter():
@@ -155,15 +184,26 @@ def test_adam_names_a_non_finite_gradient_in_a_later_parameter():
     state = init_adam(params)
     grads = {"a": np.ones((2, 2)), "b": np.array([0.0, np.inf, 0.0]), "c": np.array([np.nan])}
     with pytest.raises(TrainingError, match="'b'"):
-        adam_step(params, grads, state)
+        step(params, grads, state)
+
+
+def test_a_non_finite_gradient_from_backward_names_its_parameter():
+    net = DenseNet([2, 2], ["identity"], Rng(3), name="enc")
+    params = net.params()
+    state = init_adam(params)
+    net.apply(Tensor(np.array([[1.0, np.inf]]))).backward(np.ones((1, 2)))
+    with pytest.raises(TrainingError, match="'enc.W0'"):
+        adam_step(params, state)
 
 
 def reference_adam(values, grad_steps, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
-    """The per-parameter update, one parameter at a time, as a reference."""
+    """The folded per-parameter update, one parameter at a time, as a reference."""
     values = {k: v.copy() for k, v in values.items()}
     m = {k: np.zeros_like(v) for k, v in values.items()}
     v_ = {k: np.zeros_like(v) for k, v in values.items()}
     for t, grads in enumerate(grad_steps, start=1):
+        root_c2 = math.sqrt(1.0 - b2 ** t)
+        step_size = lr * root_c2 / (1.0 - b1 ** t)
         for name, p in values.items():
             g = grads[name]
             if weight_decay != 0.0:
@@ -172,9 +212,7 @@ def reference_adam(values, grad_steps, lr, weight_decay, b1=0.9, b2=0.999, eps=1
             m[name] += (1.0 - b1) * g
             v_[name] *= b2
             v_[name] += (1.0 - b2) * g * g
-            m_hat = m[name] / (1.0 - b1 ** t)
-            v_hat = v_[name] / (1.0 - b2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            p -= m[name] / (np.sqrt(v_[name]) + eps * root_c2) * step_size
     return values
 
 
@@ -188,7 +226,7 @@ def test_flat_adam_matches_per_parameter_update_bit_for_bit(weight_decay):
     params = {k: Tensor(v.copy()) for k, v in start.items()}
     state = init_adam(params, lr=0.003, weight_decay=weight_decay)
     for grads in steps:
-        adam_step(params, grads, state)
+        step(params, grads, state)
     expected = reference_adam(start, steps, 0.003, weight_decay)
     for name, p in params.items():
         assert p.value.shape == shapes[name]
@@ -200,7 +238,15 @@ def test_adam_rejects_a_parameter_rebound_after_init():
     state = init_adam(params)
     params["w"].value = np.ones(2)
     with pytest.raises(ValueError, match="'w'"):
-        adam_step(params, {"w": np.ones(2)}, state)
+        step(params, {"w": np.ones(2)}, state)
+
+
+def test_adam_rejects_a_gradient_outside_its_buffer():
+    params = {"w": Tensor(np.ones(2))}
+    state = init_adam(params)
+    params["w"].grad = np.ones(2)
+    with pytest.raises(ValueError, match="'w'"):
+        adam_step(params, state)
 
 
 def test_adam_step_allocates_nothing_as_long_as_the_parameters():
@@ -210,16 +256,81 @@ def test_adam_step_allocates_nothing_as_long_as_the_parameters():
     params = {k: Tensor(rng.normal(size=shape)) for k, shape in shapes.items()}
     grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
     state = init_adam(params, weight_decay=0.01)
-    adam_step(params, grads, state)
+    step(params, grads, state)
+    accumulate(params, grads)
     tracemalloc.start()
     try:
-        adam_step(params, grads, state)
+        adam_step(params, state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert state.flat.size > 70_000
     assert peak < state.flat.nbytes
 
+
+# -- the optimizer's gradient buffer ------------------------------------------
+
+def two_layer_net(seed):
+    return DenseNet([3, 4, 2], ["relu", "identity"], Rng(seed))
+
+
+def test_backward_writes_parameter_gradients_into_the_optimizer_buffer():
+    net, plain = two_layer_net(1), two_layer_net(1)
+    state = init_adam(net.params())
+    x = Rng(2).normal((5, 3))
+    for n in (net, plain):
+        n.apply(Tensor(x)).backward(np.ones((5, 2)))
+    for (name, p), start, stop, q in zip(net.params().items(), state.offsets[:-1],
+                                         state.offsets[1:], plain.params().values()):
+        assert p.grad is p.grad_buffer and np.shares_memory(p.grad, state.grad), name
+        np.testing.assert_array_equal(state.grad[start:stop], q.grad.ravel(), err_msg=name)
+
+
+def test_a_parameter_reached_twice_sums_as_the_unbuffered_tape_does():
+    x, seed = Rng(3).normal((6, 4)), np.ones((6, 4))
+    plain = {"W": Tensor(Rng(4).normal((4, 4))), "b": Tensor(Rng(5).normal(4))}
+    buffered = {k: Tensor(t.value.copy()) for k, t in plain.items()}
+    init_adam(buffered)
+    for p in (plain, buffered):
+        # the same weight and bias in two consecutive layers
+        h = engine.dense(Tensor(x), p["W"], p["b"], relu=True)
+        engine.dense(h, p["W"], p["b"]).backward(seed)
+    for name in plain:
+        assert buffered[name].grad is buffered[name].grad_buffer
+        np.testing.assert_array_equal(buffered[name].grad, plain[name].grad, err_msg=name)
+
+
+def test_backward_twice_on_one_tape_does_not_double_count():
+    net = two_layer_net(6)
+    state = init_adam(net.params())
+    out = net.apply(Tensor(Rng(7).normal((4, 3))))
+    out.backward(np.ones((4, 2)))
+    first = state.grad.copy()
+    out.backward(np.ones((4, 2)))
+    np.testing.assert_array_equal(state.grad, first)
+
+
+def test_a_parameter_no_backward_reaches_steps_on_a_zero_gradient():
+    params = {"a": Tensor(np.array([1.0, -2.0])), "b": Tensor(np.array([0.5, 3.0]))}
+    state = init_adam(params, lr=0.01)
+
+    def run(tape_b):
+        out = engine.dense(Tensor(np.ones((1, 2))), Tensor(np.eye(2)), params["a"])
+        if tape_b:
+            out = engine.dense(out, Tensor(np.eye(2)), params["b"])
+        out.backward(np.array([[1.0, -2.0]]))
+
+    run(tape_b=True)
+    adam_step(params, state)
+    m_b, v_b = state.m[2:].copy(), state.v[2:].copy()
+    assert params["b"].grad is None
+    run(tape_b=False)
+    assert params["b"].grad is None
+    adam_step(params, state)
+    # b's slice of the buffer read zeros, so its moments only decayed
+    np.testing.assert_array_equal(state.grad[2:], 0.0)
+    np.testing.assert_array_equal(state.m[2:], m_b * 0.9)
+    np.testing.assert_array_equal(state.v[2:], v_b * 0.999)
 
 # -- rng ------------------------------------------------------------------
 

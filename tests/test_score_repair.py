@@ -9,10 +9,10 @@ from rvae.data import (ColumnStats, FeatureSpec, MixedTable, TableSchema,
                        apply_stats, destandardize, standardize)
 from rvae.cli import main
 from rvae.errors import ConfigError, DataFormatError, SchemaMismatchError, ScoreRuleError
-from rvae.model import build_networks
+from rvae.model import build_networks, decode_values
 from rvae.nn import Rng
-from rvae.score_repair import (RepairResult, ScoreReport, _pi_cell_scores, _run_chain,
-                               load_simplexes, repair_map, repair_one_stage,
+from rvae.score_repair import (RepairResult, ScoreReport, _mean_latents, _pi_cell_scores,
+                               _run_chain, load_simplexes, repair_map, repair_one_stage,
                                repair_two_stage, score)
 from rvae.synthetic import mixture_table
 from rvae.train import RvaeModel, TrainConfig, train
@@ -270,6 +270,39 @@ def test_two_stage_forced_clean_returns_observed(trained):
                                       np.eye(feat.cardinality)[table.cats[:, j]])
 
 
+def test_two_stage_writes_kept_reals_as_their_raw_input(trained, long_table):
+    # a cell the repair keeps comes back as the dirty table's own value, bit
+    # for bit; (x - mean) / std * std + mean moves some cells by an ulp
+    model, table = trained[0], long_table
+    raw = table.raw_reals
+    np.testing.assert_array_equal(destandardize(table).reals, raw)
+    round_trip = destandardize(replace(table, reals=table.reals)).reals
+    with forced_gates(0.5):
+        result = repair_two_stage(model, table, gibbs_iters=2, seed=13)
+    # the clean mask two-stage draws, chunk by chunk
+    clean = np.concatenate([
+        Rng(13).derive(MASK, c, 0).uniform((rows.stop - rows.start, model.schema.n_features)) < 0.5
+        for c, rows in chunks(table.n_rows)])
+    kept = clean[:, model.schema.kind_columns[0]]
+    assert 0.2 < kept.mean() < 0.8
+    np.testing.assert_array_equal(result.table.reals[kept], raw[kept])
+    assert (round_trip[kept] != raw[kept]).any()
+    assert not np.isin(result.table.reals[~kept], raw).any()
+
+
+def test_map_and_one_stage_repairs_map_every_real_back(trained, long_table):
+    # the kept-cell rule moves no MAP or one-stage output: neither keeps a cell
+    model, table = trained[0], long_table
+    map_reals = repair_map(model, table).table.reals
+    one_reals = repair_one_stage(model, table, gibbs_iters=2, seed=14).table.reals
+    for c, rows in chunks(table.n_rows):
+        obs_r, obs_c = table.reals[rows], table.cats[rows]
+        decoded = decode_values(model.networks.decoder, _mean_latents(model, obs_r, obs_c))
+        one_r, _ = _run_chain(model, obs_r, obs_c, Rng(14), c, 2, np.ones(len(obs_r), dtype=bool))
+        for got, std in ((map_reals, decoded.real_means), (one_reals, one_r)):
+            np.testing.assert_array_equal(got[rows], std * model.stats.std + model.stats.mean)
+
+
 def test_two_stage_forced_dirty_matches_mean_start_chain(trained):
     model, table, _ = trained
     with forced_gates(0.0):
@@ -446,7 +479,7 @@ def test_chains_replay_numpy_seeded_per_call_draws(trained, long_table):
 
     two = repair_two_stage(model, table, gibbs_iters=3, seed=21)
     np.testing.assert_array_equal(two.table.reals,
-                                  destandardize(replace(table, reals=reals)).reals)
+                                  destandardize(replace(table, reals=reals), source=table).reals)
     np.testing.assert_array_equal(two.table.cats, cats)
     for name, probs in simplexes.items():
         np.testing.assert_array_equal(two.simplexes[name], probs)
@@ -472,7 +505,7 @@ def test_chains_on_an_interleaved_schema_replay_the_reference(mixed_schema):
 
     two = repair_two_stage(model, table, gibbs_iters=3, seed=42)
     np.testing.assert_array_equal(two.table.reals,
-                                  destandardize(replace(table, reals=reals)).reals)
+                                  destandardize(replace(table, reals=reals), source=table).reals)
     np.testing.assert_array_equal(two.table.cats, cats)
     for name, probs in simplexes.items():
         np.testing.assert_array_equal(two.simplexes[name], probs)
@@ -683,8 +716,10 @@ def test_first_rows_do_not_depend_on_the_rows_after_them(trained, long_table, ru
     model = trained[0]
     full = output_arrays(SEEDED_RUNS[run](model, long_table))
     for n in (600, 1100):
-        head = MixedTable(schema=long_table.schema, reals=long_table.reals[:n],
-                          cats=long_table.cats[:n], stats=long_table.stats)
+        # the prefix of the dirty table, standardized as the whole table was
+        head = apply_stats(MixedTable(schema=long_table.schema, reals=long_table.raw_reals[:n],
+                                      cats=long_table.cats[:n]), long_table.stats)
+        assert head.reals.tobytes() == long_table.reals[:n].tobytes()
         for name, values in output_arrays(SEEDED_RUNS[run](model, head)).items():
             assert values.tobytes() == full[name][:n].tobytes(), (n, name)
 

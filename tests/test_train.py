@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -7,7 +8,8 @@ from rvae.corrupt import GaussianNoise, NoiseSpec, TemperedCategorical, make_sce
 from rvae.data import FeatureSpec, MixedTable, TableSchema, apply_stats, standardize
 from rvae.errors import (CheckpointError, ConfigError, SchemaMismatchError,
                          TrainingError)
-from rvae.nn import Rng
+from rvae.model import outlier_logliks
+from rvae.nn import Rng, init_adam
 from rvae.score_repair import score
 from rvae.synthetic import mixture_table
 from rvae.train import RvaeModel, TrainConfig, batch_objective, load_model, save_model, train
@@ -15,6 +17,8 @@ from rvae.train import RvaeModel, TrainConfig, batch_objective, load_model, save
 from conftest import (MALFORMED_CHECKPOINT_HEADERS, forced_gates, gated_elbo, random_batch,
                       random_table, rewrite_header, tiny_networks)
 
+# the module, which ``rvae.train`` the attribute (the function) shadows
+train_module = importlib.import_module("rvae.train")
 TINY = dict(epochs=25, hidden_dim=64, latent_dim=6, embedding_dim=12, batch_size=100)
 NOISE = NoiseSpec(real=GaussianNoise(0.0, 5.0), cat=TemperedCategorical(0.0))
 
@@ -109,6 +113,46 @@ def test_avi_and_cvi_share_the_objective(mixed_schema):
     avi_row, avi_pi = batch_objective(model, reals, cats, eps)
     pinned_row = gated_elbo(nets, mixed_schema, reals, cats, scale, avi_pi, 0.9, eps)
     np.testing.assert_allclose(avi_row.value, pinned_row.value, atol=1e-9)
+
+
+def test_train_takes_one_adam_step_per_mini_batch(monkeypatch):
+    # the demo table: 2000 rows in batches of 150 for 12 epochs, 14 x 12 steps
+    calls = []
+    step = train_module.adam_step
+    monkeypatch.setattr(train_module, "adam_step", lambda *args: calls.append(1) or step(*args))
+    table = standardize(mixture_table(2000, seed=7))
+    train(table, TrainConfig(epochs=12, hidden_dim=8, latent_dim=3, embedding_dim=4, seed=7))
+    assert len(calls) == 168
+
+
+def test_table_outlier_logliks_indexed_per_batch_equal_the_batch_s():
+    table = standardize(mixture_table(500, seed=8))
+    whole = outlier_logliks(2.0, table.schema, table.reals, table.cats)
+    for idx in (Rng(9).permutation(500)[:150], np.arange(450, 500)):
+        np.testing.assert_array_equal(
+            whole[idx], outlier_logliks(2.0, table.schema, table.reals[idx], table.cats[idx]))
+
+
+@pytest.mark.parametrize("kind", ["vae", "rvae-cvi", "rvae-avi"])
+def test_buffered_gradients_equal_the_tape_s_bit_for_bit(mixed_schema, kind):
+    # the optimizer's buffer holds what the unbuffered tape leaves in .grad
+    reals, cats = random_batch(mixed_schema, 7, seed=31)
+    eps = Rng(32).normal((7, 3))
+    config = TrainConfig(model=kind, outlier_scale=2.0)
+    grads = []
+    for buffered in (False, True):
+        nets = tiny_networks(mixed_schema, seed=30, amortized=kind == "rvae-avi")
+        params = nets.params()
+        state = init_adam(params) if buffered else None
+        per_row, _ = batch_objective(RvaeModel(nets, mixed_schema, config, stats={}),
+                                     reals, cats, eps)
+        per_row.backward(np.full(7, -1.0 / 7))
+        grads.append({name: p.grad for name, p in params.items()})
+        if buffered:
+            for p in params.values():
+                assert p.grad is p.grad_buffer and np.shares_memory(p.grad, state.grad)
+    for name, g in grads[0].items():
+        np.testing.assert_array_equal(grads[1][name], g, err_msg=name)
 
 
 def test_all_categorical_table_trains_scores_repairs():
