@@ -3,7 +3,7 @@
 A Tensor wraps an ndarray and remembers how it was produced; calling
 ``backward`` on a scalar (or seeding a vector output) walks the tape in
 reverse topological order and accumulates gradients into every reachable
-node.
+leaf, dropping each inner node's gradient once its closure has used it.
 
 The module holds the nodes the models run. Most are fused: one node makes
 the numpy operations of a chain of one-op nodes in the same order, so it
@@ -45,6 +45,11 @@ class Tensor:
     tensor's gradient is accumulated into: :func:`rvae.nn.init_adam` gives
     each parameter its slice of the optimizer's flat gradient buffer, so
     backward writes gradients where the update reads them.
+
+    After :meth:`backward`, only the node it was called on and the leaves
+    (nodes with no backward closure: parameters and constants) keep a
+    ``grad``; every inner node's reads None, freed once its closure has
+    passed it on.
     """
 
     __slots__ = ("value", "grad", "grad_buffer", "_parents", "_bw")
@@ -102,7 +107,10 @@ class Tensor:
         so the caller's array is never aliased. Gradients of every node
         reachable from here are reset first, so repeated calls do not
         accumulate across tapes: a parameter's first contribution then
-        overwrites whatever its ``grad_buffer`` held.
+        overwrites whatever its ``grad_buffer`` held. An inner node's
+        gradient is dropped as soon as its closure has run, so the pass
+        holds no more of them than the unvisited nodes need; afterwards
+        this node keeps its seed and each leaf its gradient.
         """
         seed = np.array(seed, dtype=np.float64)
         if seed.shape != self.value.shape:
@@ -114,6 +122,8 @@ class Tensor:
         for node in reversed(order):
             if node._bw is not None and node.grad is not None:
                 node._bw(node.grad)
+                if node is not self:
+                    node.grad = None
 
     def _topo(self) -> list["Tensor"]:
         order: list[Tensor] = []

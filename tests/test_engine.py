@@ -126,6 +126,7 @@ def test_backward_requires_a_seed_of_the_output_shape():
         t.backward(1.0)
     t2 = tape.mul(Tensor(np.ones(3)), 2.0)
     t2.backward(seed=np.ones(3))
+    # the root keeps the seed it was given, though it is an inner node's kind
     np.testing.assert_array_equal(t2.grad, np.ones(3))
 
 
@@ -140,12 +141,27 @@ def test_repeated_backward_resets_gradients():
 
 def test_repeated_backward_through_shared_nodes_gives_equal_gradients():
     w = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
-    h = engine.matmul(Tensor(np.ones((2, 3))), w)
-    out = tape.tsum(tape.mul(engine.slice_cols(h, 0, 2), engine.slice_cols(h, 1, 3)))
+    w.grad_buffer = np.zeros_like(w.value)  # as init_adam gives a parameter
+    x = Tensor(np.ones((2, 3)))
+    h = engine.matmul(x, w)
+    left, right = engine.slice_cols(h, 0, 2), engine.slice_cols(h, 1, 3)
+    prod = tape.mul(left, right)
+    out = tape.tsum(prod)
     out.backward(1.0)
-    first = w.grad.copy()
+    first = {"w": w.grad.copy(), "x": x.grad.copy()}
+    # backward drops every inner node's gradient once its closure has run;
+    # the leaves and the root keep theirs, a parameter's in its buffer
+    for inner in (h, left, right, prod):
+        assert inner.grad is None
+    assert w.grad is w.grad_buffer
+    assert x.grad is not None
+    np.testing.assert_array_equal(out.grad, 1.0)
     out.backward(1.0)
-    np.testing.assert_array_equal(w.grad, first)
+    for inner in (h, left, right, prod):
+        assert inner.grad is None
+    assert w.grad is w.grad_buffer
+    np.testing.assert_array_equal(w.grad, first["w"])
+    np.testing.assert_array_equal(x.grad, first["x"])
 
 
 def test_shared_node_accumulates_gradient():

@@ -125,6 +125,30 @@ def test_train_takes_one_adam_step_per_mini_batch(monkeypatch):
     assert len(calls) == 168
 
 
+@pytest.mark.parametrize("kind", ["vae", "rvae-cvi", "rvae-avi"])
+def test_the_tape_train_keeps_between_steps_holds_no_inner_gradient(monkeypatch, kind):
+    # the previous step's tape is alive when the next forward starts; of its
+    # gradients only the root's seed and the leaves' may be left
+    objective = train_module.batch_objective
+    tapes, held_at_call = [], []
+
+    def watched(*args):
+        if tapes:
+            held_at_call.append([node for node in tapes[-1]._topo()
+                                 if node._bw is not None and node is not tapes[-1]
+                                 and node.grad is not None])
+        per_row, pi = objective(*args)
+        tapes.append(per_row)
+        return per_row, pi
+
+    monkeypatch.setattr(train_module, "batch_objective", watched)
+    table = standardize(mixture_table(400, seed=3))
+    train(table, TrainConfig(model=kind, epochs=2, hidden_dim=8, latent_dim=3,
+                             embedding_dim=4, batch_size=150, seed=3))
+    # 3 batches per epoch, so 5 calls find an earlier step's tape
+    assert held_at_call == [[]] * 5
+
+
 def test_table_outlier_logliks_indexed_per_batch_equal_the_batch_s():
     table = standardize(mixture_table(500, seed=8))
     whole = outlier_logliks(2.0, table.schema, table.reals, table.cats)
